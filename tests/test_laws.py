@@ -3,17 +3,22 @@ reports are deterministic, and the frozen shape of the run is stable."""
 
 from __future__ import annotations
 
+import hashlib
 from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
+from cleanrings import cli, laws
+from cleanrings.dsl import build, parse, pretty
 from cleanrings.laws import (
+    LAW_FUNCTIONS,
     LAW_IDS,
     LawReport,
     reports_to_json,
     run_catalog,
     run_law,
+    run_ring,
     summarize,
 )
 from cleanrings.localized import LocalizedIntegers, clean_flags
@@ -263,3 +268,56 @@ def test_run_law_filters_to_one_law():
 def test_catalog_run_fits_the_time_budget():
     total = sum(r.seconds for r in REPORTS)
     assert total < 60.0
+
+
+# ---------------------------------------------------------------------------
+# golden pins: the exact bytes of the catalog run and of three per-ring runs,
+# so a refactor that changed every run the same way would still be caught
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_catalog_json_matches_the_golden_pin():
+    assert (
+        _sha256(reports_to_json(REPORTS))
+        == "4e68c2fdb05549dad84488f7e7c7f5317df49059aa3bcc7e2657305123df3c99"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, digest",
+    [
+        ("(zn 12)", "6c5c9d6064d3996af3e6a757d0a63c7681dfb2f86ca08b719394fea069e222ef"),
+        (
+            "(tri2 (zn 2) (zn 2) regular)",
+            "b719b200db0855c6bdfb4642a3cdc6abcf7912f868d055661ea007c68de2296a",
+        ),
+        (
+            "(matrix 2 (zn 2))",
+            "f9e7786b6918d1e9f09f290bb4e9c1dd0a98198bab23edec83ba4c7484c9fdb9",
+        ),
+    ],
+)
+def test_run_ring_json_matches_the_golden_pin(text, digest):
+    spec = parse(text)
+    assert _sha256(reports_to_json(run_ring(build(spec), label=pretty(spec)))) == digest
+
+
+def test_catalog_text_output_matches_the_golden_pin(capsys):
+    assert cli.main(["laws", "--catalog"]) == 0
+    assert (
+        _sha256(capsys.readouterr().out)
+        == "e0e1ad4b050e58e5eb59bb9a50dbbc1522719d0db2d89759c7ac31451519d515"
+    )
+
+
+def test_law_functions_are_module_attributes_that_report_their_own_id():
+    # perfbench/traced.py times each law by wrapping laws.<fn.__name__>.
+    assert tuple(law_id for law_id, _ in LAW_FUNCTIONS) == LAW_IDS
+    for law_id, fn in LAW_FUNCTIONS:
+        assert getattr(laws, fn.__name__) is fn
+        reports = fn()
+        assert isinstance(reports, list)
+        assert {r.law_id for r in reports} == {law_id}
