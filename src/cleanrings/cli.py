@@ -40,7 +40,7 @@ from .analysis import (
 from .core import FiniteRing
 from .dsl import LocalizedSpec, SpecError, build, parse, pretty
 from .ideals import IdealSet, full_ideal, ideal_closure
-from .laws import LAW_IDS, reports_to_json, run_catalog, run_law, run_ring, summarize
+from .laws import LAW_IDS, RING_LAW_IDS, reports_to_json, run_catalog, run_law, run_ring, summarize
 from .localized import (
     LocalizedIdeal,
     LocalizedIntegers,
@@ -73,6 +73,16 @@ def _emit(text: str) -> None:
 
 def _emit_json(payload: dict) -> None:
     _emit(json.dumps(payload, sort_keys=True))
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for --bound: a positive integer."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
 
 
 def _load_spec(args: argparse.Namespace):
@@ -271,6 +281,8 @@ def _cmd_ideal(args: argparse.Namespace) -> int:
         _emit(f"ideal {ideal.describe()}: {args.check} {_yn(ok)} [{verdict.method}]")
         if witness is not None:
             _emit(f"  witness {witness}: no admissible decomposition")
+        elif not ok:
+            _emit(f"  no witness within the search bound {args.bound} (raise --bound)")
         return 0 if ok else 1
 
     ideal = _finite_ideal(ring, args.gens)
@@ -429,29 +441,24 @@ def _cmd_units(args: argparse.Namespace) -> int:
 
 
 def _cmd_laws(args: argparse.Namespace) -> int:
+    if args.law is not None and args.law not in LAW_IDS:
+        raise _UsageError(f"unknown law {args.law!r}; known: {', '.join(LAW_IDS)}")
     if args.catalog:
-        if args.law is not None:
-            if args.law not in LAW_IDS:
-                raise _UsageError(
-                    f"unknown law {args.law!r}; known: {', '.join(LAW_IDS)}"
-                )
-            reports = run_law(args.law)
-        else:
-            reports = run_catalog()
+        reports = run_catalog() if args.law is None else run_law(args.law)
     else:
+        if args.law is not None and args.law not in RING_LAW_IDS:
+            raise _UsageError(
+                f"law {args.law!r} does not run on a single ring; laws --spec runs"
+                f" {', '.join(RING_LAW_IDS)}"
+            )
         spec = _load_spec(args)
         if isinstance(spec, LocalizedSpec):
             raise _UsageError(
                 "laws --spec needs a finite ring; the built-in catalog already"
                 " carries the localization instances (use laws --catalog)"
             )
-        ring = build(spec)
-        reports = run_ring(ring, label=pretty(spec))
+        reports = run_ring(build(spec), label=pretty(spec))
         if args.law is not None:
-            if args.law not in LAW_IDS:
-                raise _UsageError(
-                    f"unknown law {args.law!r}; known: {', '.join(LAW_IDS)}"
-                )
             reports = [r for r in reports if r.law_id == args.law]
     failed = sum(1 for r in reports if r.verdict == "fail")
     if args.json:
@@ -560,7 +567,7 @@ def _parser() -> argparse.ArgumentParser:
     ideal.add_argument("--check", required=True, choices=CHECKS)
     ideal.add_argument(
         "--bound",
-        type=int,
+        type=_positive_int,
         default=64,
         help="numerator/denominator bound for localization witness searches",
     )
@@ -595,7 +602,7 @@ def _parser() -> argparse.ArgumentParser:
         help="reproduce the two bundled localization case studies",
     )
     examples.add_argument(
-        "--bound", type=int, default=64, help="witness search bound"
+        "--bound", type=_positive_int, default=64, help="witness search bound"
     )
     examples.set_defaults(func=_cmd_examples)
     return top

@@ -744,14 +744,6 @@ def truncated_power_series(base: FiniteRing, k: int, *, label: str | None = None
     )
 
 
-def series_constant_term(ambient: FiniteRing, idx: int) -> int:
-    """Constant coefficient of a truncated-series element."""
-    prov = ambient.provenance or {}
-    if prov.get("kind") != "series":
-        raise ValueError("not a truncated series ring")
-    return idx // (prov["base_order"] ** (prov["k"] - 1))
-
-
 @dataclass(frozen=True)
 class CornerRing:
     """The corner e*R*e with its embedding back into the parent ring."""

@@ -614,7 +614,7 @@ def parse(text: str, *, allow_tables: bool = False) -> RingSpec:
     limit = size_cap(None)
     if estimate is not None and estimate > limit:
         raise SpecSizeError(
-            f"estimated order {estimate} exceeds the size cap {limit}",
+            f"estimated order exceeds the size cap {limit}",
             node.open_token.line if isinstance(node, _List) else 1,
             node.open_token.col if isinstance(node, _List) else 1,
         )
@@ -636,7 +636,20 @@ def _module_size(ref: ModuleRef, default: int) -> int:
 
 
 def size_estimate(spec: RingSpec) -> int | None:
-    """Order of the ring the spec describes, or None for infinite rings."""
+    """Order of the ring the spec describes, or None for infinite rings.
+
+    Every level is clamped at one above the size cap, so the estimate is
+    exact at or below the cap and above it exactly when the true order is,
+    however deeply the spec nests.
+    """
+    order = _one_level(spec)
+    return None if order is None else min(order, size_cap(None) + 1)
+
+
+def _one_level(spec: RingSpec) -> int | None:
+    """The order from the clamped estimates of the spec's parts."""
+    # A base of 2 or more raised to this many already exceeds the clamp.
+    most = (size_cap(None) + 1).bit_length()
     if isinstance(spec, ZnSpec):
         return spec.n
     if isinstance(spec, LocalizedSpec):
@@ -647,7 +660,7 @@ def size_estimate(spec: RingSpec) -> int | None:
             total *= size_estimate(f) or 1
         return total
     if isinstance(spec, MatrixSpec):
-        return (size_estimate(spec.base) or 1) ** (spec.k * spec.k)
+        return (size_estimate(spec.base) or 1) ** min(spec.k * spec.k, most)
     if isinstance(spec, Tri2Spec):
         r = size_estimate(spec.r) or 1
         s = size_estimate(spec.s) or 1
@@ -674,7 +687,7 @@ def size_estimate(spec: RingSpec) -> int | None:
     if isinstance(spec, QuotientSpec):
         return size_estimate(spec.base)
     if isinstance(spec, SeriesSpec):
-        return (size_estimate(spec.base) or 1) ** spec.k
+        return (size_estimate(spec.base) or 1) ** min(spec.k, most)
     if isinstance(spec, CornerSpec):
         return size_estimate(spec.base)
     raise TypeError(f"not a RingSpec: {spec!r}")

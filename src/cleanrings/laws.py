@@ -19,6 +19,14 @@ least one side genuinely varies -- localizations of the integers, uniqueness
 checks on rings with noncentral idempotents, counting identities -- are
 tagged ``discriminating``.
 
+A law is declared once, as a ``_Law`` holding its id, direction and
+description. The declaration decorates the law's public ``law_*`` function,
+whose body yields only the per-instance fields (``_verdict`` or
+``_skipped``); ``_Law.reports`` times each instance and builds its
+``LawReport``. The six laws that sweep a ring's ideal lattice are declared
+on their check of one ring (``_ring_law``), which both the catalog run and
+``run_ring`` use.
+
 ``run_catalog()`` executes every law and returns the reports sorted by
 ``(law, inputs)``; ``reports_to_json`` renders them as one JSON object per
 line with sorted keys and no timing data, so two runs over the same catalog
@@ -27,15 +35,15 @@ produce byte-identical output.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from typing import Callable, Sequence
+from math import gcd, prod
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .analysis import (
     decompositions,
@@ -85,7 +93,6 @@ from .ideals import (
     series_ideal,
     tri2_ideal,
     tri3_ideal,
-    zero_ideal,
 )
 from .localized import (
     LocalizedIntegers,
@@ -102,6 +109,7 @@ from .localized import (
 
 __all__ = [
     "LAW_IDS",
+    "RING_LAW_IDS",
     "LawReport",
     "reports_to_json",
     "run_catalog",
@@ -147,11 +155,158 @@ class LawReport:
         }
 
 
+# ---------------------------------------------------------------------------
+# declaring a law
+
+
+@dataclass(frozen=True)
+class _Law:
+    """One law's declaration.
+
+    Used as a decorator on a function that yields (or returns an iterator
+    of) per-instance fields, it returns a function that runs it to the end
+    and returns the reports, so the law does all of its work when called. The laws that sweep a
+    ring's ideal lattice also carry their ``check(ring, inputs, ideals,
+    complete)``, which returns the fields of the report on one ring.
+    """
+
+    law_id: str
+    direction: str
+    description: str
+    check: Callable[..., dict] | None = None
+
+    def __call__(self, body: Callable[[], Iterable[dict]]) -> Callable[[], list[LawReport]]:
+        @functools.wraps(body)
+        def run() -> list[LawReport]:
+            return self.reports(body())
+
+        run.law_id = self.law_id
+        return run
+
+    def reports(self, instances: Iterable[dict]) -> list[LawReport]:
+        """One report per instance, each timed while it is produced."""
+        out: list[LawReport] = []
+        t0 = time.perf_counter()
+        for fields in instances:
+            out.append(
+                LawReport(
+                    law_id=self.law_id,
+                    description=self.description,
+                    direction=self.direction,
+                    seconds=time.perf_counter() - t0,
+                    **fields,
+                )
+            )
+            t0 = time.perf_counter()
+        return out
+
+    def sweep(self, rings: Iterable[tuple]) -> Iterator[dict]:
+        """``check`` on each (ring, inputs, ideals, complete), one at a time."""
+        for ring, inputs, ideals, complete in rings:
+            yield self.check(ring, inputs, ideals, complete)
+
+
+def _ring_law(law_id: str, direction: str, description: str) -> Callable[[Callable], _Law]:
+    """Declare a law that sweeps a ring's ideal lattice on its check of one ring."""
+    return lambda check: _Law(law_id, direction, description, check)
+
+
+def _verdict(
+    inputs: str,
+    ok: bool,
+    *,
+    strength: str = "degenerate",
+    reason: str = "",
+    witness: dict | None = None,
+    scanned: int = 0,
+) -> dict:
+    """The per-instance fields of an instance the law was checked on."""
+    return {
+        "inputs": inputs,
+        "verdict": "pass" if ok else "fail",
+        "instance_strength": strength,
+        "reason": reason,
+        "witness": witness,
+        "scanned": scanned,
+    }
+
+
+def _skipped(inputs: str, reason: str, *, strength: str = "degenerate", scanned: int = 0) -> dict:
+    """The per-instance fields of an instance outside the law's hypothesis."""
+    fields = _verdict(inputs, True, strength=strength, reason=reason, scanned=scanned)
+    return {**fields, "verdict": "skipped"}
+
+
+def _ideal(ring: FiniteRing, gens: tuple[int, ...] | None) -> IdealSet:
+    """The ideal the generators span; no generators at all is the whole ring."""
+    return full_ideal(ring) if gens is None else ideal_closure(ring, gens)
+
+
+def _components(pairs: list[tuple[FiniteRing, IdealSet]]) -> tuple[list[bool], list[bool], int]:
+    """Weak cleanness and cleanness of each (ring, ideal), and the elements scanned."""
+    wc = [ideal_is_weakly_clean(r, i) for r, i in pairs]
+    cl = [ideal_is_clean(r, i) for r, i in pairs]
+    return [v.ok for v in wc], [v.ok for v in cl], sum(v.checked for v in wc + cl)
+
+
+def _at_most_one_not_clean(wc: list[bool], cl: list[bool]) -> bool:
+    """Every component is weakly clean and at most one of them is not clean."""
+    return all(wc) and sum(1 for c in cl if not c) <= 1
+
+
+def _strictly_weakly_exchange(ring: FiniteRing, ideal: IdealSet):
+    return ideal_is_weakly_exchange(ring, ideal, mode="strict")
+
+
+def _implication(ring: FiniteRing, ideals: Sequence[IdealSet], hypothesis, conclusion):
+    """(witness, scanned): the first ideal where ``hypothesis`` holds and
+    ``conclusion`` fails, with its failing element, or None."""
+    scanned = 0
+    for ideal in ideals:
+        v_hyp = hypothesis(ring, ideal)
+        scanned += v_hyp.checked
+        if not v_hyp.ok:
+            continue
+        v = conclusion(ring, ideal)
+        scanned += v.checked
+        if not v.ok:
+            return {"ideal": ideal.describe(), "element": v.failing}, scanned
+    return None, scanned
+
+
+def _weakly_clean_block(inputs: str, ring: FiniteRing, block: IdealSet, scanned: int) -> dict:
+    """Fields of an instance whose conclusion is that ``block`` is weakly clean."""
+    v = ideal_is_weakly_clean(ring, block)
+    witness = None if v.ok else {"ideal": block.describe(), "element": v.failing}
+    return _verdict(inputs, v.ok, witness=witness, scanned=scanned + v.checked)
+
+
 @lru_cache(maxsize=None)
 def _inventory(key: str) -> tuple[tuple[IdealSet, ...], bool]:
     entry = catalog_entry(key)
     ideals, complete = ideal_inventory(entry.ring)
     return tuple(ideals), complete
+
+
+def _catalog(every_entry: bool = False) -> Iterator[tuple]:
+    """(ring, inputs, ideals, complete) for each catalog entry small enough
+    for the ideal laws, or for every entry."""
+    for entry in build_catalog():
+        if every_entry or entry.in_ideal_laws:
+            yield (entry.ring, entry.key, *_inventory(entry.key))
+
+
+def _localized_ideal(ring: LocalizedIntegers, gen: int | None):
+    """The principal ideal of ``gen``; no generator is the whole ring."""
+    return ring.full_ideal() if gen is None else ring.principal_ideal(gen)
+
+
+def _localized(*cases: tuple[tuple[int, ...], int | None]) -> Iterator[tuple]:
+    """(ring, ideal, inputs) for each (primes, generator)."""
+    for primes, gen in cases:
+        ring = LocalizedIntegers(primes)
+        ideal = _localized_ideal(ring, gen)
+        yield ring, ideal, f"{ring.label} | {ideal.describe()}"
 
 
 @lru_cache(maxsize=None)
@@ -164,145 +319,72 @@ def _m3z2() -> FiniteRing:
     return matrix_ring(zn(2), 3, cap=512)
 
 
-def _ideal_law_entries():
-    return [e for e in build_catalog() if e.in_ideal_laws]
-
-
-def _frac(q: Fraction) -> str:
-    return str(q)
-
-
 # ---------------------------------------------------------------------------
 # proper-ideals
 
 
-def _proper_ideals_one(
-    ring: FiniteRing, inputs: str, ideals: Sequence[IdealSet], complete: bool
-) -> LawReport:
-    description = (
-        "clean and weakly clean verdicts for a ring agree with the"
-        " conjunction over all of its proper ideals"
-    )
-    t0 = time.perf_counter()
-    proper = [i for i in ideals if i.is_proper]
+@_ring_law(
+    "proper-ideals",
+    "both",
+    "clean and weakly clean verdicts for a ring agree with the"
+    " conjunction over all of its proper ideals",
+)
+def _proper_ideals(ring, inputs, ideals, complete):
     ring_clean = ring_is_clean(ring)
     ring_wc = ring_is_weakly_clean(ring)
     scanned = ring.order
     all_clean = True
     all_wc = True
     witness = None
-    for ideal in proper:
+    for ideal in (i for i in ideals if i.is_proper):
         v_clean = ideal_is_clean(ring, ideal)
         v_wc = ideal_is_weakly_clean(ring, ideal)
         scanned += v_clean.checked + v_wc.checked
-        if not v_clean.ok:
-            all_clean = False
-            if witness is None:
-                witness = {"ideal": ideal.describe(), "element": v_clean.failing}
-        if not v_wc.ok:
-            all_wc = False
-            if witness is None:
-                witness = {"ideal": ideal.describe(), "element": v_wc.failing}
+        all_clean &= v_clean.ok
+        all_wc &= v_wc.ok
+        for v in (v_clean, v_wc):
+            if not v.ok and witness is None:
+                witness = {"ideal": ideal.describe(), "element": v.failing}
     ok = (ring_clean == all_clean) and (ring_wc == all_wc)
     reason = ""
     if not complete:
         reason = "ideal enumeration hit the size cap; the sweep covers the enumerated ideals"
-    return LawReport(
-        law_id="proper-ideals",
-        description=description,
-        inputs=inputs,
-        verdict="pass" if ok else "fail",
-        direction="both",
-        instance_strength="degenerate",
-        reason=reason,
-        witness=witness,
-        scanned=scanned,
-        seconds=time.perf_counter() - t0,
-    )
+    return _verdict(inputs, ok, reason=reason, witness=witness, scanned=scanned)
 
 
-def law_proper_ideals() -> list[LawReport]:
+@_proper_ideals
+def law_proper_ideals():
     """Ring-level clean/weakly-clean agree with the sweep over proper ideals."""
-    return [
-        _proper_ideals_one(entry.ring, entry.key, *_inventory(entry.key))
-        for entry in build_catalog()
-    ]
+    return _proper_ideals.sweep(_catalog(every_entry=True))
 
 
 # ---------------------------------------------------------------------------
 # weakly-clean-implies-weakly-exchange
 
 
-_WC_IMPLIES_WEX_DESCRIPTION = "every weakly clean ideal is weakly exchange"
+@_ring_law(
+    "weakly-clean-implies-weakly-exchange",
+    "forward",
+    "every weakly clean ideal is weakly exchange",
+)
+def _wc_implies_wex(ring, inputs, ideals, complete):
+    witness, scanned = _implication(ring, ideals, ideal_is_weakly_clean, _strictly_weakly_exchange)
+    return _verdict(inputs, witness is None, witness=witness, scanned=scanned)
 
 
-def _wc_implies_wex_one(
-    ring: FiniteRing, inputs: str, ideals: Sequence[IdealSet]
-) -> LawReport:
-    t0 = time.perf_counter()
-    scanned = 0
-    verdict = "pass"
-    witness = None
-    for ideal in ideals:
-        v_wc = ideal_is_weakly_clean(ring, ideal)
-        scanned += v_wc.checked
-        if not v_wc.ok:
-            continue
-        v_wex = ideal_is_weakly_exchange(ring, ideal, mode="strict")
-        scanned += v_wex.checked
-        if not v_wex.ok:
-            verdict = "fail"
-            witness = {"ideal": ideal.describe(), "element": v_wex.failing}
-            break
-    return LawReport(
-        law_id="weakly-clean-implies-weakly-exchange",
-        description=_WC_IMPLIES_WEX_DESCRIPTION,
-        inputs=inputs,
-        verdict=verdict,
-        direction="forward",
-        instance_strength="degenerate",
-        witness=witness,
-        scanned=scanned,
-        seconds=time.perf_counter() - t0,
-    )
-
-
-def law_weakly_clean_implies_weakly_exchange() -> list[LawReport]:
-    description = _WC_IMPLIES_WEX_DESCRIPTION
-    out: list[LawReport] = []
-    for entry in _ideal_law_entries():
-        ideals, _ = _inventory(entry.key)
-        out.append(_wc_implies_wex_one(entry.ring, entry.key, ideals))
+@_wc_implies_wex
+def law_weakly_clean_implies_weakly_exchange():
+    yield from _wc_implies_wex.sweep(_catalog())
     # Localizations: weak cleanness actually varies here, so the implication
     # is exercised away from the everything-is-clean regime. The analytic
     # verdicts are cross-checked on a member sample against the raw
     # divisibility definition of the exchange property.
-    localized_instances = [
-        (LocalizedIntegers((3, 5)), "full"),
-        (LocalizedIntegers((3, 5)), "<3>"),
-        (LocalizedIntegers((2, 3)), "<3>"),
-    ]
-    for ring, which in localized_instances:
-        t0 = time.perf_counter()
-        if which == "full":
-            ideal = ring.full_ideal()
-        else:
-            ideal = ring.principal_ideal(int(which.strip("<>")))
-        wc = ideal_is_weakly_clean_analytic(ideal)
-        inputs = f"{ring.label} | {ideal.describe()}"
-        if not wc.value:
-            out.append(
-                LawReport(
-                    law_id="weakly-clean-implies-weakly-exchange",
-                    description=description,
-                    inputs=inputs,
-                    verdict="skipped",
-                    direction="forward",
-                    instance_strength="discriminating",
-                    reason="the ideal is not weakly clean, so the hypothesis is empty",
-                    scanned=0,
-                    seconds=time.perf_counter() - t0,
-                )
+    for ring, ideal, inputs in _localized(((3, 5), None), ((3, 5), 3), ((2, 3), 3)):
+        if not ideal_is_weakly_clean_analytic(ideal).value:
+            yield _skipped(
+                inputs,
+                "the ideal is not weakly clean, so the hypothesis is empty",
+                strength="discriminating",
             )
             continue
         wex = ideal_is_weakly_exchange_analytic(ideal)
@@ -312,51 +394,39 @@ def law_weakly_clean_implies_weakly_exchange() -> list[LawReport]:
             for x in sample
         )
         ok = wex.value and definition_ok
-        out.append(
-            LawReport(
-                law_id="weakly-clean-implies-weakly-exchange",
-                description=description,
-                inputs=inputs,
-                verdict="pass" if ok else "fail",
-                direction="forward",
-                instance_strength="discriminating",
-                reason="analytic verdict cross-checked against the divisibility definition on a member sample",
-                witness=None if ok else {"sampled": [_frac(x) for x in sample]},
-                scanned=len(sample),
-                seconds=time.perf_counter() - t0,
-            )
+        yield _verdict(
+            inputs,
+            ok,
+            strength="discriminating",
+            reason="analytic verdict cross-checked against the divisibility definition on a member sample",
+            witness=None if ok else {"sampled": [str(x) for x in sample]},
+            scanned=len(sample),
         )
-    return out
 
 
 # ---------------------------------------------------------------------------
 # central-equivalence
 
 
-_CENTRAL_EQUIVALENCE_DESCRIPTION = (
+@_ring_law(
+    "central-equivalence",
+    "both",
     "when every idempotent in the ideal is central, weakly clean and"
-    " weakly exchange verdicts coincide"
+    " weakly exchange verdicts coincide",
 )
-
-
-def _central_equivalence_one(
-    ring: FiniteRing, inputs: str, ideals: Sequence[IdealSet]
-) -> LawReport:
-    t0 = time.perf_counter()
+def _central_equivalence(ring, inputs, ideals, complete):
     noncentral = {e for e in ring.idempotents if not ring.is_central(e)}
     scanned = 0
     skipped_ideals = 0
-    verdict = "pass"
     witness = None
     for ideal in ideals:
         if noncentral & set(ideal.members):
             skipped_ideals += 1
             continue
         v_wc = ideal_is_weakly_clean(ring, ideal)
-        v_wex = ideal_is_weakly_exchange(ring, ideal, mode="strict")
+        v_wex = _strictly_weakly_exchange(ring, ideal)
         scanned += v_wc.checked + v_wex.checked
         if v_wc.ok != v_wex.ok:
-            verdict = "fail"
             witness = {
                 "ideal": ideal.describe(),
                 "weakly_clean": v_wc.ok,
@@ -366,144 +436,53 @@ def _central_equivalence_one(
     reason = ""
     if skipped_ideals:
         reason = f"{skipped_ideals} ideal(s) hold a noncentral idempotent and fall outside the hypothesis"
-    return LawReport(
-        law_id="central-equivalence",
-        description=_CENTRAL_EQUIVALENCE_DESCRIPTION,
-        inputs=inputs,
-        verdict=verdict,
-        direction="both",
-        instance_strength="degenerate",
-        reason=reason,
-        witness=witness,
-        scanned=scanned,
-        seconds=time.perf_counter() - t0,
-    )
+    return _verdict(inputs, witness is None, reason=reason, witness=witness, scanned=scanned)
 
 
-def law_central_equivalence() -> list[LawReport]:
-    description = _CENTRAL_EQUIVALENCE_DESCRIPTION
-    out: list[LawReport] = []
-    for entry in _ideal_law_entries():
-        ideals, _ = _inventory(entry.key)
-        out.append(_central_equivalence_one(entry.ring, entry.key, ideals))
+@_central_equivalence
+def law_central_equivalence():
+    yield from _central_equivalence.sweep(_catalog())
     # Localized instances: commutative, so the hypothesis always holds, and
     # the biconditional is checked where both sides can be false.
-    for primes, gen in (((3, 5), None), ((2, 3), 3)):
-        t0 = time.perf_counter()
-        ring = LocalizedIntegers(primes)
-        ideal = ring.full_ideal() if gen is None else ring.principal_ideal(gen)
+    for _, ideal, inputs in _localized(((3, 5), None), ((2, 3), 3)):
         wc = ideal_is_weakly_clean_analytic(ideal).value
         wex = ideal_is_weakly_exchange_analytic(ideal).value
-        out.append(
-            LawReport(
-                law_id="central-equivalence",
-                description=description,
-                inputs=f"{ring.label} | {ideal.describe()}",
-                verdict="pass" if wc == wex else "fail",
-                direction="both",
-                instance_strength="discriminating",
-                reason=f"both sides are {wc}",
-                witness=None,
-                scanned=2,
-                seconds=time.perf_counter() - t0,
-            )
+        yield _verdict(
+            inputs, wc == wex, strength="discriminating", reason=f"both sides are {wc}", scanned=2
         )
-    return out
 
 
 # ---------------------------------------------------------------------------
 # reduced-rings
 
 
-_REDUCED_RINGS_DESCRIPTION = (
-    "in a ring with no nonzero nilpotents, weakly exchange ideals are weakly clean"
+@_ring_law(
+    "reduced-rings",
+    "forward",
+    "in a ring with no nonzero nilpotents, weakly exchange ideals are weakly clean",
 )
-
-
-def _reduced_rings_one(
-    ring: FiniteRing, inputs: str, ideals: Sequence[IdealSet]
-) -> LawReport:
-    t0 = time.perf_counter()
+def _reduced_rings(ring, inputs, ideals, complete):
     if ring.has_nonzero_nilpotents:
-        return LawReport(
-            law_id="reduced-rings",
-            description=_REDUCED_RINGS_DESCRIPTION,
-            inputs=inputs,
-            verdict="skipped",
-            direction="forward",
-            instance_strength="degenerate",
-            reason="the ring has nonzero nilpotent elements",
-            seconds=time.perf_counter() - t0,
-        )
-    scanned = 0
-    verdict = "pass"
-    witness = None
-    for ideal in ideals:
-        v_wex = ideal_is_weakly_exchange(ring, ideal, mode="strict")
-        scanned += v_wex.checked
-        if not v_wex.ok:
-            continue
-        v_wc = ideal_is_weakly_clean(ring, ideal)
-        scanned += v_wc.checked
-        if not v_wc.ok:
-            verdict = "fail"
-            witness = {"ideal": ideal.describe(), "element": v_wc.failing}
-            break
-    return LawReport(
-        law_id="reduced-rings",
-        description=_REDUCED_RINGS_DESCRIPTION,
-        inputs=inputs,
-        verdict=verdict,
-        direction="forward",
-        instance_strength="degenerate",
-        witness=witness,
-        scanned=scanned,
-        seconds=time.perf_counter() - t0,
-    )
+        return _skipped(inputs, "the ring has nonzero nilpotent elements")
+    witness, scanned = _implication(ring, ideals, _strictly_weakly_exchange, ideal_is_weakly_clean)
+    return _verdict(inputs, witness is None, witness=witness, scanned=scanned)
 
 
-def law_reduced_rings() -> list[LawReport]:
-    description = _REDUCED_RINGS_DESCRIPTION
-    out: list[LawReport] = []
-    for entry in _ideal_law_entries():
-        ideals, _ = _inventory(entry.key)
-        out.append(_reduced_rings_one(entry.ring, entry.key, ideals))
+@_reduced_rings
+def law_reduced_rings():
+    yield from _reduced_rings.sweep(_catalog())
     # Localizations are integral domains (no nilpotents) where the exchange
     # property genuinely fails on some ideals, so the implication has teeth.
-    for primes, gen in (((3, 5), None), ((2, 3), 6), ((2, 3), None)):
-        t0 = time.perf_counter()
-        ring = LocalizedIntegers(primes)
-        ideal = ring.full_ideal() if gen is None else ring.principal_ideal(gen)
-        wex = ideal_is_weakly_exchange_analytic(ideal).value
-        inputs = f"{ring.label} | {ideal.describe()}"
-        if not wex:
-            out.append(
-                LawReport(
-                    law_id="reduced-rings",
-                    description=description,
-                    inputs=inputs,
-                    verdict="skipped",
-                    direction="forward",
-                    instance_strength="discriminating",
-                    reason="the ideal is not weakly exchange, so the hypothesis is empty",
-                    seconds=time.perf_counter() - t0,
-                )
+    for _, ideal, inputs in _localized(((3, 5), None), ((2, 3), 6), ((2, 3), None)):
+        if not ideal_is_weakly_exchange_analytic(ideal).value:
+            yield _skipped(
+                inputs,
+                "the ideal is not weakly exchange, so the hypothesis is empty",
+                strength="discriminating",
             )
             continue
         wc = ideal_is_weakly_clean_analytic(ideal).value
-        out.append(
-            LawReport(
-                law_id="reduced-rings",
-                description=description,
-                inputs=inputs,
-                verdict="pass" if wc else "fail",
-                direction="forward",
-                instance_strength="discriminating",
-                scanned=2,
-                seconds=time.perf_counter() - t0,
-            )
-        )
-    return out
+        yield _verdict(inputs, wc, strength="discriminating", scanned=2)
 
 
 # ---------------------------------------------------------------------------
@@ -561,72 +540,49 @@ def _det_cofactor_sampled(n: int, k: int, samples: int) -> tuple[int, dict | Non
     return samples, None
 
 
-def law_determinant_cofactor() -> list[LawReport]:
-    description = (
-        "perturbing a single matrix entry shifts the determinant by the"
-        " perturbation times the signed cofactor of that entry"
-    )
-    out: list[LawReport] = []
-
-    t0 = time.perf_counter()
-    checked, witness = _det_cofactor_exhaustive(6, 2)
-    out.append(
-        LawReport(
-            law_id="determinant-cofactor",
-            description=description,
-            inputs="Z_6, k=2, exhaustive",
-            verdict="pass" if witness is None else "fail",
-            direction="equation",
-            instance_strength="discriminating",
-            witness=witness,
-            scanned=checked,
-            seconds=time.perf_counter() - t0,
+@_Law(
+    "determinant-cofactor",
+    "equation",
+    "perturbing a single matrix entry shifts the determinant by the"
+    " perturbation times the signed cofactor of that entry",
+)
+def law_determinant_cofactor():
+    for inputs, search, args in (
+        ("Z_6, k=2, exhaustive", _det_cofactor_exhaustive, (6, 2)),
+        ("Z_5, k=3, 200 seeded samples", _det_cofactor_sampled, (5, 3, 200)),
+        ("Z_6, k=3, 200 seeded samples", _det_cofactor_sampled, (6, 3, 200)),
+    ):
+        checked, witness = search(*args)
+        yield _verdict(
+            inputs, witness is None, strength="discriminating", witness=witness, scanned=checked
         )
-    )
-    for n in (5, 6):
-        t0 = time.perf_counter()
-        checked, witness = _det_cofactor_sampled(n, 3, 200)
-        out.append(
-            LawReport(
-                law_id="determinant-cofactor",
-                description=description,
-                inputs=f"Z_{n}, k=3, 200 seeded samples",
-                verdict="pass" if witness is None else "fail",
-                direction="equation",
-                instance_strength="discriminating",
-                witness=witness,
-                scanned=checked,
-                seconds=time.perf_counter() - t0,
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
 # matrix-ideal
 
 
-def law_matrix_ideal() -> list[LawReport]:
-    description = (
-        "an ideal is clean exactly when the ideal of matrices over it is"
-        " weakly clean; every clean member yields a signed diagonal matrix"
-        " that decomposes in the matrix ring"
-    )
+@_Law(
+    "matrix-ideal",
+    "both",
+    "an ideal is clean exactly when the ideal of matrices over it is"
+    " weakly clean; every clean member yields a signed diagonal matrix"
+    " that decomposes in the matrix ring",
+)
+def law_matrix_ideal():
     z4 = zn(4)
     z6 = zn(6)
     z2 = zn(2)
     z3 = zn(3)
-    instances: list[tuple[FiniteRing, FiniteRing, IdealSet, int, str]] = [
-        (z4, _m2z4(), ideal_closure(z4, (2,)), 2, "Z_4 | <2>, k=2"),
-        (z2, catalog_entry("matrix2-z2").ring, full_ideal(z2), 2, "Z_2 | R, k=2"),
-        (z3, catalog_entry("matrix2-z3").ring, zero_ideal(z3), 2, "Z_3 | <0>, k=2"),
-        (z6, matrix_ring(z6, 1), ideal_closure(z6, (3,)), 1, "Z_6 | <3>, k=1"),
-        (z2, _m3z2(), full_ideal(z2), 3, "Z_2 | R, k=3"),
+    instances = [
+        (z4, _m2z4(), (2,), 2, "Z_4 | <2>, k=2"),
+        (z2, catalog_entry("matrix2-z2").ring, None, 2, "Z_2 | R, k=2"),
+        (z3, catalog_entry("matrix2-z3").ring, (), 2, "Z_3 | <0>, k=2"),
+        (z6, matrix_ring(z6, 1), (3,), 1, "Z_6 | <3>, k=1"),
+        (z2, _m3z2(), None, 3, "Z_2 | R, k=3"),
     ]
-
-    out: list[LawReport] = []
-    for base, ambient, ideal, k, inputs in instances:
-        t0 = time.perf_counter()
+    for base, ambient, gens, k, inputs in instances:
+        ideal = _ideal(base, gens)
         block = matrix_ideal(ambient, ideal, k)
         v_clean = ideal_is_clean(base, ideal)
         v_block = ideal_is_weakly_clean(ambient, block)
@@ -646,148 +602,93 @@ def law_matrix_ideal() -> list[LawReport]:
                     break
         elif not ok:
             witness = {"ideal_clean": v_clean.ok, "matrix_ideal_weakly_clean": v_block.ok}
-        out.append(
-            LawReport(
-                law_id="matrix-ideal",
-                description=description,
-                inputs=inputs,
-                verdict="pass" if ok else "fail",
-                direction="both",
-                instance_strength="degenerate",
-                witness=witness,
-                scanned=scanned,
-                seconds=time.perf_counter() - t0,
-            )
-        )
-    return out
+        yield _verdict(inputs, ok, witness=witness, scanned=scanned)
 
 
 # ---------------------------------------------------------------------------
 # product-ideal
 
 
-def law_product_ideal() -> list[LawReport]:
-    description = (
-        "a product ideal is weakly clean exactly when every component ideal"
-        " is weakly clean and at most one component fails to be clean"
-    )
-    out: list[LawReport] = []
-
+@_Law(
+    "product-ideal",
+    "both",
+    "a product ideal is weakly clean exactly when every component ideal"
+    " is weakly clean and at most one component fails to be clean",
+)
+def law_product_ideal():
     finite_instances = [
         ([zn(4), zn(6)], [(2,), (3,)], "Z_4 x Z_6 | <2> x <3>"),
         ([zn(2), zn(2)], [None, ()], "Z_2 x Z_2 | R x <0>"),
         ([zn(6)], [(2,)], "Z_6 | <2> (singleton)"),
     ]
     for factors, gens, inputs in finite_instances:
-        t0 = time.perf_counter()
         ambient = direct_product(factors)
-        ideals = []
-        for ring, g in zip(factors, gens):
-            if g is None:
-                ideals.append(full_ideal(ring))
-            else:
-                ideals.append(ideal_closure(ring, g))
-        block = product_ideal(ambient, ideals)
-        v_block = ideal_is_weakly_clean(ambient, block)
-        comp_wc = [ideal_is_weakly_clean(r, i) for r, i in zip(factors, ideals)]
-        comp_clean = [ideal_is_clean(r, i) for r, i in zip(factors, ideals)]
-        rhs = all(v.ok for v in comp_wc) and sum(1 for v in comp_clean if not v.ok) <= 1
-        scanned = v_block.checked + sum(v.checked for v in comp_wc + comp_clean)
+        ideals = [_ideal(ring, g) for ring, g in zip(factors, gens)]
+        v_block = ideal_is_weakly_clean(ambient, product_ideal(ambient, ideals))
+        comp_wc, comp_clean, scanned = _components(list(zip(factors, ideals)))
+        rhs = _at_most_one_not_clean(comp_wc, comp_clean)
+        scanned += v_block.checked
         ok = v_block.ok == rhs
-        out.append(
-            LawReport(
-                law_id="product-ideal",
-                description=description,
-                inputs=inputs,
-                verdict="pass" if ok else "fail",
-                direction="both",
-                instance_strength="degenerate",
-                witness=None
-                if ok
-                else {"product_weakly_clean": v_block.ok, "component_rule": rhs},
-                scanned=scanned,
-                seconds=time.perf_counter() - t0,
-            )
+        yield _verdict(
+            inputs,
+            ok,
+            witness=None if ok else {"product_weakly_clean": v_block.ok, "component_rule": rhs},
+            scanned=scanned,
         )
 
     # Localizations: two components that are weakly clean but not clean
     # force the product to fail, and the verdict comes with a member tuple
     # whose components admit no shared decomposition sign.
-    r35 = LocalizedIntegers((3, 5))
-    r23 = LocalizedIntegers((2, 3))
     localized_instances = [
-        (
-            [(r35, r35.full_ideal()), (r35, r35.full_ideal())],
-            False,
-            "Z_(3,5) x Z_(3,5) | R x R",
-        ),
-        (
-            [(r35, r35.full_ideal()), (r35, r35.principal_ideal(15))],
-            True,
-            "Z_(3,5) x Z_(3,5) | R x <15>",
-        ),
-        (
-            [(r23, r23.principal_ideal(3)), (r23, r23.full_ideal())],
-            False,
-            "Z_(2,3) x Z_(2,3) | <3> x R",
-        ),
+        ((3, 5), (None, None), False, "Z_(3,5) x Z_(3,5) | R x R"),
+        ((3, 5), (None, 15), True, "Z_(3,5) x Z_(3,5) | R x <15>"),
+        ((2, 3), (3, None), False, "Z_(2,3) x Z_(2,3) | <3> x R"),
     ]
-    for components, expected, inputs in localized_instances:
-        t0 = time.perf_counter()
+    for primes, gens, expected, inputs in localized_instances:
+        ring = LocalizedIntegers(primes)
+        components = [(ring, _localized_ideal(ring, g)) for g in gens]
         verdict = product_weakly_clean(components)
         comp_wc = [bool(ideal_is_weakly_clean_analytic(i)) for _, i in components]
         comp_clean = [bool(ideal_is_clean_analytic(i)) for _, i in components]
-        rhs = all(comp_wc) and sum(1 for c in comp_clean if not c) <= 1
-        ok = verdict.ok == expected and verdict.ok == rhs
+        rhs = _at_most_one_not_clean(comp_wc, comp_clean)
         witness = None
         if verdict.witness is not None:
             witness = {
-                "member_tuple": [_frac(q) for q in verdict.witness],
+                "member_tuple": [str(q) for q in verdict.witness],
                 "classes": list(verdict.witness_sign_classes),
             }
-        out.append(
-            LawReport(
-                law_id="product-ideal",
-                description=description,
-                inputs=inputs,
-                verdict="pass" if ok else "fail",
-                direction="both",
-                instance_strength="discriminating",
-                reason=f"component weak cleanness {comp_wc}, cleanness {comp_clean}",
-                witness=witness,
-                scanned=2 * len(components),
-                seconds=time.perf_counter() - t0,
-            )
+        yield _verdict(
+            inputs,
+            verdict.ok == expected and verdict.ok == rhs,
+            strength="discriminating",
+            reason=f"component weak cleanness {comp_wc}, cleanness {comp_clean}",
+            witness=witness,
+            scanned=2 * len(components),
         )
-    return out
 
 
 # ---------------------------------------------------------------------------
 # uniqueness-forces-central
 
 
-def _uniqueness_forces_central_one(
-    ring: FiniteRing, inputs: str, ideals: Sequence[IdealSet]
-) -> LawReport:
-    description = "a uniquely weakly clean ideal contains only central idempotents"
-    t0 = time.perf_counter()
+@_ring_law(
+    "uniqueness-forces-central",
+    "forward",
+    "a uniquely weakly clean ideal contains only central idempotents",
+)
+def _uniqueness_forces_central(ring, inputs, ideals, complete):
     noncentral = {e for e in ring.idempotents if not ring.is_central(e)}
     scanned = 0
-    verdict = "pass"
     witness = None
     bite = 0
     for ideal in ideals:
         v = ideal_is_uniquely_weakly_clean(ring, ideal)
         scanned += v.checked
-        has_noncentral = bool(noncentral & set(ideal.members))
-        if has_noncentral:
+        held = noncentral & set(ideal.members)
+        if held:
             bite += 1
             if v.ok:
-                verdict = "fail"
-                witness = {
-                    "ideal": ideal.describe(),
-                    "noncentral_idempotents": sorted(noncentral & set(ideal.members)),
-                }
+                witness = {"ideal": ideal.describe(), "noncentral_idempotents": sorted(held)}
                 break
     reason = ""
     if bite:
@@ -795,136 +696,61 @@ def _uniqueness_forces_central_one(
             f"{bite} ideal(s) hold a noncentral idempotent; uniqueness failed"
             " on each of them, as the law requires"
         )
-    return LawReport(
-        law_id="uniqueness-forces-central",
-        description=description,
-        inputs=inputs,
-        verdict=verdict,
-        direction="forward",
-        instance_strength="discriminating" if bite else "degenerate",
+    return _verdict(
+        inputs,
+        witness is None,
+        strength="discriminating" if bite else "degenerate",
         reason=reason,
         witness=witness,
         scanned=scanned,
-        seconds=time.perf_counter() - t0,
     )
 
 
-def law_uniqueness_forces_central() -> list[LawReport]:
-    out: list[LawReport] = []
-    for entry in _ideal_law_entries():
-        ideals, _ = _inventory(entry.key)
-        out.append(_uniqueness_forces_central_one(entry.ring, entry.key, ideals))
-    return out
+@_uniqueness_forces_central
+def law_uniqueness_forces_central():
+    return _uniqueness_forces_central.sweep(_catalog())
 
 
 # ---------------------------------------------------------------------------
 # morita-ideal (two-corner block rings, including one-sided triangular forms)
 
 
-def law_morita_ideal() -> list[LawReport]:
-    description = (
-        "in a two-corner block ring with zero pairings, the block ideal built"
-        " from two weakly clean diagonal ideals, at most one of them not"
-        " clean, is weakly clean"
-    )
+@_Law(
+    "morita-ideal",
+    "forward",
+    "in a two-corner block ring with zero pairings, the block ideal built"
+    " from two weakly clean diagonal ideals, at most one of them not"
+    " clean, is weakly clean",
+)
+def law_morita_ideal():
     z2 = zn(2)
     z3 = zn(3)
     z4 = zn(4)
     z6 = zn(6)
 
-    instances: list[tuple[FiniteRing, FiniteRing, FiniteRing, IdealSet, IdealSet, Callable, str]] = []
-
-    m_small = catalog_entry("morita-z2").ring
-    instances.append(
-        (m_small, z2, z2, full_ideal(z2), full_ideal(z2), morita_ideal, "morita-z2 | R x R")
-    )
-
-    m_big = morita_zero(z4, z6, zn_bimodule(z4, z6, 2), zn_bimodule(z6, z4, 2))
-    instances.append(
+    instances = [
+        (catalog_entry("morita-z2").ring, z2, z2, None, None, morita_ideal, "morita-z2 | R x R"),
         (
-            m_big,
-            z4,
-            z6,
-            ideal_closure(z4, (2,)),
-            ideal_closure(z6, (3,)),
-            morita_ideal,
-            "[[Z_4,Z_2],[Z_2,Z_6]] | <2>, <3>",
-        )
-    )
-
-    m_zero = morita_zero(z2, z3, zero_bimodule(z2, z3), zero_bimodule(z3, z2))
-    instances.append(
+            morita_zero(z4, z6, zn_bimodule(z4, z6, 2), zn_bimodule(z6, z4, 2)),
+            z4, z6, (2,), (3,), morita_ideal, "[[Z_4,Z_2],[Z_2,Z_6]] | <2>, <3>",
+        ),
         (
-            m_zero,
-            z2,
-            z3,
-            full_ideal(z2),
-            zero_ideal(z3),
-            morita_ideal,
-            "[[Z_2,0],[0,Z_3]] | R, <0>",
-        )
-    )
-
-    t_small = catalog_entry("tri2-z2").ring
-    instances.append(
-        (t_small, z2, z2, full_ideal(z2), full_ideal(z2), tri2_ideal, "tri2-z2 | R x R")
-    )
-
-    t_big = tri2(z4, z6, zn_bimodule(z6, z4, 2))
-    instances.append(
+            morita_zero(z2, z3, zero_bimodule(z2, z3), zero_bimodule(z3, z2)),
+            z2, z3, None, (), morita_ideal, "[[Z_2,0],[0,Z_3]] | R, <0>",
+        ),
+        (catalog_entry("tri2-z2").ring, z2, z2, None, None, tri2_ideal, "tri2-z2 | R x R"),
         (
-            t_big,
-            z4,
-            z6,
-            ideal_closure(z4, (2,)),
-            ideal_closure(z6, (3,)),
-            tri2_ideal,
-            "T2(Z_4;Z_2;Z_6) | <2>, <3>",
-        )
-    )
-
-    out: list[LawReport] = []
-    for ambient, r_ring, s_ring, i_ideal, j_ideal, builder, inputs in instances:
-        t0 = time.perf_counter()
-        v_i = ideal_is_weakly_clean(r_ring, i_ideal)
-        v_j = ideal_is_weakly_clean(s_ring, j_ideal)
-        c_i = ideal_is_clean(r_ring, i_ideal)
-        c_j = ideal_is_clean(s_ring, j_ideal)
-        scanned = v_i.checked + v_j.checked + c_i.checked + c_j.checked
-        if not (v_i.ok and v_j.ok and (c_i.ok or c_j.ok)):
-            out.append(
-                LawReport(
-                    law_id="morita-ideal",
-                    description=description,
-                    inputs=inputs,
-                    verdict="skipped",
-                    direction="forward",
-                    instance_strength="degenerate",
-                    reason="diagonal ideals do not satisfy the hypothesis",
-                    scanned=scanned,
-                    seconds=time.perf_counter() - t0,
-                )
-            )
+            tri2(z4, z6, zn_bimodule(z6, z4, 2)),
+            z4, z6, (2,), (3,), tri2_ideal, "T2(Z_4;Z_2;Z_6) | <2>, <3>",
+        ),
+    ]
+    for ambient, r_ring, s_ring, i_gens, j_gens, builder, inputs in instances:
+        i_ideal, j_ideal = _ideal(r_ring, i_gens), _ideal(s_ring, j_gens)
+        wc, cl, scanned = _components([(r_ring, i_ideal), (s_ring, j_ideal)])
+        if not _at_most_one_not_clean(wc, cl):
+            yield _skipped(inputs, "diagonal ideals do not satisfy the hypothesis", scanned=scanned)
             continue
-        block = builder(ambient, i_ideal, j_ideal)
-        v_block = ideal_is_weakly_clean(ambient, block)
-        scanned += v_block.checked
-        out.append(
-            LawReport(
-                law_id="morita-ideal",
-                description=description,
-                inputs=inputs,
-                verdict="pass" if v_block.ok else "fail",
-                direction="forward",
-                instance_strength="degenerate",
-                witness=None
-                if v_block.ok
-                else {"ideal": block.describe(), "element": v_block.failing},
-                scanned=scanned,
-                seconds=time.perf_counter() - t0,
-            )
-        )
-    return out
+        yield _weakly_clean_block(inputs, ambient, builder(ambient, i_ideal, j_ideal), scanned)
 
 
 # ---------------------------------------------------------------------------
@@ -952,135 +778,68 @@ def _tri3_instances():
     ]
 
 
-def _tri3_build_ideals(rings3, gens):
-    ideals = []
-    for ring, g in zip(rings3, gens):
-        ideals.append(full_ideal(ring) if g is None else ideal_closure(ring, g))
-    return ideals
-
-
-def law_tri3_ideal() -> list[LawReport]:
-    description = (
-        "a three-step triangular ideal with weakly clean diagonal ideals, at"
-        " least two of them clean, is weakly clean"
-    )
-    out: list[LawReport] = []
+@_Law(
+    "tri3-ideal",
+    "forward",
+    "a three-step triangular ideal with weakly clean diagonal ideals, at"
+    " least two of them clean, is weakly clean",
+)
+def law_tri3_ideal():
     for ambient, rings3, gens, inputs in _tri3_instances():
-        t0 = time.perf_counter()
-        ideals = _tri3_build_ideals(rings3, gens)
-        wc = [ideal_is_weakly_clean(r, i) for r, i in zip(rings3, ideals)]
-        cl = [ideal_is_clean(r, i) for r, i in zip(rings3, ideals)]
-        scanned = sum(v.checked for v in wc + cl)
-        if not (all(v.ok for v in wc) and sum(1 for v in cl if v.ok) >= 2):
-            out.append(
-                LawReport(
-                    law_id="tri3-ideal",
-                    description=description,
-                    inputs=inputs,
-                    verdict="skipped",
-                    direction="forward",
-                    instance_strength="degenerate",
-                    reason="diagonal ideals do not satisfy the hypothesis",
-                    scanned=scanned,
-                    seconds=time.perf_counter() - t0,
-                )
-            )
+        ideals = [_ideal(r, g) for r, g in zip(rings3, gens)]
+        wc, cl, scanned = _components(list(zip(rings3, ideals)))
+        if not _at_most_one_not_clean(wc, cl):
+            yield _skipped(inputs, "diagonal ideals do not satisfy the hypothesis", scanned=scanned)
             continue
-        block = tri3_ideal(ambient, *ideals)
-        v_block = ideal_is_weakly_clean(ambient, block)
-        scanned += v_block.checked
-        out.append(
-            LawReport(
-                law_id="tri3-ideal",
-                description=description,
-                inputs=inputs,
-                verdict="pass" if v_block.ok else "fail",
-                direction="forward",
-                instance_strength="degenerate",
-                witness=None
-                if v_block.ok
-                else {"ideal": block.describe(), "element": v_block.failing},
-                scanned=scanned,
-                seconds=time.perf_counter() - t0,
-            )
-        )
-    return out
+        yield _weakly_clean_block(inputs, ambient, tri3_ideal(ambient, *ideals), scanned)
 
 
-def law_tri3_converse() -> list[LawReport]:
-    description = (
-        "when a three-step triangular ideal is weakly clean, each diagonal"
-        " ideal extracted from it is weakly clean in its own corner ring"
-    )
-    out: list[LawReport] = []
+@_Law(
+    "tri3-converse",
+    "forward",
+    "when a three-step triangular ideal is weakly clean, each diagonal"
+    " ideal extracted from it is weakly clean in its own corner ring",
+)
+def law_tri3_converse():
     for ambient, rings3, gens, inputs in _tri3_instances():
-        t0 = time.perf_counter()
-        ideals = _tri3_build_ideals(rings3, gens)
-        block = tri3_ideal(ambient, *ideals)
+        block = tri3_ideal(ambient, *(_ideal(r, g) for r, g in zip(rings3, gens)))
         v_block = ideal_is_weakly_clean(ambient, block)
         scanned = v_block.checked
         if not v_block.ok:
-            out.append(
-                LawReport(
-                    law_id="tri3-converse",
-                    description=description,
-                    inputs=inputs,
-                    verdict="skipped",
-                    direction="forward",
-                    instance_strength="degenerate",
-                    reason="the triangular ideal is not weakly clean, so the hypothesis is empty",
-                    scanned=scanned,
-                    seconds=time.perf_counter() - t0,
-                )
+            yield _skipped(
+                inputs,
+                "the triangular ideal is not weakly clean, so the hypothesis is empty",
+                scanned=scanned,
             )
             continue
-        radices = tuple(ambient.provenance["radices"])
-        diag_positions = (0, 2, 5)
-        extracted_members: list[set[int]] = [set(), set(), set()]
-        for idx in block:
-            digits = []
-            rem = idx
-            for r in reversed(radices):
-                digits.append(rem % r)
-                rem //= r
-            digits.reverse()
-            for slot, pos in enumerate(diag_positions):
-                extracted_members[slot].add(digits[pos])
-        verdict = "pass"
+        # Digits 0, 2 and 5 of an element's mixed-radix index are its diagonal.
+        radices = ambient.provenance["radices"]
+        diagonals = [
+            sorted({idx // prod(radices[pos + 1 :]) % radices[pos] for idx in block})
+            for pos in (0, 2, 5)
+        ]
         witness = None
-        for slot, (ring, members) in enumerate(zip(rings3, extracted_members)):
-            extracted = ideal_from_members(ring, sorted(members))
+        for slot, (ring, members) in enumerate(zip(rings3, diagonals)):
+            extracted = ideal_from_members(ring, members)
             v = ideal_is_weakly_clean(ring, extracted)
             scanned += v.checked
             if not v.ok:
-                verdict = "fail"
                 witness = {"corner": slot, "ideal": extracted.describe(), "element": v.failing}
                 break
-        out.append(
-            LawReport(
-                law_id="tri3-converse",
-                description=description,
-                inputs=inputs,
-                verdict=verdict,
-                direction="forward",
-                instance_strength="degenerate",
-                witness=witness,
-                scanned=scanned,
-                seconds=time.perf_counter() - t0,
-            )
-        )
-    return out
+        yield _verdict(inputs, witness is None, witness=witness, scanned=scanned)
 
 
 # ---------------------------------------------------------------------------
 # peirce-corners
 
 
-def law_peirce_corners() -> list[LawReport]:
-    description = (
-        "for a complete orthogonal set of idempotents, an ideal whose corner"
-        " slices are weakly clean with at most one not clean is weakly clean"
-    )
+@_Law(
+    "peirce-corners",
+    "forward",
+    "for a complete orthogonal set of idempotents, an ideal whose corner"
+    " slices are weakly clean with at most one not clean is weakly clean",
+)
+def law_peirce_corners():
     z6 = catalog_entry("zn-6").ring
     m2 = catalog_entry("matrix2-z2").ring
     z4 = catalog_entry("zn-4").ring
@@ -1092,98 +851,54 @@ def law_peirce_corners() -> list[LawReport]:
         (m2, (e11, e22), full_ideal(m2), "M_2(Z_2), diagonal idempotents | R"),
         (z4, (1,), ideal_closure(z4, (2,)), "Z_4, idempotent (1,) | <2>"),
     ]
-    out: list[LawReport] = []
     for ring, es, ideal, inputs in instances:
-        t0 = time.perf_counter()
         if not ring.is_complete_orthogonal(es):
-            out.append(
-                LawReport(
-                    law_id="peirce-corners",
-                    description=description,
-                    inputs=inputs,
-                    verdict="skipped",
-                    direction="forward",
-                    instance_strength="degenerate",
-                    reason="the idempotents are not a complete orthogonal set",
-                    seconds=time.perf_counter() - t0,
-                )
-            )
+            yield _skipped(inputs, "the idempotents are not a complete orthogonal set")
             continue
-        scanned = 0
-        corner_wc = []
-        corner_clean = []
-        for e in es:
-            corner = corner_ring(ring, e)
-            sliced = corner_ideal(corner, ideal)
-            v_wc = ideal_is_weakly_clean(corner.ring, sliced)
-            v_cl = ideal_is_clean(corner.ring, sliced)
-            scanned += v_wc.checked + v_cl.checked
-            corner_wc.append(v_wc.ok)
-            corner_clean.append(v_cl.ok)
-        if not (all(corner_wc) and sum(1 for c in corner_clean if not c) <= 1):
-            out.append(
-                LawReport(
-                    law_id="peirce-corners",
-                    description=description,
-                    inputs=inputs,
-                    verdict="skipped",
-                    direction="forward",
-                    instance_strength="degenerate",
-                    reason="corner slices do not satisfy the hypothesis",
-                    scanned=scanned,
-                    seconds=time.perf_counter() - t0,
-                )
-            )
+        corners = [corner_ring(ring, e) for e in es]
+        pairs = [(corner.ring, corner_ideal(corner, ideal)) for corner in corners]
+        corner_wc, corner_clean, scanned = _components(pairs)
+        if not _at_most_one_not_clean(corner_wc, corner_clean):
+            yield _skipped(inputs, "corner slices do not satisfy the hypothesis", scanned=scanned)
             continue
         v = ideal_is_weakly_clean(ring, ideal)
-        scanned += v.checked
-        out.append(
-            LawReport(
-                law_id="peirce-corners",
-                description=description,
-                inputs=inputs,
-                verdict="pass" if v.ok else "fail",
-                direction="forward",
-                instance_strength="degenerate",
-                reason=f"corner weak cleanness {corner_wc}, cleanness {corner_clean}",
-                witness=None if v.ok else {"element": v.failing},
-                scanned=scanned,
-                seconds=time.perf_counter() - t0,
-            )
+        yield _verdict(
+            inputs,
+            v.ok,
+            reason=f"corner weak cleanness {corner_wc}, cleanness {corner_clean}",
+            witness=None if v.ok else {"element": v.failing},
+            scanned=scanned + v.checked,
         )
-    return out
 
 
 # ---------------------------------------------------------------------------
 # series-ideal
 
 
-def law_series_ideal() -> list[LawReport]:
-    description = (
-        "truncated polynomial rings: the coefficientwise ideal is weakly"
-        " clean exactly when the base ideal is, every element's clean and"
-        " weakly clean verdicts match its constant term, and all idempotents"
-        " are constant"
-    )
+@_Law(
+    "series-ideal",
+    "both",
+    "truncated polynomial rings: the coefficientwise ideal is weakly"
+    " clean exactly when the base ideal is, every element's clean and"
+    " weakly clean verdicts match its constant term, and all idempotents"
+    " are constant",
+)
+def law_series_ideal():
     instances = [
         (zn(2), None, 3, "Z_2 | R, k=3"),
         (zn(4), (2,), 2, "Z_4 | <2>, k=2"),
         (zn(4), None, 3, "Z_4 | R, k=3"),
         (zn(2), None, 1, "Z_2 | R, k=1"),
     ]
-    out: list[LawReport] = []
     for base, gens, k, inputs in instances:
-        t0 = time.perf_counter()
-        ideal = full_ideal(base) if gens is None else ideal_closure(base, gens)
+        ideal = _ideal(base, gens)
         ambient = truncated_power_series(base, k)
         block = series_ideal(ambient, ideal, k)
         v_base = ideal_is_weakly_clean(base, ideal)
         v_block = ideal_is_weakly_clean(ambient, block)
         scanned = v_base.checked + v_block.checked
         ok = v_base.ok == v_block.ok
-        witness = None
-        if not ok:
-            witness = {"base": v_base.ok, "series": v_block.ok}
+        witness = None if ok else {"base": v_base.ok, "series": v_block.ok}
 
         weight = base.order ** (k - 1)
         if ok:
@@ -1210,33 +925,22 @@ def law_series_ideal() -> list[LawReport]:
                     witness = {"series_index": f, "constant_term": c, "check": "clean"}
                     break
 
-        out.append(
-            LawReport(
-                law_id="series-ideal",
-                description=description,
-                inputs=inputs,
-                verdict="pass" if ok else "fail",
-                direction="both",
-                instance_strength="degenerate",
-                witness=witness,
-                scanned=scanned,
-                seconds=time.perf_counter() - t0,
-            )
-        )
-    return out
+        yield _verdict(inputs, ok, witness=witness, scanned=scanned)
 
 
 # ---------------------------------------------------------------------------
 # idealization-ideal
 
 
-def law_idealization_ideal() -> list[LawReport]:
-    description = (
-        "trivial extensions: a pair is a unit exactly when its ring"
-        " coordinate is, an idempotent exactly when the ring coordinate is"
-        " idempotent and the module coordinate vanishes, and ideal verdicts"
-        " transfer across the extension"
-    )
+@_Law(
+    "idealization-ideal",
+    "both",
+    "trivial extensions: a pair is a unit exactly when its ring"
+    " coordinate is, an idempotent exactly when the ring coordinate is"
+    " idempotent and the module coordinate vanishes, and ideal verdicts"
+    " transfer across the extension",
+)
+def law_idealization_ideal():
     z4 = zn(4)
     z6 = zn(6)
     instances = [
@@ -1244,9 +948,7 @@ def law_idealization_ideal() -> list[LawReport]:
         (z6, regular_bimodule(z6), (3,), (0, 3), "Z_6 with module Z_6 | <3>, N={0,3}"),
         (z4, zn_bimodule(z4, z4, 2), (2,), (0, 1), "Z_4 with module Z_2 | <2>, N=all"),
     ]
-    out: list[LawReport] = []
     for base, module, gens, submodule, inputs in instances:
-        t0 = time.perf_counter()
         ambient = idealization(base, module)
         module_order = ambient.order // base.order
         ideal = ideal_closure(base, gens)
@@ -1276,51 +978,27 @@ def law_idealization_ideal() -> list[LawReport]:
                 ok = False
                 witness = {"base": v_base.ok, "extension": v_block.ok}
 
-        out.append(
-            LawReport(
-                law_id="idealization-ideal",
-                description=description,
-                inputs=inputs,
-                verdict="pass" if ok else "fail",
-                direction="both",
-                instance_strength="degenerate",
-                witness=witness,
-                scanned=scanned,
-                seconds=time.perf_counter() - t0,
-            )
-        )
-    return out
+        yield _verdict(inputs, ok, witness=witness, scanned=scanned)
 
 
 # ---------------------------------------------------------------------------
 # radical-quotient
 
 
-def _radical_quotient_one(
-    ring: FiniteRing, inputs: str, ideals: Sequence[IdealSet]
-) -> LawReport:
-    description = (
-        "an ideal containing the radical is weakly clean exactly when its"
-        " image modulo the radical is; decompositions found downstairs lift"
-        " through the projection to decompositions upstairs"
-    )
-    t0 = time.perf_counter()
+@_ring_law(
+    "radical-quotient",
+    "both",
+    "an ideal containing the radical is weakly clean exactly when its"
+    " image modulo the radical is; decompositions found downstairs lift"
+    " through the projection to decompositions upstairs",
+)
+def _radical_quotient(ring, inputs, ideals, complete):
     radical = set(ring.jacobson_radical)
     if radical == {ring.zero}:
-        return LawReport(
-            law_id="radical-quotient",
-            description=description,
-            inputs=inputs,
-            verdict="skipped",
-            direction="both",
-            instance_strength="degenerate",
-            reason="the radical is zero, so the projection changes nothing",
-            seconds=time.perf_counter() - t0,
-        )
+        return _skipped(inputs, "the radical is zero, so the projection changes nothing")
     qring, proj = quotient(ring, sorted(radical))
     containing = [i for i in ideals if radical <= set(i.members)]
     scanned = 0
-    verdict = "pass"
     witness = None
     for ideal in containing:
         image = ideal_from_members(qring, sorted({int(proj[x]) for x in ideal}))
@@ -1328,7 +1006,6 @@ def _radical_quotient_one(
         v_down = ideal_is_weakly_clean(qring, image)
         scanned += v_up.checked + v_down.checked
         if v_up.ok != v_down.ok:
-            verdict = "fail"
             witness = {"ideal": ideal.describe(), "upstairs": v_up.ok, "downstairs": v_down.ok}
             break
         for x in ideal:
@@ -1337,7 +1014,6 @@ def _radical_quotient_one(
             shifted = ring.add(x, ring.neg(e)) if first.sign == 1 else ring.add(x, e)
             scanned += 1
             if not ring.is_unit(shifted):
-                verdict = "fail"
                 witness = {
                     "ideal": ideal.describe(),
                     "element": x,
@@ -1345,39 +1021,33 @@ def _radical_quotient_one(
                     "sign": first.sign,
                 }
                 break
-        if verdict == "fail":
+        if witness is not None:
             break
-    return LawReport(
-        law_id="radical-quotient",
-        description=description,
-        inputs=inputs,
-        verdict=verdict,
-        direction="both",
-        instance_strength="degenerate",
+    return _verdict(
+        inputs,
+        witness is None,
         reason=f"{len(containing)} ideal(s) contain the radical",
         witness=witness,
         scanned=scanned,
-        seconds=time.perf_counter() - t0,
     )
 
 
-def law_radical_quotient() -> list[LawReport]:
-    out: list[LawReport] = []
-    for entry in _ideal_law_entries():
-        ideals, _ = _inventory(entry.key)
-        out.append(_radical_quotient_one(entry.ring, entry.key, ideals))
-    return out
+@_radical_quotient
+def law_radical_quotient():
+    return _radical_quotient.sweep(_catalog())
 
 
 # ---------------------------------------------------------------------------
 # radical-sum
 
 
-def law_radical_sum() -> list[LawReport]:
-    description = (
-        "enlarging a weakly clean ideal by an ideal contained in the radical"
-        " preserves weak cleanness"
-    )
+@_Law(
+    "radical-sum",
+    "forward",
+    "enlarging a weakly clean ideal by an ideal contained in the radical"
+    " preserves weak cleanness",
+)
+def law_radical_sum():
     z8 = zn(8)
     z4 = zn(4)
     z16 = zn(16)
@@ -1390,62 +1060,22 @@ def law_radical_sum() -> list[LawReport]:
         (t2, (4,), (2,), "tri2-z2 | <4> + <2>"),
         (z6, (3,), (2,), "Z_6 | <3> + <2>"),
     ]
-    out: list[LawReport] = []
     for ring, i_gens, j_gens, inputs in instances:
-        t0 = time.perf_counter()
         ideal = ideal_closure(ring, i_gens)
         extra = ideal_closure(ring, j_gens)
         radical = set(ring.jacobson_radical)
         if not set(extra.members) <= radical:
-            out.append(
-                LawReport(
-                    law_id="radical-sum",
-                    description=description,
-                    inputs=inputs,
-                    verdict="skipped",
-                    direction="forward",
-                    instance_strength="degenerate",
-                    reason="the added ideal is not contained in the radical",
-                    seconds=time.perf_counter() - t0,
-                )
-            )
+            yield _skipped(inputs, "the added ideal is not contained in the radical")
             continue
         v_i = ideal_is_weakly_clean(ring, ideal)
-        scanned = v_i.checked
         if not v_i.ok:
-            out.append(
-                LawReport(
-                    law_id="radical-sum",
-                    description=description,
-                    inputs=inputs,
-                    verdict="skipped",
-                    direction="forward",
-                    instance_strength="degenerate",
-                    reason="the starting ideal is not weakly clean, so the hypothesis is empty",
-                    scanned=scanned,
-                    seconds=time.perf_counter() - t0,
-                )
+            yield _skipped(
+                inputs,
+                "the starting ideal is not weakly clean, so the hypothesis is empty",
+                scanned=v_i.checked,
             )
             continue
-        total = ideal_sum(ideal, extra)
-        v_total = ideal_is_weakly_clean(ring, total)
-        scanned += v_total.checked
-        out.append(
-            LawReport(
-                law_id="radical-sum",
-                description=description,
-                inputs=inputs,
-                verdict="pass" if v_total.ok else "fail",
-                direction="forward",
-                instance_strength="degenerate",
-                witness=None
-                if v_total.ok
-                else {"ideal": total.describe(), "element": v_total.failing},
-                scanned=scanned,
-                seconds=time.perf_counter() - t0,
-            )
-        )
-    return out
+        yield _weakly_clean_block(inputs, ring, ideal_sum(ideal, extra), v_i.checked)
 
 
 # ---------------------------------------------------------------------------
@@ -1474,13 +1104,14 @@ def envelope_ideals():
                 yield ring, ring.ideal(exponents)
 
 
-def law_localized_agreement() -> list[LawReport]:
-    description = (
-        "across the validated envelope, analytic verdicts for localization"
-        " ideals agree with bounded witness search for clean, weakly clean,"
-        " and uniquely weakly clean"
-    )
-    t0 = time.perf_counter()
+@_Law(
+    "localized-agreement",
+    "equation",
+    "across the validated envelope, analytic verdicts for localization"
+    " ideals agree with bounded witness search for clean, weakly clean,"
+    " and uniquely weakly clean",
+)
+def law_localized_agreement():
     checked = 0
     disagreements: list[dict] = []
     for ring, ideal in envelope_ideals():
@@ -1504,40 +1135,33 @@ def law_localized_agreement() -> list[LawReport]:
                     "search": [search_clean, search_wc, search_uwc],
                 }
             )
-    return [
-        LawReport(
-            law_id="localized-agreement",
-            description=description,
-            inputs=f"{checked} ideals, primes up to 11, exponents up to 2",
-            verdict="pass" if not disagreements else "fail",
-            direction="equation",
-            instance_strength="discriminating",
-            witness=None if not disagreements else {"disagreements": disagreements[:3]},
-            scanned=3 * checked,
-            seconds=time.perf_counter() - t0,
-        )
-    ]
+    yield _verdict(
+        f"{checked} ideals, primes up to 11, exponents up to 2",
+        not disagreements,
+        strength="discriminating",
+        witness=None if not disagreements else {"disagreements": disagreements[:3]},
+        scanned=3 * checked,
+    )
 
 
 # ---------------------------------------------------------------------------
 # units-sanity
 
 
-def law_units_sanity() -> list[LawReport]:
-    description = (
-        "unit counts match independent formulas: general linear group orders"
-        " over small moduli, totients for modular rings, and componentwise"
-        " products"
-    )
-    t0 = time.perf_counter()
-    checks: list[tuple[str, int, int]] = []
-
-    m2z2 = catalog_entry("matrix2-z2").ring
-    m2z3 = catalog_entry("matrix2-z3").ring
-    checks.append(("units of M_2(Z_2)", len(m2z2.units), 6))
-    checks.append(("units of M_2(Z_3)", len(m2z3.units), 48))
-    checks.append(("units of M_2(Z_4)", len(_m2z4().units), 96))
-    checks.append(("units of M_3(Z_2)", len(_m3z2().units), 168))
+@_Law(
+    "units-sanity",
+    "equation",
+    "unit counts match independent formulas: general linear group orders"
+    " over small moduli, totients for modular rings, and componentwise"
+    " products",
+)
+def law_units_sanity():
+    checks = [
+        ("units of M_2(Z_2)", len(catalog_entry("matrix2-z2").ring.units), 6),
+        ("units of M_2(Z_3)", len(catalog_entry("matrix2-z3").ring.units), 48),
+        ("units of M_2(Z_4)", len(_m2z4().units), 96),
+        ("units of M_3(Z_2)", len(_m3z2().units), 168),
+    ]
 
     for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 16):
         ring = catalog_entry(f"zn-{n}").ring
@@ -1554,47 +1178,56 @@ def law_units_sanity() -> list[LawReport]:
         for name, got, want in checks
         if got != want
     ]
-    return [
-        LawReport(
-            law_id="units-sanity",
-            description=description,
-            inputs=f"{len(checks)} unit-count identities",
-            verdict="pass" if not failures else "fail",
-            direction="equation",
-            instance_strength="discriminating",
-            witness=None if not failures else {"failures": failures},
-            scanned=len(checks),
-            seconds=time.perf_counter() - t0,
-        )
-    ]
+    yield _verdict(
+        f"{len(checks)} unit-count identities",
+        not failures,
+        strength="discriminating",
+        witness=None if not failures else {"failures": failures},
+        scanned=len(checks),
+    )
 
 
 # ---------------------------------------------------------------------------
 # registry and runners
 
 
-LAW_FUNCTIONS: tuple[tuple[str, Callable[[], list[LawReport]]], ...] = (
-    ("proper-ideals", law_proper_ideals),
-    ("weakly-clean-implies-weakly-exchange", law_weakly_clean_implies_weakly_exchange),
-    ("central-equivalence", law_central_equivalence),
-    ("reduced-rings", law_reduced_rings),
-    ("determinant-cofactor", law_determinant_cofactor),
-    ("matrix-ideal", law_matrix_ideal),
-    ("product-ideal", law_product_ideal),
-    ("uniqueness-forces-central", law_uniqueness_forces_central),
-    ("morita-ideal", law_morita_ideal),
-    ("tri3-ideal", law_tri3_ideal),
-    ("tri3-converse", law_tri3_converse),
-    ("peirce-corners", law_peirce_corners),
-    ("series-ideal", law_series_ideal),
-    ("idealization-ideal", law_idealization_ideal),
-    ("radical-quotient", law_radical_quotient),
-    ("radical-sum", law_radical_sum),
-    ("localized-agreement", law_localized_agreement),
-    ("units-sanity", law_units_sanity),
+LAW_FUNCTIONS: tuple[tuple[str, Callable[[], list[LawReport]]], ...] = tuple(
+    (fn.law_id, fn)
+    for fn in (
+        law_proper_ideals,
+        law_weakly_clean_implies_weakly_exchange,
+        law_central_equivalence,
+        law_reduced_rings,
+        law_determinant_cofactor,
+        law_matrix_ideal,
+        law_product_ideal,
+        law_uniqueness_forces_central,
+        law_morita_ideal,
+        law_tri3_ideal,
+        law_tri3_converse,
+        law_peirce_corners,
+        law_series_ideal,
+        law_idealization_ideal,
+        law_radical_quotient,
+        law_radical_sum,
+        law_localized_agreement,
+        law_units_sanity,
+    )
 )
 
 LAW_IDS: tuple[str, ...] = tuple(law_id for law_id, _ in LAW_FUNCTIONS)
+
+# The laws that sweep a ring's ideal lattice, which ``run_ring`` applies.
+_RING_LAWS: tuple[_Law, ...] = (
+    _proper_ideals,
+    _wc_implies_wex,
+    _central_equivalence,
+    _reduced_rings,
+    _uniqueness_forces_central,
+    _radical_quotient,
+)
+
+RING_LAW_IDS: tuple[str, ...] = tuple(law.law_id for law in _RING_LAWS)
 
 
 def run_law(law_id: str) -> list[LawReport]:
@@ -1623,15 +1256,8 @@ def run_ring(ring: FiniteRing, label: str = "ring") -> list[LawReport]:
     against the given ring instead of the built-in catalog.
     """
     found, complete = ideal_inventory(ring)
-    ideals = tuple(found)
-    reports = [
-        _proper_ideals_one(ring, label, ideals, complete),
-        _wc_implies_wex_one(ring, label, ideals),
-        _central_equivalence_one(ring, label, ideals),
-        _reduced_rings_one(ring, label, ideals),
-        _uniqueness_forces_central_one(ring, label, ideals),
-        _radical_quotient_one(ring, label, ideals),
-    ]
+    rings = [(ring, label, tuple(found), complete)]
+    reports = [r for law in _RING_LAWS for r in law.reports(law.sweep(rings))]
     reports.sort(key=lambda r: (r.law_id, r.inputs))
     return reports
 

@@ -635,7 +635,8 @@ def reproduce_examples(*, bound: int = DEFAULT_SEARCH_BOUND) -> dict:
     clean = ideal_is_clean_analytic(ideal1)
     weakly = ideal_is_weakly_clean_analytic(ideal1)
     non_clean_witness = witness_search(ring, ideal1, bound=bound, flavor="clean")
-    assert non_clean_witness is not None
+    if non_clean_witness is None:
+        raise ValueError(f"the search bound {bound} is too small to find a non-clean witness")
     flags = clean_flags(ring, non_clean_witness)
     first = {
         "ring": ring.label,

@@ -9,7 +9,7 @@ import pytest
 
 from cleanrings.cli import main
 from cleanrings.dsl import build, parse
-from cleanrings.laws import run_catalog, reports_to_json
+from cleanrings.laws import RING_LAW_IDS, reports_to_json, run_catalog
 from cleanrings.schemas import COMMAND_SCHEMAS, LAW_REPORT, schema_for
 
 
@@ -148,6 +148,33 @@ def test_ideal_localized_refutation_ships_a_witness(capsys):
     }
 
 
+def test_ideal_localized_no_without_a_witness_says_so(capsys):
+    code, out, _ = run(
+        capsys, "ideal", "(localized 2 3)", "--check", "weakly-clean", "--bound", "1"
+    )
+    assert code == 1
+    assert "weakly-clean no" in out
+    assert "  no witness within the search bound 1 (raise --bound)\n" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ideal", "(localized 2 3)", "--gens", "3", "--check", "weakly-clean", "--bound", "0"],
+        ["ideal", "(zn 6)", "--check", "clean", "--bound", "-1"],
+        ["examples", "--bound", "0"],
+        ["examples", "--bound", "-5"],
+    ],
+)
+def test_bound_must_be_a_positive_integer(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--bound: must be a positive integer" in captured.err
+
+
 def test_ideal_localized_multiple_generators_take_the_valuation_min(capsys):
     code, payload, _ = run_json(
         capsys,
@@ -279,6 +306,15 @@ def test_laws_unknown_law_is_a_usage_error(capsys):
     assert "unknown law" in err
 
 
+def test_laws_spec_with_a_catalog_only_law_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "laws", "--spec", "(zn 8)", "--law", "matrix-ideal")
+    assert code == 2
+    assert out == ""
+    for law in RING_LAW_IDS:
+        assert law in err
+    assert len(RING_LAW_IDS) == 6
+
+
 def test_laws_spec_rejects_localizations(capsys):
     code, _, err = run(capsys, "laws", "--spec", "(localized 3 5)")
     assert code == 2
@@ -303,6 +339,13 @@ def test_examples_json_matches_schema_and_frozen_findings(capsys):
     assert sorted(product["witness_sign_classes"]) == ["minus-only", "plus-only"]
 
 
+def test_examples_with_too_small_a_bound_is_an_error_naming_the_bound(capsys):
+    code, out, err = run(capsys, "examples", "--bound", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cleanrings: error: ") and "bound 1" in err
+
+
 def test_examples_text_names_both_case_studies(capsys):
     code, out, _ = run(capsys, "examples")
     assert code == 0
@@ -320,6 +363,7 @@ def test_examples_text_names_both_case_studies(capsys):
         (["analyze", "(zn 6", "--element", "1"], "syntax error"),
         (["analyze", "(zn 0)", "--element", "0"], "arity error"),
         (["analyze", "(zn 999)", "--element", "1"], "size-cap error"),
+        (["units", "(matrix 2 " * 8 + "(zn 4)" + ")" * 8], "size-cap error at 1:1"),
         (["analyze", "(zn @)", "--element", "1"], "lexical error"),
         (["analyze", "(zn 6)", "--element", "9"], "out of range"),
         (["analyze", "(zn 6)", "--element", "2/3"], "indices"),

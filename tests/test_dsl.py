@@ -246,6 +246,37 @@ def test_size_estimate_matches_built_order(text, order):
     assert build(spec).order == order
 
 
+def _nested(depth: int, wrap: str, core: str) -> str:
+    text = core
+    for _ in range(depth):
+        text = wrap.format(text)
+    return text
+
+
+DEEP_SPECS = [
+    _nested(8, "(matrix 2 {})", "(zn 4)"),
+    _nested(8, "(tri2 {0} {0} regular)", "(matrix 2 (zn 3))"),
+]
+
+
+@pytest.mark.parametrize("text", DEEP_SPECS, ids=["matrix-8-deep", "tri2-8-deep"])
+def test_deeply_nested_oversized_spec_is_a_positioned_size_error(text):
+    # The true orders have thousands of digits; the estimate stops at the cap.
+    with pytest.raises(SpecSizeError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (1, 1)
+    assert "exceeds the size cap 256" in str(exc.value)
+
+
+def test_size_estimate_is_clamped_just_above_the_cap():
+    deep = ZnSpec(4)
+    for _ in range(8):
+        deep = MatrixSpec(2, deep)
+    assert size_estimate(deep) == 257
+    assert size_estimate(MatrixSpec(2, ZnSpec(4))) == 256
+    assert size_estimate(SeriesSpec(ZnSpec(2), 10**6)) == 257
+
+
 def test_quotient_and_corner_estimates_bound_the_built_order():
     for text in ["(quotient (zn 12) (ideal 4))", "(corner (zn 6) 3)"]:
         spec = parse(text)
