@@ -78,11 +78,12 @@ def _emit_json(payload: dict) -> None:
 def _positive_int(text: str) -> int:
     """argparse type for --bound: a positive integer."""
     try:
-        if int(text) >= 1:
-            return int(text)
+        value = int(text)
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _load_spec(args: argparse.Namespace):
