@@ -363,7 +363,6 @@ def test_examples_text_names_both_case_studies(capsys):
         (["analyze", "(zn 6", "--element", "1"], "syntax error"),
         (["analyze", "(zn 0)", "--element", "0"], "arity error"),
         (["analyze", "(zn 999)", "--element", "1"], "size-cap error"),
-        (["units", "(matrix 2 " * 8 + "(zn 4)" + ")" * 8], "size-cap error at 1:1"),
         (["analyze", "(zn @)", "--element", "1"], "lexical error"),
         (["analyze", "(zn 6)", "--element", "9"], "out of range"),
         (["analyze", "(zn 6)", "--element", "2/3"], "indices"),
@@ -372,6 +371,7 @@ def test_examples_text_names_both_case_studies(capsys):
         (["radical", "(localized 9)"], "prime"),
         (["ideal", "(zn 6)", "--gens", "7", "--check", "clean"], "out of range"),
         (["analyze", "--element", "1"], "spec is required"),
+        (["units", "(matrix 2 " * 8 + "(zn 4)" + ")" * 8], "size-cap error at 1:1"),
     ],
 )
 def test_usage_and_construction_errors_exit_two(capsys, argv, needle):
