@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import jsonschema
@@ -456,3 +457,96 @@ def test_every_command_schema_is_itself_valid():
     validator = jsonschema.validators.validator_for(LAW_REPORT)
     for schema in COMMAND_SCHEMAS.values():
         validator.check_schema(schema)
+
+
+# ---------------------------------------------------------------------------
+# golden pins: the exact stdout and exit code of every spec command
+
+
+SPEC_COMMANDS = {
+    "analyze-finite": ["analyze", "(zn 6)", "--element", "4"],
+    "analyze-finite-many": ["analyze", "(matrix 2 (zn 3))", "--element", "1"],
+    "analyze-localized-minus": ["analyze", "(localized 3 5)", "--element", "3/8"],
+    "analyze-localized-unit": ["analyze", "(localized 3 5)", "--element", "2/11"],
+    "analyze-localized-no": ["analyze", "(localized 2 3)", "--element", "3"],
+    "ideal-finite-clean": ["ideal", "(zn 12)", "--gens", "2", "--check", "clean"],
+    "ideal-finite-weakly-clean": ["ideal", "(zn 12)", "--gens", "2", "--check", "weakly-clean"],
+    "ideal-finite-uniquely": ["ideal", "(zn 12)", "--gens", "2", "--check", "uniquely"],
+    "ideal-finite-exchange": ["ideal", "(zn 12)", "--gens", "2", "--check", "exchange"],
+    "ideal-finite-uniquely-no": ["ideal", "(zn 6)", "--check", "uniquely"],
+    "ideal-finite-matrix-clean": ["ideal", "(matrix 2 (zn 2))", "--check", "clean"],
+    "ideal-localized-clean": ["ideal", "(localized 2 3)", "--gens", "3", "--check", "clean"],
+    "ideal-localized-weakly-clean": ["ideal", "(localized 2 3)", "--gens", "3", "--check", "weakly-clean"],
+    "ideal-localized-uniquely": ["ideal", "(localized 2 3)", "--gens", "3", "--check", "uniquely"],
+    "ideal-localized-exchange": ["ideal", "(localized 2 3)", "--gens", "3", "--check", "exchange"],
+    "ideal-localized-full-clean": ["ideal", "(localized 3 5)", "--check", "clean"],
+    "ideal-localized-two-gens": ["ideal", "(localized 2 3)", "--gens", "12", "18", "--check", "clean"],
+    "ideal-localized-no-witness": ["ideal", "(localized 2 3)", "--check", "weakly-clean", "--bound", "1"],
+    "radical-finite": ["radical", "(quotient (zn 12) (ideal 4))"],
+    "radical-localized": ["radical", "(localized 3 5)"],
+    "idempotents-finite": ["idempotents", "(product (zn 2) (zn 3))"],
+    "idempotents-localized": ["idempotents", "(localized 7)"],
+    "units-finite": ["units", "(zn 9)"],
+    "units-localized": ["units", "(localized 7)"],
+}
+
+# "<case>-<text|json>": (exit code, SHA-256 of stdout)
+SPEC_COMMAND_PINS = {
+    "analyze-finite-text": (0, "fa3dcee603e4252b84b8b7b6e09daf7b1deb59a9be13e321c3e8a5b03ee36ea9"),
+    "analyze-finite-json": (0, "85e81635374996baf18227f7b33f80c7ba054aeda0a4b338e1581ed6c947bda9"),
+    "analyze-finite-many-text": (0, "3529ff15e1d72ada0477b88e8591a1afd0333e9136ead063491c29a5b8161058"),
+    "analyze-finite-many-json": (0, "f6352fcb00b000d9876cd675085d6d1af8d5d0420476fed0b0490b0e0202dfc4"),
+    "analyze-localized-minus-text": (0, "40ccaba4c1449bbc4f0cc7efcb6a979b235d4cf2b1070c58cf932337b74c9f2b"),
+    "analyze-localized-minus-json": (0, "7f324a6195156075bdd4d911b71adae507819f72454a0e5525f4ae7405458ec2"),
+    "analyze-localized-unit-text": (0, "d95ddb4560b1941631a12119b07c6d8205f1f08d0537ccf5f2298d974af9fa19"),
+    "analyze-localized-unit-json": (0, "03563a0b80929bb6dd77cb4f04f2bdfc58e34aff7848c8c982b41b83c7f10c34"),
+    "analyze-localized-no-text": (1, "393faa46769983f15cba8362c8cd85b24fa99c443c619a9d4a153ddbe0908181"),
+    "analyze-localized-no-json": (1, "83026a51021335945272ef289a84bddcc994ee514085ef9b627360c39d061cbc"),
+    "ideal-finite-clean-text": (0, "02618cba49d29597307acf646b1cd2d2f2e7a6464c06d1726acd0344ecae9621"),
+    "ideal-finite-clean-json": (0, "df3312afaf7cb98d9c45626670f60caf4369dbf4070ac33043997b3838dcd694"),
+    "ideal-finite-weakly-clean-text": (0, "ce77da6691e496d084146d74f0e028779586ca34198820f3f692e7b91b1493e3"),
+    "ideal-finite-weakly-clean-json": (0, "30b9b20c987e4a3c11cc593239dd8ccb3b641685aa860a7a66a73ab06593532f"),
+    "ideal-finite-uniquely-text": (1, "fcb11be63ffd05934fca63bc603bd779b89c91111c6d1a6657dfb2a11d8e1d60"),
+    "ideal-finite-uniquely-json": (1, "917014de137f6bb7b080938a4e40a32360d2f339072fa3421e02cc5a32905e23"),
+    "ideal-finite-exchange-text": (0, "e9582213f215032a79f114362da916d057495ce7f8db80f9690962f8b0d0ea16"),
+    "ideal-finite-exchange-json": (0, "6c7d5e2ef0238c3beae94bee5e04189bd213411c0cbb3c620f2602efc3a62280"),
+    "ideal-finite-uniquely-no-text": (1, "188fcbe587d8e81e20afe1b9a09b51552a3dc768d12d101a212fc2a75305f85e"),
+    "ideal-finite-uniquely-no-json": (1, "2555c623a7aa10bbac3f08ef4efc9b67bd491e26cd562e489fdfd0885b332509"),
+    "ideal-finite-matrix-clean-text": (0, "bfaf988e69cc7eef155fd963a4445a689538d98ada5f7340f3af76c23ec34834"),
+    "ideal-finite-matrix-clean-json": (0, "7efdd47536e70914fa7c63dde10a45fc8a990e264e2d3795313bf8339a0aaffc"),
+    "ideal-localized-clean-text": (1, "6a7e383085e6c4d06e707f1f4ac9f6540618c1b58bf50703253fada9b833d47d"),
+    "ideal-localized-clean-json": (1, "2d0ae444defc9e33a24c61d61af4890619d39070cdfad8ca52c8363cba13c8bc"),
+    "ideal-localized-weakly-clean-text": (1, "8a013b447b4c1665ba6f3ead1e69ea778a4c1da2f9c58e7674bea0f52f8f3305"),
+    "ideal-localized-weakly-clean-json": (1, "17c6e6808a043a13f313c6dc3b81e435ba2d74886b10739c3ea06413f5f8a8d2"),
+    "ideal-localized-uniquely-text": (1, "36c923191cc352f41e0f3e303b0d2ff57f6928e4d25122a46cc6291dc19c7038"),
+    "ideal-localized-uniquely-json": (1, "00156525d6a2ade67934cf3106af08252cc921e880485e593e85ff65b78f63c5"),
+    "ideal-localized-exchange-text": (1, "bbe1931128b62b94c1c8305c48cf6caa28875b96224fd2a9a70cf6a156179efb"),
+    "ideal-localized-exchange-json": (1, "ef717883fab54369ea711fe64d1a185f27990a7478f812bf2ae8fbd979e5ee62"),
+    "ideal-localized-full-clean-text": (1, "e26cef835a0b7e1e064934bbdc1c37eaf4403b669136907fe10e3491ddbe8aa7"),
+    "ideal-localized-full-clean-json": (1, "077bbcd30e86fd9fbd89ec13ba709f1819129df610120a04fd3412e1d11d56c4"),
+    "ideal-localized-two-gens-text": (0, "e94343434890559997d0d8c08b6769a8b8dfcf03955a3c2bd0d6b3bb0e8d3ca7"),
+    "ideal-localized-two-gens-json": (0, "21cab8a71fa7bbf8e8e0d057b4d9bb03c414bd080e824a71c3dafd63ebc9a7f3"),
+    "ideal-localized-no-witness-text": (1, "36192b4e3433b27d50bcac92e7a92418efb2a3e174e0b5e40ad15bb75b9ba72f"),
+    "ideal-localized-no-witness-json": (1, "f1d5c61b2d65a74ad16e054ecb3d2a9d6ade42f69d639c220ba4b346aded150c"),
+    "radical-finite-text": (0, "b13fd7a15656ef2b15b9923c41b59caccc37c5bead1d7878cdc12b0be92b95f1"),
+    "radical-finite-json": (0, "11734bbd5202c122515e7326cc17e46400d9c121c010fedc2e0cf32592782dd1"),
+    "radical-localized-text": (0, "fc395c4fdd773d910b8c9466f104c355d6008a6cb27d1d1cb954cec69d8b9838"),
+    "radical-localized-json": (0, "48810a2a40dd559141596e2226453043a13cd84afcb0727b310d94789205b4dd"),
+    "idempotents-finite-text": (0, "4a83fd239b8aa75cc241c20f71677b4fa296fc5a1e1f7f1aefb36868fee5cfce"),
+    "idempotents-finite-json": (0, "bbe60d2b725effe0be7ff589aaf78f5396ae23d5236a085848675a5c5be8f754"),
+    "idempotents-localized-text": (0, "6ab7fdd50cf188bbd6ee4170749ad76fcf40cc17fae8c63cb1f83d1812005461"),
+    "idempotents-localized-json": (0, "9f6ee4d68214a9434accf3c34d8ca43cce8c59df99293902b131c491126fe24d"),
+    "units-finite-text": (0, "588748eb2fbd199e1cb0d5e9cbddcb9ba0f55113c2537a8cde9be49ea865c433"),
+    "units-finite-json": (0, "3f768ccb47f417b73b5d8aa3b49186ebeb31198f9d809bc4c6918f762be79613"),
+    "units-localized-text": (0, "3411f3f1dff4d5cc88940ed4836fd78ee4105cf32db649eb3cf32240d1c340ed"),
+    "units-localized-json": (0, "908288f46bc0d1cd8acfd457519938fdbf04119e1feb95eb99661651f724b9fa"),
+}
+
+
+@pytest.mark.parametrize("pin", list(SPEC_COMMAND_PINS))
+def test_spec_command_output_matches_the_golden_pin(capsys, pin):
+    case, fmt = pin.rsplit("-", 1)
+    argv = SPEC_COMMANDS[case] + (["--json"] if fmt == "json" else [])
+    code, out, err = run(capsys, *argv)
+    assert err == ""
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == SPEC_COMMAND_PINS[pin]

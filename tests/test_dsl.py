@@ -156,47 +156,74 @@ def test_lexical_error_carries_position():
     assert (err.value.line, err.value.col) == (2, 3)
 
 
+SYNTAX_ERRORS = {
+    "": "syntax error at 1:1: empty input (expected ()",
+    ")": "syntax error at 1:1: unmatched ')' (expected ()",
+    "(zn 6) extra": (
+        "syntax error at 1:8: trailing input 'extra' after the spec (expected end of input)"
+    ),
+    "()": "syntax error at 1:1: empty form",
+    "((zn 2))": (
+        "syntax error at 1:2: a form must start with a construction name (expected symbol)"
+    ),
+    "zn": "syntax error at 1:1: expected a parenthesized form, got 'zn' (expected ()",
+}
+
+
 def test_syntax_errors():
-    with pytest.raises(SpecSyntaxError):
-        parse("")
-    with pytest.raises(SpecSyntaxError):
-        parse(")")
-    with pytest.raises(SpecSyntaxError):
-        parse("(zn 6) extra")
-    with pytest.raises(SpecSyntaxError):
-        parse("()")
-    with pytest.raises(SpecSyntaxError):
-        parse("((zn 2))")
-    with pytest.raises(SpecSyntaxError):
-        parse("zn")
+    for text, message in SYNTAX_ERRORS.items():
+        with pytest.raises(SpecSyntaxError) as err:
+            parse(text)
+        assert str(err.value) == message
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "(zn)",
-        "(zn 6 7)",
-        "(zn 0)",
-        "(zn x)",
-        "(matrix (zn 2) 2)",
-        "(product)",
-        "(frobnicate 3)",
-        "(localized)",
-        "(localized 1)",
-        "(product (zn 2) (localized 3))",
-        "(tri2 (zn 2) (zn 3) regular)",
-        "(tri2 (zn 2) (zn 2) diagonal)",
-        "(tri2 (zn 2) (zn 2) (znmod))",
-        "(quotient (zn 8) 4)",
-        "(quotient (zn 8) (ideal))",
-        "(series (zn 2))",
-        "(corner (zn 6) 3 4)",
-        "(morita (zn 2) (zn 3) regular zero)",
-    ],
-)
+ARITY_ERRORS = {
+    "(zn)": "arity error at 1:1: zn takes 1 argument(s), got 0",
+    "(zn 6 7)": "arity error at 1:1: zn takes 1 argument(s), got 2",
+    "(zn 0)": "arity error at 1:5: zn modulus must be at least 1, got 0",
+    "(zn x)": "arity error at 1:5: zn modulus must be an integer (expected integer)",
+    "(matrix (zn 2) 2)": (
+        "arity error at 1:9: matrix size must be an integer (expected integer)"
+    ),
+    "(product)": "arity error at 1:1: product needs at least one factor",
+    "(frobnicate 3)": (
+        "arity error at 1:2: unknown construction 'frobnicate' (expected zn or product"
+        " or matrix or tri2 or tri3 or morita or idealize or quotient or series"
+        " or localized or corner)"
+    ),
+    "(localized)": "arity error at 1:1: localized needs at least one prime",
+    "(localized 1)": "arity error at 1:12: localized prime must be at least 2, got 1",
+    "(product (zn 2) (localized 3))": (
+        "arity error at 1:17: localized rings cannot be nested inside constructions"
+    ),
+    "(tri2 (zn 2) (zn 3) regular)": (
+        "arity error at 1:21: the regular module in tri2 needs both neighbouring rings"
+        " equal (expected zero or (znmod m))"
+    ),
+    "(tri2 (zn 2) (zn 2) diagonal)": (
+        "arity error at 1:21: unknown module name 'diagonal'"
+        " (expected regular or zero or (znmod m))"
+    ),
+    "(tri2 (zn 2) (zn 2) (znmod))": "arity error at 1:21: znmod takes 1 argument(s), got 0",
+    "(quotient (zn 8) 4)": (
+        "arity error at 1:18: expected an (ideal ...) form"
+        " (expected (ideal gens...) or (ideal all))"
+    ),
+    "(quotient (zn 8) (ideal))": "arity error at 1:18: ideal needs generators or the word all",
+    "(series (zn 2))": "arity error at 1:1: series takes 2 argument(s), got 1",
+    "(corner (zn 6) 3 4)": "arity error at 1:1: corner takes 2 argument(s), got 3",
+    "(morita (zn 2) (zn 3) regular zero)": (
+        "arity error at 1:23: the regular module in morita needs both neighbouring rings"
+        " equal (expected zero or (znmod m))"
+    ),
+}
+
+
+@pytest.mark.parametrize("text", list(ARITY_ERRORS))
 def test_arity_class_covers_malformed_but_well_nested_specs(text):
-    with pytest.raises(SpecArityError):
+    with pytest.raises(SpecArityError) as err:
         parse(text)
+    assert str(err.value) == ARITY_ERRORS[text]
 
 
 def test_size_cap_error_precedes_construction(monkeypatch):
