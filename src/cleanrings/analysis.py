@@ -192,60 +192,50 @@ def _scan_masks(ring: FiniteRing, members: Sequence[int]) -> tuple[np.ndarray, n
     return plus_ok, minus_ok
 
 
-def ideal_is_clean(ring: FiniteRing, ideal: IdealSet) -> IdealVerdict:
-    plus_ok, _ = _scan_masks(ring, ideal.members)
-    per_element = plus_ok.any(axis=1)
-    if per_element.all():
-        return IdealVerdict("clean", ideal.describe(), True, len(ideal))
-    bad = int(np.flatnonzero(~per_element)[0])
-    x = ideal.members[bad]
+def _scan_ideal(
+    ring: FiniteRing, ideal: IdealSet, name: str, *, plus_only: bool = False, unique: bool = False
+) -> IdealVerdict:
+    """Count, per member of the ideal, the idempotents that decompose it.
+
+    Decompositions of sign +1 count when plus_only, of either sign otherwise.
+    A member passes with at least one working idempotent, or exactly one when
+    unique; the first member that does not is the verdict's failing element.
+    """
+    plus_ok, minus_ok = _scan_masks(ring, ideal.members)
+    counts = (plus_ok if plus_only else plus_ok | minus_ok).sum(axis=1)
+    failing = np.flatnonzero(counts != 1 if unique else counts == 0)
+    if failing.size == 0:
+        return IdealVerdict(name, ideal.describe(), True, len(ideal))
+    x = ideal.members[int(failing[0])]
+    count = int(counts[failing[0]])
+    if unique:
+        reason = f"{count} distinct idempotents work" if count else "no decomposition"
+        detail = f"element {x}: {reason}"
+    elif plus_only:
+        detail = f"element {x} admits no unit-plus-idempotent decomposition"
+    else:
+        detail = f"element {x} admits no decomposition of either sign"
     return IdealVerdict(
-        "clean",
+        name,
         ideal.describe(),
         False,
         len(ideal),
         failing=x,
-        trace=_failure_trace(ring, x),
-        detail=f"element {x} admits no unit-plus-idempotent decomposition",
+        trace=decompositions(ring, x) if unique and count else _failure_trace(ring, x),
+        detail=detail,
     )
+
+
+def ideal_is_clean(ring: FiniteRing, ideal: IdealSet) -> IdealVerdict:
+    return _scan_ideal(ring, ideal, "clean", plus_only=True)
 
 
 def ideal_is_weakly_clean(ring: FiniteRing, ideal: IdealSet) -> IdealVerdict:
-    plus_ok, minus_ok = _scan_masks(ring, ideal.members)
-    per_element = (plus_ok | minus_ok).any(axis=1)
-    if per_element.all():
-        return IdealVerdict("weakly-clean", ideal.describe(), True, len(ideal))
-    bad = int(np.flatnonzero(~per_element)[0])
-    x = ideal.members[bad]
-    return IdealVerdict(
-        "weakly-clean",
-        ideal.describe(),
-        False,
-        len(ideal),
-        failing=x,
-        trace=_failure_trace(ring, x),
-        detail=f"element {x} admits no decomposition of either sign",
-    )
+    return _scan_ideal(ring, ideal, "weakly-clean")
 
 
 def ideal_is_uniquely_weakly_clean(ring: FiniteRing, ideal: IdealSet) -> IdealVerdict:
-    plus_ok, minus_ok = _scan_masks(ring, ideal.members)
-    counts = (plus_ok | minus_ok).sum(axis=1)
-    if (counts == 1).all():
-        return IdealVerdict("uniquely-weakly-clean", ideal.describe(), True, len(ideal))
-    bad = int(np.flatnonzero(counts != 1)[0])
-    x = ideal.members[bad]
-    found = decompositions(ring, x)
-    reason = "no decomposition" if counts[bad] == 0 else f"{int(counts[bad])} distinct idempotents work"
-    return IdealVerdict(
-        "uniquely-weakly-clean",
-        ideal.describe(),
-        False,
-        len(ideal),
-        failing=x,
-        trace=found if found else _failure_trace(ring, x),
-        detail=f"element {x}: {reason}",
-    )
+    return _scan_ideal(ring, ideal, "uniquely-weakly-clean", unique=True)
 
 
 def ideal_is_weakly_exchange(

@@ -18,7 +18,8 @@ JSON object per line.
 
 Exit codes: 0 success; 1 a checked property failed (a law failed, or an
 element with no admissible decomposition was found); 2 usage, parse, or
-construction errors.
+construction errors; 3 an internal error, a fault of the program rather than
+a verdict, reported on one line as "cleanrings: internal error: <type>: <message>".
 """
 
 from __future__ import annotations
@@ -103,8 +104,25 @@ def _built(args: argparse.Namespace):
     return spec, build(spec)
 
 
-def _label(ring) -> str:
-    return ring.label
+def _render(
+    args: argparse.Namespace, payload: dict, lines: list, ok: bool = True, spec=None, ring=None
+) -> int:
+    """Emit a command's result and return its exit code (1 when not ok).
+
+    With --json the payload goes out as one object naming the command;
+    otherwise the text lines do. A command about one ring passes its spec and
+    the built ring, which add the "spec" and "ring" keys or the header line.
+    """
+    if spec is not None:
+        text = pretty(spec)
+        payload = {"spec": text, "ring": ring.label, **payload}
+        lines = [f"ring {ring.label} from {text}", *lines]
+    if args.json:
+        _emit_json({"command": args.command, **payload})
+    else:
+        for line in lines:
+            _emit(line)
+    return 0 if ok else 1
 
 
 def _parse_element(ring, text: str):
@@ -153,52 +171,32 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     x = _parse_element(ring, args.element)
     if isinstance(ring, LocalizedIntegers):
         verdict = clean_flags(ring, x)
-        ok = verdict.is_weakly_clean
+        lines = []
+        if verdict.unit:
+            lines.append(f"  {x} = {x} + 0 and {x} = {x} - 0 ({x} is a unit)")
+        if verdict.shifted_down_unit:
+            lines.append(f"  {x} = {x - 1} + 1 ({x - 1} is a unit)")
+        if verdict.shifted_up_unit:
+            lines.append(f"  {x} = {x + 1} - 1 ({x + 1} is a unit)")
+        if not verdict.is_weakly_clean:
+            lines.append(f"  none of {x}, {x - 1}, {x + 1} is a unit: no decomposition")
     else:
         verdict = clean_class(ring, x)
-        ok = verdict.is_weakly_clean
-    if args.json:
-        _emit_json(
-            {
-                "command": "analyze",
-                "spec": pretty(spec),
-                "ring": _label(ring),
-                "ok": ok,
-                "verdict": verdict.to_json_dict(),
-            }
-        )
-        return 0 if ok else 1
-
-    _emit(f"ring {_label(ring)} from {pretty(spec)}")
-    if isinstance(ring, LocalizedIntegers):
-        _emit(
-            f"element {x}: clean {_yn(verdict.is_clean)},"
-            f" weakly clean {_yn(verdict.is_weakly_clean)},"
-            f" uniquely weakly clean {_yn(verdict.is_uniquely_weakly_clean)}"
-        )
-        if verdict.unit:
-            _emit(f"  {x} = {x} + 0 and {x} = {x} - 0 ({x} is a unit)")
-        if verdict.shifted_down_unit:
-            _emit(f"  {x} = {x - 1} + 1 ({x - 1} is a unit)")
-        if verdict.shifted_up_unit:
-            _emit(f"  {x} = {x + 1} - 1 ({x + 1} is a unit)")
-        if not verdict.is_weakly_clean:
-            _emit(f"  none of {x}, {x - 1}, {x + 1} is a unit: no decomposition")
-    else:
-        _emit(
-            f"element {x}: clean {_yn(verdict.is_clean)},"
-            f" weakly clean {_yn(verdict.is_weakly_clean)},"
-            f" uniquely weakly clean {_yn(verdict.is_uniquely_weakly_clean)}"
-        )
         shown = verdict.decompositions[:12]
-        for d in shown:
-            _emit(f"  {x} = {d.unit} {'+' if d.sign == 1 else '-'} {d.idempotent}")
+        lines = [f"  {x} = {d.unit} {'+' if d.sign == 1 else '-'} {d.idempotent}" for d in shown]
         rest = len(verdict.decompositions) - len(shown)
         if rest:
-            _emit(f"  ... and {rest} more decomposition(s)")
+            lines.append(f"  ... and {rest} more decomposition(s)")
         if not verdict.decompositions:
-            _emit("  no unit-plus-idempotent or unit-minus-idempotent decomposition")
-    return 0 if ok else 1
+            lines.append("  no unit-plus-idempotent or unit-minus-idempotent decomposition")
+    ok = verdict.is_weakly_clean
+    census = (
+        f"element {x}: clean {_yn(verdict.is_clean)},"
+        f" weakly clean {_yn(ok)},"
+        f" uniquely weakly clean {_yn(verdict.is_uniquely_weakly_clean)}"
+    )
+    payload = {"ok": ok, "verdict": verdict.to_json_dict()}
+    return _render(args, payload, [census, *lines], ok, spec, ring)
 
 
 def _yn(flag: bool) -> str:
@@ -264,68 +262,43 @@ def _cmd_ideal(args: argparse.Namespace) -> int:
             "method": verdict.method,
             "witness": None if witness is None else str(witness),
         }
-        if args.json:
-            _emit_json(
-                {
-                    "command": "ideal",
-                    "spec": pretty(spec),
-                    "ring": _label(ring),
-                    "check": args.check,
-                    "ideal": ideal.describe(),
-                    "ok": ok,
-                    "verdict": verdict_json,
-                    "witnesses": None,
-                }
-            )
-            return 0 if ok else 1
-        _emit(f"ring {_label(ring)} from {pretty(spec)}")
-        _emit(f"ideal {ideal.describe()}: {args.check} {_yn(ok)} [{verdict.method}]")
+        witnesses = None
+        lines = [f"ideal {ideal.describe()}: {args.check} {_yn(ok)} [{verdict.method}]"]
         if witness is not None:
-            _emit(f"  witness {witness}: no admissible decomposition")
+            lines.append(f"  witness {witness}: no admissible decomposition")
         elif not ok:
-            _emit(f"  no witness within the search bound {args.bound} (raise --bound)")
-        return 0 if ok else 1
-
-    ideal = _finite_ideal(ring, args.gens)
-    verdict = _FINITE_CHECKS[args.check](ring, ideal)
-    witnesses = (
-        [_finite_witness(ring, x, args.check) for x in ideal.members]
-        if verdict.ok
-        else None
-    )
-    if args.json:
-        _emit_json(
-            {
-                "command": "ideal",
-                "spec": pretty(spec),
-                "ring": _label(ring),
-                "check": args.check,
-                "ideal": ideal.describe(),
-                "ok": verdict.ok,
-                "verdict": verdict.to_json_dict(),
-                "witnesses": witnesses,
-            }
+            lines.append(f"  no witness within the search bound {args.bound} (raise --bound)")
+    else:
+        ideal = _finite_ideal(ring, args.gens)
+        verdict = _FINITE_CHECKS[args.check](ring, ideal)
+        ok = verdict.ok
+        verdict_json = verdict.to_json_dict()
+        witnesses = (
+            [_finite_witness(ring, x, args.check) for x in ideal.members] if ok else None
         )
-        return 0 if verdict.ok else 1
-
-    _emit(f"ring {_label(ring)} from {pretty(spec)}")
-    _emit(
-        f"ideal {ideal.describe()} ({len(ideal.members)} elements):"
-        f" {args.check} {_yn(verdict.ok)}"
-    )
-    if verdict.ok:
+        lines = [
+            f"ideal {ideal.describe()} ({len(ideal.members)} elements):"
+            f" {args.check} {_yn(ok)}"
+        ]
         for w in witnesses or ():
             if "unit" in w:
                 sign = "+" if w["sign"] == 1 else "-"
-                _emit(f"  {w['element']} = {w['unit']} {sign} {w['idempotent']}")
+                lines.append(f"  {w['element']} = {w['unit']} {sign} {w['idempotent']}")
             elif "idempotent" in w:
-                _emit(
+                lines.append(
                     f"  element {w['element']}: idempotent {w['idempotent']}"
                     " lands in the required multiple set"
                 )
-    else:
-        _emit(f"  failing element {verdict.failing}: {verdict.detail}")
-    return 0 if verdict.ok else 1
+        if not ok:
+            lines.append(f"  failing element {verdict.failing}: {verdict.detail}")
+    payload = {
+        "check": args.check,
+        "ideal": ideal.describe(),
+        "ok": ok,
+        "verdict": verdict_json,
+        "witnesses": witnesses,
+    }
+    return _render(args, payload, lines, ok, spec, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -335,42 +308,21 @@ def _cmd_ideal(args: argparse.Namespace) -> int:
 def _cmd_radical(args: argparse.Namespace) -> int:
     spec, ring = _built(args)
     if isinstance(ring, LocalizedIntegers):
-        generator = ring.modulus
-        payload = {
-            "command": "radical",
-            "spec": pretty(spec),
-            "ring": _label(ring),
-            "kind": "localized",
-            "members": None,
-            "size": None,
-            "generator": str(generator),
-            "description": f"<{generator}>",
-        }
-        if args.json:
-            _emit_json(payload)
-        else:
-            _emit(f"ring {_label(ring)} from {pretty(spec)}")
-            _emit(f"radical <{generator}> (all multiples of {generator})")
-        return 0
-    members = list(ring.jacobson_radical)
-    description = "{" + ", ".join(str(m) for m in members) + "}"
-    if args.json:
-        _emit_json(
-            {
-                "command": "radical",
-                "spec": pretty(spec),
-                "ring": _label(ring),
-                "kind": "finite",
-                "members": members,
-                "size": len(members),
-                "generator": None,
-                "description": description,
-            }
-        )
-        return 0
-    _emit(f"ring {_label(ring)} from {pretty(spec)}")
-    _emit(f"radical {description} ({len(members)} of {ring.order} elements)")
-    return 0
+        kind, members, generator = "localized", None, str(ring.modulus)
+        description = f"<{generator}>"
+        line = f"radical {description} (all multiples of {generator})"
+    else:
+        kind, members, generator = "finite", list(ring.jacobson_radical), None
+        description = "{" + ", ".join(str(m) for m in members) + "}"
+        line = f"radical {description} ({len(members)} of {ring.order} elements)"
+    payload = {
+        "kind": kind,
+        "members": members,
+        "size": None if members is None else len(members),
+        "generator": generator,
+        "description": description,
+    }
+    return _render(args, payload, [line], spec=spec, ring=ring)
 
 
 def _cmd_idempotents(args: argparse.Namespace) -> int:
@@ -379,20 +331,9 @@ def _cmd_idempotents(args: argparse.Namespace) -> int:
         values: list = [str(e) for e in ring.idempotents()]
     else:
         values = list(ring.idempotents)
-    if args.json:
-        _emit_json(
-            {
-                "command": "idempotents",
-                "spec": pretty(spec),
-                "ring": _label(ring),
-                "idempotents": values,
-                "count": len(values),
-            }
-        )
-        return 0
-    _emit(f"ring {_label(ring)} from {pretty(spec)}")
-    _emit(f"idempotents ({len(values)}): {', '.join(str(v) for v in values)}")
-    return 0
+    payload = {"idempotents": values, "count": len(values)}
+    line = f"idempotents ({len(values)}): {', '.join(str(v) for v in values)}"
+    return _render(args, payload, [line], spec=spec, ring=ring)
 
 
 def _cmd_units(args: argparse.Namespace) -> int:
@@ -402,39 +343,13 @@ def _cmd_units(args: argparse.Namespace) -> int:
             f"a/b is a unit exactly when gcd(a, {ring.modulus}) = 1;"
             f" membership already forces gcd(b, {ring.modulus}) = 1"
         )
-        if args.json:
-            _emit_json(
-                {
-                    "command": "units",
-                    "spec": pretty(spec),
-                    "ring": _label(ring),
-                    "kind": "localized",
-                    "units": None,
-                    "count": None,
-                    "criterion": criterion,
-                }
-            )
-            return 0
-        _emit(f"ring {_label(ring)} from {pretty(spec)}")
-        _emit(f"units: {criterion}")
-        return 0
-    units = list(ring.units)
-    if args.json:
-        _emit_json(
-            {
-                "command": "units",
-                "spec": pretty(spec),
-                "ring": _label(ring),
-                "kind": "finite",
-                "units": units,
-                "count": len(units),
-                "criterion": None,
-            }
-        )
-        return 0
-    _emit(f"ring {_label(ring)} from {pretty(spec)}")
-    _emit(f"units ({len(units)}): {', '.join(str(u) for u in units)}")
-    return 0
+        payload = {"kind": "localized", "units": None, "count": None, "criterion": criterion}
+        line = f"units: {criterion}"
+    else:
+        units = list(ring.units)
+        payload = {"kind": "finite", "units": units, "count": len(units), "criterion": None}
+        line = f"units ({len(units)}): {', '.join(str(u) for u in units)}"
+    return _render(args, payload, [line], spec=spec, ring=ring)
 
 
 # ---------------------------------------------------------------------------
@@ -481,40 +396,31 @@ def _cmd_laws(args: argparse.Namespace) -> int:
 
 def _cmd_examples(args: argparse.Namespace) -> int:
     report = reproduce_examples(bound=args.bound)
-    if args.json:
-        _emit_json({"command": "examples", **report})
-        return 0
     one = report["full_ring_weakly_clean_not_clean"]
-    _emit(f"case study 1: the full ideal of {one['ring']}")
-    _emit(
-        f"  generator {one['generator']} is a unit: {_yn(one['generator_is_unit'])}"
-        f" -> the ideal is {one['ideal']}"
-    )
-    _emit(
-        f"  weakly clean {_yn(one['weakly_clean'])}, clean {_yn(one['clean'])};"
-        f" non-clean witness {one['non_clean_witness']}"
-    )
     checks = one["witness_checks"]
-    _emit(
-        f"  witness checks: x unit {_yn(checks['x_is_unit'])},"
-        f" x-1 unit {_yn(checks['x_minus_one_is_unit'])},"
-        f" x+1 unit {_yn(checks['x_plus_one_is_unit'])}"
-    )
     two = report["product_not_weakly_clean"]
     product = two["product"]
-    _emit(f"case study 2: a product ideal over {two['ring']}")
-    _emit(
+    lines = [
+        f"case study 1: the full ideal of {one['ring']}",
+        f"  generator {one['generator']} is a unit: {_yn(one['generator_is_unit'])}"
+        f" -> the ideal is {one['ideal']}",
+        f"  weakly clean {_yn(one['weakly_clean'])}, clean {_yn(one['clean'])};"
+        f" non-clean witness {one['non_clean_witness']}",
+        f"  witness checks: x unit {_yn(checks['x_is_unit'])},"
+        f" x-1 unit {_yn(checks['x_minus_one_is_unit'])},"
+        f" x+1 unit {_yn(checks['x_plus_one_is_unit'])}",
+        f"case study 2: a product ideal over {two['ring']}",
         f"  generators {', '.join(two['generators'])} are units ->"
-        f" component ideals {', '.join(two['component_ideals'])}"
-    )
-    _emit(f"  weakly clean {_yn(product['ok'])}: {product['detail']}")
+        f" component ideals {', '.join(two['component_ideals'])}",
+        f"  weakly clean {_yn(product['ok'])}: {product['detail']}",
+    ]
     if product["witness"]:
         pairs = ", ".join(
             f"{w} ({c})"
             for w, c in zip(product["witness"], product["witness_sign_classes"])
         )
-        _emit(f"  witness tuple: {pairs}")
-    return 0
+        lines.append(f"  witness tuple: {pairs}")
+    return _render(args, report, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +529,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # construction and usage failures
         print(f"cleanrings: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not a verdict
+        print(f"cleanrings: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -760,6 +760,8 @@ class CornerRing:
 
 def corner_ring(ring: FiniteRing, e: int, *, label: str | None = None) -> CornerRing:
     """The subring e*R*e with unity e (e must be idempotent)."""
+    if not 0 <= e < ring.order:
+        raise ValueError(f"corner element {e} out of range for order {ring.order}")
     if not ring.is_idempotent(e):
         raise ValueError(f"corner_ring requires an idempotent, got {e}")
     exe = ring.mul_table[ring.mul_table[e, :], e]

@@ -24,8 +24,8 @@ line and column of the offending token and, where sensible, the set of
 expected tokens:
 
 * lexical   (``SpecLexicalError``)  -- a character that cannot start a token;
-* syntactic (``SpecSyntaxError``)   -- bad nesting, missing ``)``, trailing
-  input;
+* syntactic (``SpecSyntaxError``)   -- bad nesting, forms nested more than
+  100 deep, missing ``)``, trailing input;
 * arity     (``SpecArityError``)    -- a structurally valid form with the
   wrong number or kind of arguments (this class also covers value errors
   such as ``(zn 0)`` and nesting a localization inside a construction);
@@ -34,12 +34,15 @@ expected tokens:
 
 ``parse`` returns an immutable AST; ``build`` turns an AST into a live ring;
 ``pretty`` renders an AST back to canonical text, and parsing that text
-yields an equal AST.
+yields an equal AST. Each construction is declared once, in
+``_CONSTRUCTIONS``, by its head, its AST class and the kind of each argument;
+the analyzer, the size estimate, the builder and the pretty-printer all walk
+those declarations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 from .constructions import (
@@ -105,6 +108,11 @@ class SpecError(ValueError):
         self.expected = expected
         suffix = f" (expected {' or '.join(expected)})" if expected else ""
         super().__init__(f"{self.category} error at {line}:{col}: {message}{suffix}")
+
+    @classmethod
+    def at(cls, token: "_Token", message: str, *expected: str) -> "SpecError":
+        """The diagnostic for a message at a token's position."""
+        return cls(message, token.line, token.col, expected)
 
 
 class SpecLexicalError(SpecError):
@@ -196,11 +204,23 @@ class _List:
     open_token: _Token
 
 
-def _read(tokens: list[_Token], pos: int) -> tuple[Union[_Atom, _List], int]:
+def _first(node: Union[_Atom, _List]) -> _Token:
+    """The token a node starts with."""
+    return node.token if isinstance(node, _Atom) else node.open_token
+
+
+# Deeper forms are refused while reading, so no later stage can exhaust the
+# interpreter's recursion limit.
+_MAX_DEPTH = 100
+
+
+def _read(tokens: list[_Token], pos: int, depth: int = 1) -> tuple[Union[_Atom, _List], int]:
     tok = tokens[pos]
     if tok.kind in ("int", "symbol"):
         return _Atom(tok), pos + 1
     if tok.kind == "lparen":
+        if depth > _MAX_DEPTH:
+            raise SpecSyntaxError.at(tok, f"forms nest more than {_MAX_DEPTH} levels deep")
         items: list[Union[_Atom, _List]] = []
         cursor = pos + 1
         while True:
@@ -208,17 +228,12 @@ def _read(tokens: list[_Token], pos: int) -> tuple[Union[_Atom, _List], int]:
             if inner.kind == "rparen":
                 return _List(tuple(items), tok), cursor + 1
             if inner.kind == "eof":
-                raise SpecSyntaxError(
-                    "unterminated form at end of input",
-                    inner.line,
-                    inner.col,
-                    expected=(")",),
-                )
-            item, cursor = _read(tokens, cursor)
+                raise SpecSyntaxError.at(inner, "unterminated form at end of input", ")")
+            item, cursor = _read(tokens, cursor, depth + 1)
             items.append(item)
     if tok.kind == "rparen":
-        raise SpecSyntaxError("unmatched ')'", tok.line, tok.col, expected=("(",))
-    raise SpecSyntaxError("empty input", tok.line, tok.col, expected=("(",))
+        raise SpecSyntaxError.at(tok, "unmatched ')'", "(")
+    raise SpecSyntaxError.at(tok, "empty input", "(")
 
 
 # ---------------------------------------------------------------------------
@@ -331,31 +346,28 @@ RingSpec = Union[
 
 
 # ---------------------------------------------------------------------------
-# analyzer
+# argument kinds
 
 
 def _need_int(node: Union[_Atom, _List], what: str, *, minimum: int = 1) -> int:
-    if isinstance(node, _Atom) and node.token.kind == "int":
-        value = int(node.token.text)
+    tok = _first(node)
+    if tok.kind == "int":
+        try:
+            value = int(tok.text)
+        except ValueError:  # more digits than the interpreter converts
+            raise SpecArityError.at(
+                tok, f"{what} has too many digits ({len(tok.text)})"
+            ) from None
         if value < minimum:
-            raise SpecArityError(
-                f"{what} must be at least {minimum}, got {value}",
-                node.token.line,
-                node.token.col,
-            )
+            raise SpecArityError.at(tok, f"{what} must be at least {minimum}, got {value}")
         return value
-    tok = node.token if isinstance(node, _Atom) else node.open_token
-    raise SpecArityError(
-        f"{what} must be an integer", tok.line, tok.col, expected=("integer",)
-    )
+    raise SpecArityError.at(tok, f"{what} must be an integer", "integer")
 
 
 def _need_arity(form: _List, head: str, count: int) -> None:
     if len(form.items) - 1 != count:
-        raise SpecArityError(
-            f"{head} takes {count} argument(s), got {len(form.items) - 1}",
-            form.open_token.line,
-            form.open_token.col,
+        raise SpecArityError.at(
+            form.open_token, f"{head} takes {count} argument(s), got {len(form.items) - 1}"
         )
 
 
@@ -363,12 +375,8 @@ def _int_rows(form: _List, skip: int, what: str) -> tuple[tuple[int, ...], ...]:
     rows = []
     for item in form.items[skip:]:
         if not isinstance(item, _List) or not item.items:
-            tok = item.token if isinstance(item, _Atom) else item.open_token
-            raise SpecArityError(
-                f"{what} rows must be parenthesized integer lists",
-                tok.line,
-                tok.col,
-                expected=("(",),
+            raise SpecArityError.at(
+                _first(item), f"{what} rows must be parenthesized integer lists", "("
             )
         rows.append(
             tuple(_need_int(cell, f"{what} entry", minimum=0) for cell in item.items)
@@ -382,216 +390,279 @@ def _analyze_table_module(node: _List) -> ModuleRef:
         head = item.items[0] if isinstance(item, _List) and item.items else None
         name = head.token.text if isinstance(head, _Atom) else None
         if name not in ("add", "left", "right") or name in blocks:
-            tok = item.token if isinstance(item, _Atom) else item.open_token
-            raise SpecArityError(
+            raise SpecArityError.at(
+                _first(item),
                 "a table module needs one add, one left, and one right block",
-                tok.line,
-                tok.col,
-                expected=("(add ...)", "(left ...)", "(right ...)"),
+                "(add ...)",
+                "(left ...)",
+                "(right ...)",
             )
         blocks[name] = _int_rows(item, 1, name)
     if set(blocks) != {"add", "left", "right"}:
-        raise SpecArityError(
-            "a table module needs one add, one left, and one right block",
-            node.open_token.line,
-            node.open_token.col,
+        raise SpecArityError.at(
+            node.open_token, "a table module needs one add, one left, and one right block"
         )
     return ModuleRef("table", tables=(blocks["add"], blocks["left"], blocks["right"]))
 
 
-def _analyze_module(node: Union[_Atom, _List], *, allow_tables: bool) -> ModuleRef:
-    expected = ("regular", "zero", "(znmod m)") + (
-        ("(table ...)",) if allow_tables else ()
-    )
-    if isinstance(node, _Atom) and node.token.kind == "symbol":
-        if node.token.text in ("regular", "zero"):
-            return ModuleRef(node.token.text)
-        raise SpecArityError(
-            f"unknown module name {node.token.text!r}",
-            node.token.line,
-            node.token.col,
-            expected=expected,
+class _Kind:
+    """How one kind of argument is read, checked, printed, sized and built.
+
+    The defaults suit a plain value: no check beyond reading it, printed with
+    str, of order 1, and handed to its construction as it is.
+    """
+
+    def check(self, value, spec: RingSpec, node: Union[_Atom, _List], where: str) -> None:
+        pass
+
+    def text(self, value) -> str:
+        return str(value)
+
+    def order(self, value, orders: dict[str, int]) -> int:
+        return 1
+
+    def build(self, value, built: dict, go):
+        return value
+
+
+class _Ring(_Kind):
+    """A nested ring spec."""
+
+    def read(self, node: Union[_Atom, _List], allow_tables: bool) -> RingSpec:
+        return _analyze(node, toplevel=False, allow_tables=allow_tables)
+
+    def text(self, spec: RingSpec) -> str:
+        return pretty(spec)
+
+    def order(self, spec: RingSpec, orders: dict[str, int]) -> int:
+        return size_estimate(spec) or 1
+
+    def build(self, spec: RingSpec, built: dict, go) -> FiniteRing:
+        decl = _BY_CLASS.get(type(spec))
+        if decl is not None and not decl.nested:  # unreachable after analysis
+            raise SpecArityError(f"{decl.head} rings cannot be nested", 1, 1)
+        return go(spec)
+
+
+@dataclass(frozen=True)
+class _Int(_Kind):
+    """A positioned integer, named by its label in diagnostics."""
+
+    label: str
+    minimum: int = 1
+
+    def read(self, node: Union[_Atom, _List], allow_tables: bool) -> int:
+        return _need_int(node, self.label, minimum=self.minimum)
+
+
+class _Ideal(_Kind):
+    """Ideal generators, or the whole ring."""
+
+    def read(self, node: Union[_Atom, _List], allow_tables: bool) -> IdealRef:
+        if isinstance(node, _List) and node.items:
+            head = node.items[0]
+            if isinstance(head, _Atom) and head.token.text == "ideal":
+                if len(node.items) < 2:
+                    raise SpecArityError.at(
+                        node.open_token, "ideal needs generators or the word all"
+                    )
+                first = node.items[1]
+                if (
+                    len(node.items) == 2
+                    and isinstance(first, _Atom)
+                    and first.token.text == "all"
+                ):
+                    return IdealRef(None)
+                gens = tuple(
+                    _need_int(item, "ideal generator", minimum=0)
+                    for item in node.items[1:]
+                )
+                return IdealRef(gens)
+        raise SpecArityError.at(
+            _first(node), "expected an (ideal ...) form", "(ideal gens...)", "(ideal all)"
         )
-    if isinstance(node, _List) and node.items:
-        head = node.items[0]
-        if isinstance(head, _Atom) and head.token.text == "znmod":
-            _need_arity(node, "znmod", 1)
-            return ModuleRef("znmod", _need_int(node.items[1], "znmod modulus"))
-        if isinstance(head, _Atom) and head.token.text == "table":
-            if not allow_tables:
-                raise SpecArityError(
-                    "table modules are only accepted in a spec file",
-                    node.open_token.line,
-                    node.open_token.col,
-                    expected=("regular", "zero", "(znmod m)"),
-                )
-            return _analyze_table_module(node)
-    tok = node.token if isinstance(node, _Atom) else node.open_token
-    raise SpecArityError(
-        "a module must name a built-in bimodule",
-        tok.line,
-        tok.col,
-        expected=expected,
-    )
+
+    def text(self, ref: IdealRef) -> str:
+        if ref.generators is None:
+            return "(ideal all)"
+        return "(ideal " + " ".join(str(g) for g in ref.generators) + ")"
 
 
-def _analyze_ideal(node: Union[_Atom, _List]) -> IdealRef:
-    if isinstance(node, _List) and node.items:
-        head = node.items[0]
-        if isinstance(head, _Atom) and head.token.text == "ideal":
-            if len(node.items) < 2:
-                raise SpecArityError(
-                    "ideal needs generators or the word all",
-                    node.open_token.line,
-                    node.open_token.col,
-                )
-            first = node.items[1]
-            if (
-                len(node.items) == 2
-                and isinstance(first, _Atom)
-                and first.token.text == "all"
-            ):
-                return IdealRef(None)
-            gens = tuple(
-                _need_int(item, "ideal generator", minimum=0)
-                for item in node.items[1:]
+@dataclass(frozen=True)
+class _Module(_Kind):
+    """A bimodule over the rings held by the fields named left and right."""
+
+    left: str
+    right: str
+
+    def read(self, node: Union[_Atom, _List], allow_tables: bool) -> ModuleRef:
+        expected = ("regular", "zero", "(znmod m)") + (
+            ("(table ...)",) if allow_tables else ()
+        )
+        if isinstance(node, _Atom) and node.token.kind == "symbol":
+            if node.token.text in ("regular", "zero"):
+                return ModuleRef(node.token.text)
+            raise SpecArityError.at(
+                node.token, f"unknown module name {node.token.text!r}", *expected
             )
-            return IdealRef(gens)
-    tok = node.token if isinstance(node, _Atom) else node.open_token
-    raise SpecArityError(
-        "expected an (ideal ...) form",
-        tok.line,
-        tok.col,
-        expected=("(ideal gens...)", "(ideal all)"),
-    )
-
-
-def _check_regular(
-    ref: ModuleRef,
-    left: "RingSpec",
-    right: "RingSpec",
-    node: Union[_Atom, _List],
-    where: str,
-) -> None:
-    """The regular bimodule only exists over a single ring on both sides."""
-    if ref.kind == "regular" and left != right:
-        tok = node.token if isinstance(node, _Atom) else node.open_token
-        raise SpecArityError(
-            f"the regular module in {where} needs both neighbouring rings equal",
-            tok.line,
-            tok.col,
-            expected=("zero", "(znmod m)"),
+        if isinstance(node, _List) and node.items:
+            head = node.items[0]
+            if isinstance(head, _Atom) and head.token.text == "znmod":
+                _need_arity(node, "znmod", 1)
+                return ModuleRef("znmod", _need_int(node.items[1], "znmod modulus"))
+            if isinstance(head, _Atom) and head.token.text == "table":
+                if not allow_tables:
+                    raise SpecArityError.at(
+                        node.open_token,
+                        "table modules are only accepted in a spec file",
+                        "regular",
+                        "zero",
+                        "(znmod m)",
+                    )
+                return _analyze_table_module(node)
+        raise SpecArityError.at(
+            _first(node), "a module must name a built-in bimodule", *expected
         )
+
+    def check(
+        self, ref: ModuleRef, spec: RingSpec, node: Union[_Atom, _List], where: str
+    ) -> None:
+        """The regular bimodule only exists over a single ring on both sides."""
+        if ref.kind == "regular" and getattr(spec, self.left) != getattr(spec, self.right):
+            raise SpecArityError.at(
+                _first(node),
+                f"the regular module in {where} needs both neighbouring rings equal",
+                "zero",
+                "(znmod m)",
+            )
+
+    def text(self, ref: ModuleRef) -> str:
+        if ref.kind == "znmod":
+            return f"(znmod {ref.m})"
+        if ref.kind == "table" and ref.tables is not None:
+            def rows(t):
+                return " ".join("(" + " ".join(str(c) for c in row) + ")" for row in t)
+            add, la, ra = ref.tables
+            return f"(table (add {rows(add)}) (left {rows(la)}) (right {rows(ra)}))"
+        return ref.kind
+
+    def order(self, ref: ModuleRef, orders: dict[str, int]) -> int:
+        if ref.kind == "zero":
+            return 1
+        if ref.kind == "znmod":
+            return ref.m or 1
+        if ref.kind == "table":
+            return len(ref.tables[0]) if ref.tables else 1
+        return orders[self.left]
+
+    def build(self, ref: ModuleRef, built: dict, go):
+        left, right = built[self.left], built[self.right]
+        if ref.kind == "zero":
+            return zero_bimodule(left, right)
+        if ref.kind == "znmod":
+            return zn_bimodule(left, right, ref.m or 1)
+        if ref.kind == "table" and ref.tables is not None:
+            add, la, ra = ref.tables
+            return Bimodule(left, right, add, la, ra, label="table")
+        if left is not right:  # unreachable after analysis
+            raise SpecArityError("regular module over two different rings", 1, 1)
+        return regular_bimodule(left)
+
+
+_RING = _Ring()
+_IDEAL = _Ideal()
+
+
+# ---------------------------------------------------------------------------
+# the constructions, each declared once
+
+
+@dataclass(frozen=True)
+class _Construction:
+    """A construction's head, its AST class and the kind of each argument.
+
+    The kinds follow the class's fields, which are in text order. When
+    ``many`` is set, the one kind repeats one or more times, the field holds
+    a tuple, and ``many`` names one such argument in diagnostics. A
+    construction that is not ``nested`` may only be the whole spec.
+    """
+
+    head: str
+    cls: type
+    kinds: tuple[_Kind, ...]
+    many: str | None = None
+    nested: bool = True
+
+
+_CONSTRUCTIONS = (
+    _Construction("zn", ZnSpec, (_Int("zn modulus"),)),
+    _Construction("product", ProductSpec, (_RING,), many="factor"),
+    _Construction("matrix", MatrixSpec, (_Int("matrix size"), _RING)),
+    _Construction("tri2", Tri2Spec, (_RING, _RING, _Module("s", "r"))),
+    _Construction(
+        "tri3",
+        Tri3Spec,
+        (_RING, _RING, _RING, _Module("a2", "a1"), _Module("a3", "a1"), _Module("a3", "a2")),
+    ),
+    _Construction("morita", MoritaSpec, (_RING, _RING, _Module("r", "s"), _Module("s", "r"))),
+    _Construction("idealize", IdealizeSpec, (_RING, _Module("base", "base"))),
+    _Construction("quotient", QuotientSpec, (_RING, _IDEAL)),
+    _Construction("series", SeriesSpec, (_RING, _Int("series truncation"))),
+    _Construction(
+        "localized", LocalizedSpec, (_Int("localized prime", 2),), many="prime", nested=False
+    ),
+    _Construction("corner", CornerSpec, (_RING, _Int("corner idempotent", 0))),
+)
+_BY_HEAD = {c.head: c for c in _CONSTRUCTIONS}
+_BY_CLASS = {c.cls: c for c in _CONSTRUCTIONS}
+
+
+def _parts(spec: RingSpec):
+    """(field name, kind, value) for each argument of a spec, in text order."""
+    decl = _BY_CLASS.get(type(spec))
+    if decl is None:
+        raise TypeError(f"not a RingSpec: {spec!r}")
+    for field, kind in zip(fields(spec), decl.kinds):
+        value = getattr(spec, field.name)
+        for item in value if decl.many else (value,):
+            yield field.name, kind, item
+
+
+# ---------------------------------------------------------------------------
+# analyzer
 
 
 def _analyze(node: Union[_Atom, _List], *, toplevel: bool, allow_tables: bool) -> RingSpec:
     if isinstance(node, _Atom):
-        raise SpecSyntaxError(
-            f"expected a parenthesized form, got {node.token.text!r}",
-            node.token.line,
-            node.token.col,
-            expected=("(",),
+        raise SpecSyntaxError.at(
+            node.token, f"expected a parenthesized form, got {node.token.text!r}", "("
         )
+    form = node.open_token
     if not node.items:
-        raise SpecSyntaxError(
-            "empty form", node.open_token.line, node.open_token.col
-        )
+        raise SpecSyntaxError.at(form, "empty form")
     head = node.items[0]
     if not (isinstance(head, _Atom) and head.token.kind == "symbol"):
-        tok = head.token if isinstance(head, _Atom) else head.open_token
-        raise SpecSyntaxError(
-            "a form must start with a construction name",
-            tok.line,
-            tok.col,
-            expected=("symbol",),
+        raise SpecSyntaxError.at(
+            _first(head), "a form must start with a construction name", "symbol"
         )
     name = head.token.text
+    decl = _BY_HEAD.get(name)
+    if decl is None:
+        raise SpecArityError.at(head.token, f"unknown construction {name!r}", *_BY_HEAD)
+    if not (decl.nested or toplevel):
+        raise SpecArityError.at(form, f"{name} rings cannot be nested inside constructions")
     args = node.items[1:]
-
-    def sub(child: Union[_Atom, _List]) -> RingSpec:
-        return _analyze(child, toplevel=False, allow_tables=allow_tables)
-
-    if name == "zn":
-        _need_arity(node, "zn", 1)
-        return ZnSpec(_need_int(args[0], "zn modulus"))
-    if name == "product":
+    if decl.many:
         if not args:
-            raise SpecArityError(
-                "product needs at least one factor",
-                node.open_token.line,
-                node.open_token.col,
-            )
-        return ProductSpec(tuple(sub(a) for a in args))
-    if name == "matrix":
-        _need_arity(node, "matrix", 2)
-        return MatrixSpec(_need_int(args[0], "matrix size"), sub(args[1]))
-    if name == "tri2":
-        _need_arity(node, "tri2", 3)
-        r, s = sub(args[0]), sub(args[1])
-        lower = _analyze_module(args[2], allow_tables=allow_tables)
-        _check_regular(lower, s, r, args[2], "tri2")
-        return Tri2Spec(r, s, lower)
-    if name == "tri3":
-        _need_arity(node, "tri3", 6)
-        rings = tuple(sub(a) for a in args[:3])
-        mods = tuple(_analyze_module(a, allow_tables=allow_tables) for a in args[3:6])
-        for ref, (li, ri), arg in zip(mods, ((1, 0), (2, 0), (2, 1)), args[3:6]):
-            _check_regular(ref, rings[li], rings[ri], arg, "tri3")
-        return Tri3Spec(*rings, *mods)
-    if name == "morita":
-        _need_arity(node, "morita", 4)
-        r, s = sub(args[0]), sub(args[1])
-        upper = _analyze_module(args[2], allow_tables=allow_tables)
-        lower = _analyze_module(args[3], allow_tables=allow_tables)
-        _check_regular(upper, r, s, args[2], "morita")
-        _check_regular(lower, s, r, args[3], "morita")
-        return MoritaSpec(r, s, upper, lower)
-    if name == "idealize":
-        _need_arity(node, "idealize", 2)
-        return IdealizeSpec(sub(args[0]), _analyze_module(args[1], allow_tables=allow_tables))
-    if name == "quotient":
-        _need_arity(node, "quotient", 2)
-        return QuotientSpec(sub(args[0]), _analyze_ideal(args[1]))
-    if name == "series":
-        _need_arity(node, "series", 2)
-        return SeriesSpec(sub(args[0]), _need_int(args[1], "series truncation"))
-    if name == "localized":
-        if not toplevel:
-            raise SpecArityError(
-                "localized rings cannot be nested inside constructions",
-                node.open_token.line,
-                node.open_token.col,
-            )
-        if not args:
-            raise SpecArityError(
-                "localized needs at least one prime",
-                node.open_token.line,
-                node.open_token.col,
-            )
-        return LocalizedSpec(
-            tuple(_need_int(a, "localized prime", minimum=2) for a in args)
-        )
-    if name == "corner":
-        _need_arity(node, "corner", 2)
-        return CornerSpec(sub(args[0]), _need_int(args[1], "corner idempotent", minimum=0))
-    raise SpecArityError(
-        f"unknown construction {name!r}",
-        head.token.line,
-        head.token.col,
-        expected=(
-            "zn",
-            "product",
-            "matrix",
-            "tri2",
-            "tri3",
-            "morita",
-            "idealize",
-            "quotient",
-            "series",
-            "localized",
-            "corner",
-        ),
-    )
+            raise SpecArityError.at(form, f"{name} needs at least one {decl.many}")
+        values = [tuple(decl.kinds[0].read(a, allow_tables) for a in args)]
+    else:
+        _need_arity(node, name, len(decl.kinds))
+        values = [kind.read(a, allow_tables) for kind, a in zip(decl.kinds, args)]
+    spec = decl.cls(*values)
+    for kind, arg, value in zip(decl.kinds, args, values):
+        kind.check(value, spec, arg, name)
+    return spec
 
 
 def parse(text: str, *, allow_tables: bool = False) -> RingSpec:
@@ -603,21 +674,14 @@ def parse(text: str, *, allow_tables: bool = False) -> RingSpec:
     node, pos = _read(tokens, 0)
     trailing = tokens[pos]
     if trailing.kind != "eof":
-        raise SpecSyntaxError(
-            f"trailing input {trailing.text!r} after the spec",
-            trailing.line,
-            trailing.col,
-            expected=("end of input",),
+        raise SpecSyntaxError.at(
+            trailing, f"trailing input {trailing.text!r} after the spec", "end of input"
         )
     spec = _analyze(node, toplevel=True, allow_tables=allow_tables)
     estimate = size_estimate(spec)
     limit = size_cap(None)
     if estimate is not None and estimate > limit:
-        raise SpecSizeError(
-            f"estimated order exceeds the size cap {limit}",
-            node.open_token.line if isinstance(node, _List) else 1,
-            node.open_token.col if isinstance(node, _List) else 1,
-        )
+        raise SpecSizeError.at(node.open_token, f"estimated order exceeds the size cap {limit}")
     return spec
 
 
@@ -625,14 +689,15 @@ def parse(text: str, *, allow_tables: bool = False) -> RingSpec:
 # size estimation (before any table is built)
 
 
-def _module_size(ref: ModuleRef, default: int) -> int:
-    if ref.kind == "zero":
-        return 1
-    if ref.kind == "znmod":
-        return ref.m or 1
-    if ref.kind == "table":
-        return len(ref.tables[0]) if ref.tables else 1
-    return default
+# The constructions whose order is not the product of the orders of their
+# rings and bimodules. (For quotient and corner that product bounds the
+# order from above.)
+_ORDERS = {
+    ZnSpec: lambda spec: spec.n,
+    MatrixSpec: lambda spec: _power(spec.base, spec.k * spec.k),
+    SeriesSpec: lambda spec: _power(spec.base, spec.k),
+    LocalizedSpec: lambda spec: None,
+}
 
 
 def size_estimate(spec: RingSpec) -> int | None:
@@ -642,59 +707,52 @@ def size_estimate(spec: RingSpec) -> int | None:
     exact at or below the cap and above it exactly when the true order is,
     however deeply the spec nests.
     """
-    order = _one_level(spec)
+    order = _ORDERS.get(type(spec), _parts_order)(spec)
     return None if order is None else min(order, size_cap(None) + 1)
 
 
-def _one_level(spec: RingSpec) -> int | None:
-    """The order from the clamped estimates of the spec's parts."""
+def _power(base: RingSpec, exponent: int) -> int:
     # A base of 2 or more raised to this many already exceeds the clamp.
     most = (size_cap(None) + 1).bit_length()
-    if isinstance(spec, ZnSpec):
-        return spec.n
-    if isinstance(spec, LocalizedSpec):
-        return None
-    if isinstance(spec, ProductSpec):
-        total = 1
-        for f in spec.factors:
-            total *= size_estimate(f) or 1
-        return total
-    if isinstance(spec, MatrixSpec):
-        return (size_estimate(spec.base) or 1) ** min(spec.k * spec.k, most)
-    if isinstance(spec, Tri2Spec):
-        r = size_estimate(spec.r) or 1
-        s = size_estimate(spec.s) or 1
-        return r * _module_size(spec.lower, s) * s
-    if isinstance(spec, Tri3Spec):
-        a1 = size_estimate(spec.a1) or 1
-        a2 = size_estimate(spec.a2) or 1
-        a3 = size_estimate(spec.a3) or 1
-        return (
-            a1
-            * a2
-            * a3
-            * _module_size(spec.m21, a2)
-            * _module_size(spec.m31, a3)
-            * _module_size(spec.m32, a3)
-        )
-    if isinstance(spec, MoritaSpec):
-        r = size_estimate(spec.r) or 1
-        s = size_estimate(spec.s) or 1
-        return r * s * _module_size(spec.upper, r) * _module_size(spec.lower, s)
-    if isinstance(spec, IdealizeSpec):
-        base = size_estimate(spec.base) or 1
-        return base * _module_size(spec.module, base)
-    if isinstance(spec, QuotientSpec):
-        return size_estimate(spec.base)
-    if isinstance(spec, SeriesSpec):
-        return (size_estimate(spec.base) or 1) ** min(spec.k, most)
-    if isinstance(spec, CornerSpec):
-        return size_estimate(spec.base)
-    raise TypeError(f"not a RingSpec: {spec!r}")
+    return (size_estimate(base) or 1) ** min(exponent, most)
+
+
+def _parts_order(spec: RingSpec) -> int:
+    """The product of the clamped orders of a spec's rings and bimodules."""
+    orders: dict[str, int] = {}
+    total = 1
+    for name, kind, value in _parts(spec):
+        orders[name] = kind.order(value, orders)
+        total *= orders[name]
+    return total
 
 
 # ---------------------------------------------------------------------------
 # building
+
+
+def _ideal(ring: FiniteRing, ref: IdealRef):
+    if ref.generators is None:
+        return full_ideal(ring)
+    return ideal_closure(ring, ref.generators)
+
+
+# Each construction's call, given its built arguments in field order. Every
+# entry looks its function up by name when called, so rebinding a module
+# attribute (as perfbench/traced.py does) reaches the call.
+_BUILDERS = {
+    ZnSpec: lambda n: zn(n),
+    ProductSpec: lambda *factors: direct_product(list(factors)),
+    MatrixSpec: lambda k, base: matrix_ring(base, k),
+    Tri2Spec: lambda r, s, lower: tri2(r, s, lower),
+    Tri3Spec: lambda *parts: tri3(*parts),
+    MoritaSpec: lambda r, s, upper, lower: morita_zero(r, s, upper, lower),
+    IdealizeSpec: lambda base, module: idealization(base, module),
+    QuotientSpec: lambda base, ideal: quotient(base, _ideal(base, ideal))[0],
+    SeriesSpec: lambda base, k: truncated_power_series(base, k),
+    LocalizedSpec: lambda *primes: LocalizedIntegers(primes),
+    CornerSpec: lambda base, e: corner_ring(base, e).ring,
+}
 
 
 def build(spec: RingSpec) -> FiniteRing | LocalizedIntegers:
@@ -707,121 +765,30 @@ def build(spec: RingSpec) -> FiniteRing | LocalizedIntegers:
     bimodules, non-idempotent corner elements, generators out of range)
     propagate as the constructions' own errors.
     """
-    if isinstance(spec, LocalizedSpec):
-        return LocalizedIntegers(spec.primes)
-    memo: dict[RingSpec, FiniteRing] = {}
+    memo: dict[RingSpec, FiniteRing | LocalizedIntegers] = {}
 
-    def go(node: RingSpec) -> FiniteRing:
-        if node in memo:
-            return memo[node]
-        ring = _build_finite(node, go)
-        memo[node] = ring
-        return ring
+    def go(node: RingSpec):
+        if node not in memo:
+            memo[node] = _build_one(node, go)
+        return memo[node]
 
     return go(spec)
 
 
-def _build_finite(spec: RingSpec, go) -> FiniteRing:
-    def module(ref: ModuleRef, left: FiniteRing, right: FiniteRing):
-        if ref.kind == "zero":
-            return zero_bimodule(left, right)
-        if ref.kind == "znmod":
-            return zn_bimodule(left, right, ref.m or 1)
-        if ref.kind == "table" and ref.tables is not None:
-            add, la, ra = ref.tables
-            return Bimodule(left, right, add, la, ra, label="table")
-        if left is not right:  # unreachable after analysis
-            raise SpecArityError("regular module over two different rings", 1, 1)
-        return regular_bimodule(left)
-
-    if isinstance(spec, ZnSpec):
-        return zn(spec.n)
-    if isinstance(spec, ProductSpec):
-        return direct_product([go(f) for f in spec.factors])
-    if isinstance(spec, MatrixSpec):
-        return matrix_ring(go(spec.base), spec.k)
-    if isinstance(spec, Tri2Spec):
-        r, s = go(spec.r), go(spec.s)
-        return tri2(r, s, module(spec.lower, s, r))
-    if isinstance(spec, Tri3Spec):
-        a1, a2, a3 = go(spec.a1), go(spec.a2), go(spec.a3)
-        return tri3(
-            a1,
-            a2,
-            a3,
-            module(spec.m21, a2, a1),
-            module(spec.m31, a3, a1),
-            module(spec.m32, a3, a2),
-        )
-    if isinstance(spec, MoritaSpec):
-        r, s = go(spec.r), go(spec.s)
-        return morita_zero(r, s, module(spec.upper, r, s), module(spec.lower, s, r))
-    if isinstance(spec, IdealizeSpec):
-        base = go(spec.base)
-        return idealization(base, module(spec.module, base, base))
-    if isinstance(spec, QuotientSpec):
-        base = go(spec.base)
-        if spec.ideal.generators is None:
-            ideal = full_ideal(base)
-        else:
-            ideal = ideal_closure(base, spec.ideal.generators)
-        ring, _ = quotient(base, ideal)
-        return ring
-    if isinstance(spec, SeriesSpec):
-        return truncated_power_series(go(spec.base), spec.k)
-    if isinstance(spec, CornerSpec):
-        return corner_ring(go(spec.base), spec.element).ring
-    if isinstance(spec, LocalizedSpec):  # unreachable after analysis
-        raise SpecArityError("localized rings cannot be nested", 1, 1)
-    raise TypeError(f"not a RingSpec: {spec!r}")
+def _build_one(spec: RingSpec, go):
+    built: dict[str, object] = {}
+    args = []
+    for name, kind, value in _parts(spec):
+        args.append(kind.build(value, built, go))
+        built[name] = args[-1]
+    return _BUILDERS[type(spec)](*args)
 
 
 # ---------------------------------------------------------------------------
 # pretty-printing (canonical round-trippable text)
 
 
-def _pretty_module(ref: ModuleRef) -> str:
-    if ref.kind == "znmod":
-        return f"(znmod {ref.m})"
-    if ref.kind == "table" and ref.tables is not None:
-        def rows(t):
-            return " ".join("(" + " ".join(str(c) for c in row) + ")" for row in t)
-        add, la, ra = ref.tables
-        return f"(table (add {rows(add)}) (left {rows(la)}) (right {rows(ra)}))"
-    return ref.kind
-
-
 def pretty(spec: RingSpec) -> str:
     """Canonical text for a spec; parsing it again gives an equal AST."""
-    if isinstance(spec, ZnSpec):
-        return f"(zn {spec.n})"
-    if isinstance(spec, ProductSpec):
-        return "(product " + " ".join(pretty(f) for f in spec.factors) + ")"
-    if isinstance(spec, MatrixSpec):
-        return f"(matrix {spec.k} {pretty(spec.base)})"
-    if isinstance(spec, Tri2Spec):
-        return f"(tri2 {pretty(spec.r)} {pretty(spec.s)} {_pretty_module(spec.lower)})"
-    if isinstance(spec, Tri3Spec):
-        parts = [pretty(spec.a1), pretty(spec.a2), pretty(spec.a3)]
-        parts += [_pretty_module(m) for m in (spec.m21, spec.m31, spec.m32)]
-        return "(tri3 " + " ".join(parts) + ")"
-    if isinstance(spec, MoritaSpec):
-        return (
-            f"(morita {pretty(spec.r)} {pretty(spec.s)}"
-            f" {_pretty_module(spec.upper)} {_pretty_module(spec.lower)})"
-        )
-    if isinstance(spec, IdealizeSpec):
-        return f"(idealize {pretty(spec.base)} {_pretty_module(spec.module)})"
-    if isinstance(spec, QuotientSpec):
-        if spec.ideal.generators is None:
-            inner = "(ideal all)"
-        else:
-            inner = "(ideal " + " ".join(str(g) for g in spec.ideal.generators) + ")"
-        return f"(quotient {pretty(spec.base)} {inner})"
-    if isinstance(spec, SeriesSpec):
-        return f"(series {pretty(spec.base)} {spec.k})"
-    if isinstance(spec, LocalizedSpec):
-        return "(localized " + " ".join(str(p) for p in spec.primes) + ")"
-    if isinstance(spec, CornerSpec):
-        return f"(corner {pretty(spec.base)} {spec.element})"
-    raise TypeError(f"not a RingSpec: {spec!r}")
+    parts = [kind.text(value) for _, kind, value in _parts(spec)]
+    return "(" + " ".join([_BY_CLASS[type(spec)].head, *parts]) + ")"

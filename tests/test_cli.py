@@ -8,6 +8,7 @@ import json
 import jsonschema
 import pytest
 
+from cleanrings import cli
 from cleanrings.cli import main
 from cleanrings.dsl import build, parse
 from cleanrings.laws import RING_LAW_IDS, reports_to_json, run_catalog
@@ -373,6 +374,11 @@ def test_examples_text_names_both_case_studies(capsys):
         (["ideal", "(zn 6)", "--gens", "7", "--check", "clean"], "out of range"),
         (["analyze", "--element", "1"], "spec is required"),
         (["units", "(matrix 2 " * 8 + "(zn 4)" + ")" * 8], "size-cap error at 1:1"),
+        (["units", "(product " * 400 + "(zn 2)" + ")" * 400], "syntax error at 1:901"),
+        (["units", "(product " * 3000 + "(zn 2)" + ")" * 3000], "syntax error at 1:901"),
+        (["units", "(zn " + "1" * 5000 + ")"], "arity error at 1:5: zn modulus"),
+        (["units", "(localized " + "7" * 5000 + ")"], "arity error at 1:12: localized prime"),
+        (["units", "(corner (zn 6) 7)"], "7 out of range for order 6"),
     ],
 )
 def test_usage_and_construction_errors_exit_two(capsys, argv, needle):
@@ -380,6 +386,15 @@ def test_usage_and_construction_errors_exit_two(capsys, argv, needle):
     assert code == 2
     assert needle in err
     assert out == ""
+
+
+def test_an_internal_error_exits_three_with_one_line(capsys, monkeypatch):
+    def broken(spec):
+        raise RuntimeError("no table")
+
+    monkeypatch.setattr(cli, "build", broken)
+    code, out, err = run(capsys, "units", "(zn 6)")
+    assert (code, out, err) == (3, "", "cleanrings: internal error: RuntimeError: no table\n")
 
 
 def test_missing_subcommand_and_bad_flags_exit_two(capsys):
