@@ -4,6 +4,7 @@ plain integer arithmetic, and the result is re-encoded and compared."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -34,6 +35,7 @@ from cleanrings import (
     zn,
     zn_bimodule,
 )
+from cleanrings.catalog import build_catalog
 
 
 # -- products ----------------------------------------------------------------------
@@ -483,3 +485,83 @@ def test_provenance_kinds():
     assert ideal_prov["kind"] == "idealization"
     assert ideal_prov["module_add"] == [[0, 1], [1, 0]]
     assert ideal_prov["module_action"] == [[0, 0], [0, 1]]
+
+
+# -- byte pins over every mixed-radix layout ---------------------------------------------
+
+_PINNED_EXTRAS = {
+    "tri2-z4-z6": lambda: tri2(zn(4), zn(6), zn_bimodule(zn(6), zn(4), 2)),
+    "series-z3-k1": lambda: truncated_power_series(zn(3), 1),
+    "series-z3-k3": lambda: truncated_power_series(zn(3), 3),
+    "product-z2xz1xz3": lambda: direct_product([zn(2), zn(1), zn(3)]),
+    "idealization-z4-zn2": lambda: idealization(zn(4), zn_bimodule(zn(4), zn(4), 2)),
+    "morita-zero-modules": lambda: morita_zero(
+        zn(2), zn(3), zero_bimodule(zn(2), zn(3)), zero_bimodule(zn(3), zn(2))
+    ),
+    "matrix1-z2": lambda: matrix_ring(zn(2), 1),
+}
+
+# SHA-256 of to_json() and of every element's describe() joined by "|", for
+# each catalog ring and a few composites outside it (a radix-1 factor, series
+# at k = 1, morita with zero bimodules, a 1x1 matrix ring, an uneven tri2).
+_PINS = {
+    "zn-1": ("f5d9b907ada0b5c8adea8f2a675355c9c8bbe341bbcf9889547b81639d8df012", "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9"),
+    "zn-2": ("8e2e2a82953906fb42fa27b1e82db09628b8f95f16edf829135748c2c3a7b910", "fff143c4af61e84ccece0b526eb6d505cd6f5cc463ba41b8c54da3e04c455835"),
+    "zn-3": ("f8ed191f79d7c3332bf62cba25c5908631fceef66615abb45ced5c2057772d3c", "540efeb2de09e9415cbff4df0439e0c8a4898008b9dc55b1fe5a9451e576b149"),
+    "zn-4": ("d875630258085ae9dfe582e40faf7138c2d4c9375f5e9c4f84747cd44e3c3de0", "e681d5e4b7174947b2b8981ee420fc2f4e33bec06c18e289c8753a6d20677d72"),
+    "zn-5": ("a6277e4286521f34828ad3948605100a55b376c6dbe82ca8d66d99d3ca0ceb19", "4565c3e4e04dfe3f770b2cad9d5ffa85053fd3ddffd05597f69640922943a00f"),
+    "zn-6": ("69fdc74edb838cc2779f0b6253c3bcef2da9ff0439a54de04b8473c3b57fe91b", "87b19a78e87fb010ece6c489f0ec08bb278fd7024a07c3f08cc9052c12ad0996"),
+    "zn-7": ("faedb908c676c20990af95a692d6f52adc39542d77d9a39e12a4f625043da05f", "64a2db2fa7c05c1a75e8c328a407b8adacf58eb38e8e746003d3866bc7bf97dc"),
+    "zn-8": ("60c1e365ed7b5d02a48fe9ab9551e06defa15fe7da6d2ac74c6e825c88111c14", "043de327b1f022bbdea4f1a36e9a33a5f897d252a8dbfed836c13808a64f1461"),
+    "zn-9": ("690885644a3c0f8982ab6033d980ba129b82863ad3106e93709a8095eedac59e", "6e11238ee00a1fe5984d81f872b099428083f80d875a7570bd46804a565bd272"),
+    "zn-10": ("847125923225620a3d0ccf8c7d63f9250f1f601b49ca8aec263b8e4a2174ac7b", "2af004ae6547c4c0a0a0ce4af1df0ac5d325ed8fbc1c82eadb86bb726e811513"),
+    "zn-11": ("3e298e2a0e48dcb2fb1fc1fd9baf756f6dbe9e14a923e7cab789dadbec670d6a", "5cb2dd119cba04a77680bac63c35a618acd4c57bbcbb853b09eb77ac54b61baa"),
+    "zn-12": ("5f2ed4dfe056856049837634028d0bf4c67e1e725bb52ab3dfdcc491cbb8fbbc", "2991bec15b385f8d1a10f89aa7c9670215761a4082e9f30fc421c59c50bf6da0"),
+    "zn-16": ("8acb0736f148c367038f1680967f58ddb71ae071476e88352f8674b6dce76ef0", "9de83eacc3812076bc77b159c594edd288ef7406029fe22e7e7f2ba7c6eb4db8"),
+    "product-z2xz2": ("60c1987895f3b73d6f09c0522746540d67f8a8f839d35719a5f6e4e76de0df14", "a2ed100ec38e5f74c5956c9059e22cceeace9371a9938c4109729d3f7fdc4065"),
+    "product-z2xz4": ("b8651b125d495a39cc6459c4c1f90bf5d1e04c6dfb747c941ad00c2c1595d651", "6db2ef321f48251f463c3d5818d755186b6f5d44a7fb866746a610c55722107c"),
+    "matrix2-z2": ("cfdfa1b8c3f5e0f576bc3cae93f69bb82c94b1a8eb1dd997cc349e62b3faaebe", "8a2ea72fbd9a4ed51147a5712aea830e3b98d979fe7bf0b34db1117be61127b4"),
+    "matrix2-z3": ("34c108a33314b16829aa9448615e019d336b04996de9f23ed6cef6400f13e6a1", "a70b674ca218e8db0b06a42bf240d79d5c3c0bba3e50cd26e3b1f4500f82af9d"),
+    "tri2-z2": ("14bd3af2add0689032e8deb2f2db04a8f34381f9f3b567ad50c709ef72cb64aa", "5b189d2727ac39608335679c6fbdc35125e5e7141866cccaf3d0bbc927edf6d1"),
+    "tri3-z2": ("56a196072d301681f58199967d226f6ab90c28d3fcfc9fbba7acce9daa2f8814", "25ecac6b4148015bae9efb5c51ebd66ec8c09a3c7516d5d69015ccedb9a3c62a"),
+    "morita-z2": ("990cc2c09fe79bdb016a172f18a8072378b961655e92ea7783576e97aecf8995", "8a2ea72fbd9a4ed51147a5712aea830e3b98d979fe7bf0b34db1117be61127b4"),
+    "idealization-z4-z4": ("8c32803627fcd890ba74d6b329b5d34411e2f71fd8da0407559d2ce1466f6cf2", "33ad843269a6161a222419de504da5716d6a6c8a4de112fdf7acbd2bb76e6313"),
+    "idealization-z4-z2": ("dea6411b4da7ec88116f84a9092112c6457a9ae87bbcacb21582bfff5ff035b2", "1bec44a26a4ae4a0af3b810aaace6344922e517047f1102cec371e04e46acf30"),
+    "series-z2-k2": ("67cc25c773f9410b578d54ab748fd710f426c86ed97fdf6674c395195d7163a4", "2e7131e506d1c61433067da3990f06f5edcfd35b75a8a2b64d66bc02b91bc641"),
+    "series-z2-k3": ("f78c5a7258feef4ad1a7ca7f8d358a647902168437076f780acc528bd197f035", "87ccb2760c73620e57495ef9f7953829ccf179f848d515136cba53ee81c35a77"),
+    "series-z4-k2": ("dc920442908542759da12a74385592eec1bd81564b85dd956848f13cd756c092", "9c07af5a2a23b4738af5a20d6e7af73ffe892c7de2fb95321902ab59ef2ea351"),
+    "series-z4-k3": ("19500e67083b7ef4e58edbfa35c176d20a5b573e3ee622325ba45b42a0508e68", "d843e643e79f14265a10bb9c9a2e94efceea40c44d5db46763d1d2538aec0de8"),
+    "zn-4-mod-radical": ("197927b102e70bb4c726631732901b53056d2ff01e8f185f993a244e1a2fbb17", "5463c0aa521e638f8181d94571c944a9cf83fb14cb89adb765c23c089407f2c8"),
+    "zn-8-mod-radical": ("ddaaee31eeaa575c5673a79598f891bb14b1b14cd1d202be402561c587cd13aa", "5463c0aa521e638f8181d94571c944a9cf83fb14cb89adb765c23c089407f2c8"),
+    "zn-9-mod-radical": ("bfae5caaaea8b984db8b3ee572fc65eb0cce96bb323b55873f981cdce41ba936", "42d2faf2709f8c937bcce29c8613a01c271d9c57a49b45978bce708499315348"),
+    "zn-12-mod-radical": ("831b1f86ed7c3d3d14df5453779de6febd8ac99f615600969d8f1e8079099f5a", "d8dbe8c4dafa155508139554d6b0a98049ace048477ebb40669982d3f238d2d4"),
+    "zn-16-mod-radical": ("88d7a8a43dfcbdb9ae22e8ddb2685f5230544009d2bc4c2ec16be013a331ff9d", "5463c0aa521e638f8181d94571c944a9cf83fb14cb89adb765c23c089407f2c8"),
+    "product-z2xz4-mod-radical": ("7311dc2faa8051ae9ca97f93491eff4994a88e116714f6d3a244dc9737155225", "8c1e3b1ee0b8a0a477c9e673018f45be1a8669cc6e3ef6c018ede37df78ede58"),
+    "tri2-z2-mod-radical": ("f78196b164fca153762f2ba9840dd61fa654f7fdbe630bf440b4f2eecfe18728", "6ccbdabbcfa8fb8180d33492c7e6875a493744fe7ebcbc3a90ab872ccde25949"),
+    "tri3-z2-mod-radical": ("1340a89a85d66ac576d0ff4fdd054dcf1b2ed45583d973e8affdf1fe48fa274d", "6585740c6b4eab60a5e3ccf72aedc3ac83fee24dad71508aa892bb106c993b54"),
+    "morita-z2-mod-radical": ("f7ea320e755e2c8894addcb58440dcedf693d1d38f7c5902a4ae5d7b97b028c3", "6ccbdabbcfa8fb8180d33492c7e6875a493744fe7ebcbc3a90ab872ccde25949"),
+    "idealization-z4-z4-mod-radical": ("c28d7fc5e205b036abdb206d6a581d5411fc6181d9fc6cd79cbdf237339aa08d", "3110b566690e2833de46fa7f26d00f36054c7193c954d7a3a7855654d98b1265"),
+    "idealization-z4-z2-mod-radical": ("420c8442f73b35e76879779b55d36bdbba32a009c9e2a7a287d8b579b324c34d", "3110b566690e2833de46fa7f26d00f36054c7193c954d7a3a7855654d98b1265"),
+    "series-z2-k2-mod-radical": ("098b24f51b40d80c41ee6d33691cfc7b8ffdb23ffb615eceeb9832c11d363825", "5463c0aa521e638f8181d94571c944a9cf83fb14cb89adb765c23c089407f2c8"),
+    "series-z2-k3-mod-radical": ("994d8dde5f1959dee3705a6bb15a34b032950c3687c0f71f9d11ef7fdcb95368", "5463c0aa521e638f8181d94571c944a9cf83fb14cb89adb765c23c089407f2c8"),
+    "series-z4-k2-mod-radical": ("30aa9b63190b8c0bf0ed1de8c2c2c12475e2dd828def69332de5ed16777b48d0", "5463c0aa521e638f8181d94571c944a9cf83fb14cb89adb765c23c089407f2c8"),
+    "series-z4-k3-mod-radical": ("83eca40fd87e48b533a18b6787c9074df2df064dc2c7a1000ca40b00558fa3fe", "5463c0aa521e638f8181d94571c944a9cf83fb14cb89adb765c23c089407f2c8"),
+    "tri2-z4-z6": ("03f362b1a025522bbd3fb0f984e106857494776e15829279aa1753c09c6d8b74", "aab31b6390ea2653779dbc885694fff6d93752866e9a4f677a4f78d32bf4fa5f"),
+    "series-z3-k1": ("2d91de4227325d06e7a190b84afdd9142b61f3e0c9ec06bfdced2d8229d17266", "540efeb2de09e9415cbff4df0439e0c8a4898008b9dc55b1fe5a9451e576b149"),
+    "series-z3-k3": ("aadca32577853b53d00bf5cd681a1b77e98696a6e63962c66f19a8a09fb747ea", "b73b8ed7179cbecb3e463d01d86ebae45e2f2a2524c359332361d52179ad2dd8"),
+    "product-z2xz1xz3": ("93ef4b74b398f2d5a440d0ece9f25127cc9617c6b85d35b275c3fb91da6d6fdc", "bdf0f8ea46613949935b8a0649047bc70cb3d5e17a7d21fc8e094bb5d448a15a"),
+    "idealization-z4-zn2": ("dea6411b4da7ec88116f84a9092112c6457a9ae87bbcacb21582bfff5ff035b2", "1bec44a26a4ae4a0af3b810aaace6344922e517047f1102cec371e04e46acf30"),
+    "morita-zero-modules": ("f5f7e82936a6d4d64cde7099de3c874b3060d3410db3135dde41e9b0fcf84534", "bfa0e8f7cb5db7fabb539021e19cf32019c95df8a6685cfc3042a969186f357e"),
+    "matrix1-z2": ("f7182cc92e9eda3362b3e508fa38b93e3fd362878b891095049e8cc20f51e98c", "3beb158d2f3f4de00e8e6ea52e29de129e5e0d5d169219b7868e2bc2d9637e5a"),
+}
+
+
+@pytest.mark.parametrize("key", list(_PINS))
+def test_tables_and_renderings_match_the_pins(key):
+    entries = {e.key: e.ring for e in build_catalog()}
+    ring = entries[key] if key in entries else _PINNED_EXTRAS[key]()
+    rendered = "|".join(ring.describe(i) for i in ring.elements)
+    assert (
+        hashlib.sha256(ring.to_json().encode()).hexdigest(),
+        hashlib.sha256(rendered.encode()).hexdigest(),
+    ) == _PINS[key]
