@@ -24,8 +24,9 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from .constructions import corner_ring
 from .core import FiniteRing
-from .ideals import IdealSet, full_ideal
+from .ideals import IdealSet, corner_ideal, full_ideal
 
 Sign = Literal[1, -1]
 
@@ -343,28 +344,28 @@ class PeirceReport:
         return sum(1 for c in self.corner_clean if not c) <= 1
 
 
+def _corner_verdicts(
+    ring: FiniteRing, es: Sequence[int], ideal: IdealSet
+) -> list[tuple[IdealVerdict, IdealVerdict]]:
+    """The weakly-clean and clean verdicts of e*I*e inside each corner e*R*e."""
+    verdicts = []
+    for e in es:
+        corner = corner_ring(ring, e)
+        sliced = corner_ideal(corner, ideal)
+        verdicts.append((ideal_is_weakly_clean(corner.ring, sliced), ideal_is_clean(corner.ring, sliced)))
+    return verdicts
+
+
 def peirce_analysis(ring: FiniteRing, e: int, ideal: IdealSet) -> PeirceReport:
     """Split an ideal across the corners of a central idempotent.
 
     Returns the weakly-clean verdicts of the two corner ideals e*I*e and
     (1-e)*I*(1-e) inside their corner rings, plus their plain clean flags.
     """
-    from .constructions import corner_ring
-    from .ideals import corner_ideal
-
     if not ring.is_idempotent(e) or not ring.is_central(e):
         raise ValueError(f"{e} must be a central idempotent")
     f = ring.sub(ring.one, e)
-    first = corner_ring(ring, e)
-    second = corner_ring(ring, f)
-    ideal_first = corner_ideal(first, ideal)
-    ideal_second = corner_ideal(second, ideal)
-    verdicts = (
-        ideal_is_weakly_clean(first.ring, ideal_first),
-        ideal_is_weakly_clean(second.ring, ideal_second),
+    (wc_e, clean_e), (wc_f, clean_f) = _corner_verdicts(ring, (e, f), ideal)
+    return PeirceReport(
+        e=e, complement=f, corner_verdicts=(wc_e, wc_f), corner_clean=(clean_e.ok, clean_f.ok)
     )
-    clean_flags = (
-        ideal_is_clean(first.ring, ideal_first).ok,
-        ideal_is_clean(second.ring, ideal_second).ok,
-    )
-    return PeirceReport(e=e, complement=f, corner_verdicts=verdicts, corner_clean=clean_flags)

@@ -11,14 +11,20 @@ most significant. These encodings are fixed so serialized rings reproduce
 bit for bit; induced ideals in the ideals module rebuild them from each
 ring's construction record.
 
+Every composite construction goes through _composite: it supplies its parts
+(the rings and bimodules whose orders are the radices), its product columns
+as a function of the digit columns, and the digits of its one; addition is
+always componentwise. _digits and _index convert one element.
+
 Every constructor's output goes through the exhaustive validator, so an
 invalid bimodule or pairing cannot produce a live ring.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,14 +41,17 @@ def _check_cap(order: int, cap: int | None, what: str) -> None:
         raise SizeCapError(f"{what} would have order {order} > cap {limit}")
 
 
-def _decode_digits(n: int, radices: Sequence[int]) -> np.ndarray:
-    """Digit matrix of shape (n, len(radices)), first radix most significant."""
-    idx = np.arange(n)
-    cols = []
-    for r in reversed(radices):
-        cols.append(idx % r)
-        idx = idx // r
-    return np.stack(list(reversed(cols)), axis=1).astype(np.int32)
+def _digits(idx: int, radices: Sequence[int]) -> list[int]:
+    """The digits of an element index, first radix most significant."""
+    return [idx // math.prod(radices[c + 1 :]) % r for c, r in enumerate(radices)]
+
+
+def _index(digits: Sequence[int], radices: Sequence[int]) -> int:
+    """The element index with the given digits; each must lie in 0..r-1."""
+    digits = [int(d) for d in digits]
+    if len(digits) != len(radices) or not all(0 <= d < r for d, r in zip(digits, radices)):
+        raise ValueError(f"digits {digits} do not fit radices {list(radices)}")
+    return sum(d * math.prod(radices[c + 1 :]) for c, d in enumerate(digits))
 
 
 def _encode_cols(cols: Sequence[np.ndarray], radices: Sequence[int]) -> np.ndarray:
@@ -50,6 +59,43 @@ def _encode_cols(cols: Sequence[np.ndarray], radices: Sequence[int]) -> np.ndarr
     for col, r in zip(cols, radices):
         acc = acc * r + col
     return acc.astype(np.int32)
+
+
+def _composite(
+    kind: str,
+    what: str,
+    parts: Sequence,
+    mul_cols: Callable[..., list[np.ndarray]],
+    one_digits: Sequence[int],
+    *,
+    label: str,
+    cap: int | None,
+    decoder: Callable[[list[int]], str] | None = None,
+    **provenance,
+) -> FiniteRing:
+    """The ring on tuples over ``parts`` (rings or bimodules), added componentwise.
+
+    mul_cols takes the digit columns, one length-n array per part, and returns
+    the product's digit columns as (n, n) tables; decoder renders an element
+    from its digit list. The provenance records kind and radices plus any
+    extra fields.
+    """
+    radices = tuple(p.order for p in parts)
+    n = math.prod(radices)
+    _check_cap(n, cap, what)
+    idx = np.arange(n)
+    digits = [(idx // math.prod(radices[c + 1 :]) % r).astype(np.int32) for c, r in enumerate(radices)]
+    add = _encode_cols([p.add_table[np.ix_(d, d)] for p, d in zip(parts, digits)], radices)
+    return FiniteRing(
+        n,
+        _index(one_digits, radices),
+        add,
+        _encode_cols(mul_cols(*digits), radices),
+        label=label,
+        provenance={"kind": kind, "radices": list(radices), **provenance},
+        decoder=None if decoder is None else (lambda i: decoder(_digits(i, radices))),
+        cap=cap,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -79,42 +125,15 @@ def direct_product(factors: Sequence[FiniteRing], *, label: str | None = None, c
     """Componentwise product ring; element tuples are mixed radix encoded."""
     if not factors:
         raise ValueError("direct_product requires at least one factor")
-    radices = tuple(f.order for f in factors)
-    n = 1
-    for r in radices:
-        n *= r
-    _check_cap(n, cap, "product ring")
-    digits = _decode_digits(n, radices)
-    add_cols = []
-    mul_cols = []
-    for c, f in enumerate(factors):
-        d = digits[:, c]
-        add_cols.append(f.add_table[np.ix_(d, d)])
-        mul_cols.append(f.mul_table[np.ix_(d, d)])
-    add = _encode_cols(add_cols, radices)
-    mul = _encode_cols(mul_cols, radices)
-    one = 0
-    for f, r in zip(factors, radices):
-        one = one * r + f.one
-    inner = [f.decoder or (lambda i: str(i)) for f in factors]
-
-    def decoder(i: int, _r=radices, _d=inner) -> str:
-        parts = []
-        for r in reversed(_r):
-            parts.append(i % r)
-            i //= r
-        parts.reverse()
-        return "(" + ",".join(d(p) for d, p in zip(_d, parts)) + ")"
-
-    return FiniteRing(
-        n,
-        int(one),
-        add,
-        mul,
+    return _composite(
+        "product",
+        "product ring",
+        factors,
+        lambda *d: [f.mul_table[np.ix_(c, c)] for f, c in zip(factors, d)],
+        [f.one for f in factors],
         label=label or " x ".join(f.label for f in factors),
-        provenance={"kind": "product", "radices": list(radices)},
-        decoder=decoder,
         cap=cap,
+        decoder=lambda d: "(" + ",".join(f.describe(x) for f, x in zip(factors, d)) + ")",
     )
 
 
@@ -126,50 +145,33 @@ def matrix_ring(base: FiniteRing, k: int, *, label: str | None = None, cap: int 
     """k x k matrices over base, entries encoded row-major."""
     if k < 1:
         raise ValueError("matrix_ring requires k >= 1")
-    n = base.order**(k * k)
-    _check_cap(n, cap, f"M_{k}({base.label})")
-    radices = (base.order,) * (k * k)
-    digits = _decode_digits(n, radices)
-    add_cols = [base.add_table[np.ix_(digits[:, c], digits[:, c])] for c in range(k * k)]
-    add = _encode_cols(add_cols, radices)
 
-    mul_cols = []
-    for i in range(k):
-        for j in range(k):
-            acc = None
-            for l in range(k):
-                a_col = digits[:, i * k + l]
-                b_col = digits[:, l * k + j]
-                term = base.mul_table[np.ix_(a_col, b_col)]
-                acc = term if acc is None else base.add_table[acc, term]
-            mul_cols.append(acc)
-    mul = _encode_cols(mul_cols, radices)
+    def mul_cols(*d):
+        cols = []
+        for i in range(k):
+            for j in range(k):
+                acc = None
+                for l in range(k):
+                    term = base.mul_table[np.ix_(d[i * k + l], d[l * k + j])]
+                    acc = term if acc is None else base.add_table[acc, term]
+                cols.append(acc)
+        return cols
 
-    one_digits = [base.one if i == j else 0 for i in range(k) for j in range(k)]
-    one = 0
-    for d in one_digits:
-        one = one * base.order + d
+    def decoder(entries: list[int]) -> str:
+        rows = [",".join(base.describe(e) for e in entries[i * k : (i + 1) * k]) for i in range(k)]
+        return "[" + ",".join(f"[{row}]" for row in rows) + "]"
 
-    def decoder(idx: int, _k=k, _n=base.order, _base=base) -> str:
-        entries = []
-        for _ in range(_k * _k):
-            entries.append(idx % _n)
-            idx //= _n
-        entries.reverse()
-        rows = []
-        for i in range(_k):
-            rows.append("[" + ",".join(_base.describe(e) for e in entries[i * _k : (i + 1) * _k]) + "]")
-        return "[" + ",".join(rows) + "]"
-
-    return FiniteRing(
-        n,
-        int(one),
-        add,
-        mul,
+    return _composite(
+        "matrix",
+        f"M_{k}({base.label})",
+        [base] * (k * k),
+        mul_cols,
+        [base.one if i == j else 0 for i in range(k) for j in range(k)],
         label=label or f"M{k}({base.label})",
-        provenance={"kind": "matrix", "k": k, "base_order": base.order, "radices": list(radices)},
-        decoder=decoder,
         cap=cap,
+        decoder=decoder,
+        k=k,
+        base_order=base.order,
     )
 
 
@@ -178,12 +180,7 @@ def matrix_entries(ambient: FiniteRing, idx: int) -> list[list[int]]:
     prov = ambient.provenance or {}
     if prov.get("kind") != "matrix":
         raise ValueError("not a matrix ring")
-    k, n = prov["k"], prov["base_order"]
-    digits = []
-    for _ in range(k * k):
-        digits.append(idx % n)
-        idx //= n
-    digits.reverse()
+    k, digits = prov["k"], _digits(idx, prov["radices"])
     return [digits[i * k : (i + 1) * k] for i in range(k)]
 
 
@@ -192,12 +189,7 @@ def matrix_element(ambient: FiniteRing, entries: Sequence[Sequence[int]]) -> int
     prov = ambient.provenance or {}
     if prov.get("kind") != "matrix":
         raise ValueError("not a matrix ring")
-    n = prov["base_order"]
-    idx = 0
-    for row in entries:
-        for e in row:
-            idx = idx * n + int(e)
-    return idx
+    return _index([e for row in entries for e in row], prov["radices"])
 
 
 def det(base: FiniteRing, entries: Sequence[Sequence[int]]) -> int:
@@ -442,7 +434,6 @@ def morita_zero(
     *,
     label: str | None = None,
     cap: int | None = None,
-    _kind: str = "morita",
 ) -> FiniteRing:
     """The block ring [[R, M], [N, S]] with both pairings zero.
 
@@ -453,47 +444,25 @@ def morita_zero(
         raise BimoduleError("upper bimodule must be (R, S)-sided")
     if lower.left_ring != s_ring or lower.right_ring != r_ring:
         raise BimoduleError("lower bimodule must be (S, R)-sided")
-    radices = (r_ring.order, upper.order, lower.order, s_ring.order)
-    n = radices[0] * radices[1] * radices[2] * radices[3]
-    _check_cap(n, cap, "block ring")
-    digits = _decode_digits(n, radices)
-    dr, dm, dn, ds = (digits[:, c] for c in range(4))
 
-    add = _encode_cols(
-        [
-            r_ring.add_table[np.ix_(dr, dr)],
-            upper.add_table[np.ix_(dm, dm)],
-            lower.add_table[np.ix_(dn, dn)],
-            s_ring.add_table[np.ix_(ds, ds)],
-        ],
-        radices,
-    )
     # (r,m,n,s)(r',m',n',s') = (rr', rm' + ms', nr' + sn', ss')
-    mul_r = r_ring.mul_table[np.ix_(dr, dr)]
-    mul_m = upper.add_table[upper.left_action[np.ix_(dr, dm)], upper.right_action[np.ix_(dm, ds)]]
-    mul_n = lower.add_table[lower.right_action[np.ix_(dn, dr)], lower.left_action[np.ix_(ds, dn)]]
-    mul_s = s_ring.mul_table[np.ix_(ds, ds)]
-    mul = _encode_cols([mul_r, mul_m, mul_n, mul_s], radices)
+    def mul_cols(dr, dm, dn, ds):
+        return [
+            r_ring.mul_table[np.ix_(dr, dr)],
+            upper.add_table[upper.left_action[np.ix_(dr, dm)], upper.right_action[np.ix_(dm, ds)]],
+            lower.add_table[lower.right_action[np.ix_(dn, dr)], lower.left_action[np.ix_(ds, dn)]],
+            s_ring.mul_table[np.ix_(ds, ds)],
+        ]
 
-    one = ((r_ring.one * radices[1] + 0) * radices[2] + 0) * radices[3] + s_ring.one
-
-    def decoder(i: int, _rad=radices, _r=r_ring, _s=s_ring) -> str:
-        parts = []
-        for rad in reversed(_rad):
-            parts.append(i % rad)
-            i //= rad
-        r, m, nn, s = reversed(parts)
-        return f"[[{_r.describe(r)},{m}],[{nn},{_s.describe(s)}]]"
-
-    return FiniteRing(
-        n,
-        int(one),
-        add,
-        mul,
+    return _composite(
+        "morita",
+        "block ring",
+        (r_ring, upper, lower, s_ring),
+        mul_cols,
+        (r_ring.one, 0, 0, s_ring.one),
         label=label or f"[[{r_ring.label},{upper.label}],[{lower.label},{s_ring.label}]]",
-        provenance={"kind": _kind, "radices": list(radices)},
-        decoder=decoder,
         cap=cap,
+        decoder=lambda d: f"[[{r_ring.describe(d[0])},{d[1]}],[{d[2]},{s_ring.describe(d[3])}]]",
     )
 
 
@@ -507,22 +476,30 @@ def tri2(
 ) -> FiniteRing:
     """Lower-triangular [[R, 0], [M, S]]; M is an (S, R)-bimodule.
 
-    Identical to the zero-pairing block ring with the upper module zero; the
-    zero slot contributes radix 1 so triple (r, m, s) encodings coincide.
+    The zero-pairing block ring with the upper module zero, on triples
+    (r, m, s): its encodings coincide with quadruples (r, 0, m, s).
     """
-    ring = morita_zero(
-        r_ring,
-        s_ring,
-        zero_bimodule(r_ring, s_ring),
-        lower,
+    if lower.left_ring != s_ring or lower.right_ring != r_ring:
+        raise BimoduleError("lower bimodule must be (S, R)-sided")
+
+    # (r,m,s)(r',m',s') = (rr', mr' + sm', ss')
+    def mul_cols(dr, dm, ds):
+        return [
+            r_ring.mul_table[np.ix_(dr, dr)],
+            lower.add_table[lower.right_action[np.ix_(dm, dr)], lower.left_action[np.ix_(ds, dm)]],
+            s_ring.mul_table[np.ix_(ds, ds)],
+        ]
+
+    return _composite(
+        "tri2",
+        "block ring",
+        (r_ring, lower, s_ring),
+        mul_cols,
+        (r_ring.one, 0, s_ring.one),
         label=label or f"T2({r_ring.label};{lower.label};{s_ring.label})",
         cap=cap,
-        _kind="tri2",
+        decoder=lambda d: f"[[{r_ring.describe(d[0])},0],[{d[1]},{s_ring.describe(d[2])}]]",
     )
-    prov = dict(ring.provenance or {})
-    prov["radices"] = [r_ring.order, lower.order, s_ring.order]
-    ring.provenance = prov
-    return ring
 
 
 def tri3(
@@ -554,49 +531,26 @@ def tri3(
         comp = PairingMap.zero(m32.order, m21.order)
     _validate_pairing(comp, m32, m21, m31)
 
-    radices = (a1.order, m21.order, a2.order, m31.order, m32.order, a3.order)
-    n = 1
-    for r in radices:
-        n *= r
-    _check_cap(n, cap, "triangular ring")
-    digits = _decode_digits(n, radices)
-    d1, d21, d2, d31, d32, d3 = (digits[:, c] for c in range(6))
+    def mul_cols(d1, d21, d2, d31, d32, d3):
+        return [
+            a1.mul_table[np.ix_(d1, d1)],
+            m21.add_table[m21.right_action[np.ix_(d21, d1)], m21.left_action[np.ix_(d2, d21)]],
+            a2.mul_table[np.ix_(d2, d2)],
+            m31.add_table[
+                m31.add_table[m31.right_action[np.ix_(d31, d1)], comp.table[np.ix_(d32, d21)]],
+                m31.left_action[np.ix_(d3, d31)],
+            ],
+            m32.add_table[m32.right_action[np.ix_(d32, d2)], m32.left_action[np.ix_(d3, d32)]],
+            a3.mul_table[np.ix_(d3, d3)],
+        ]
 
-    add = _encode_cols(
-        [
-            a1.add_table[np.ix_(d1, d1)],
-            m21.add_table[np.ix_(d21, d21)],
-            a2.add_table[np.ix_(d2, d2)],
-            m31.add_table[np.ix_(d31, d31)],
-            m32.add_table[np.ix_(d32, d32)],
-            a3.add_table[np.ix_(d3, d3)],
-        ],
-        radices,
-    )
-
-    c1 = a1.mul_table[np.ix_(d1, d1)]
-    c21 = m21.add_table[m21.right_action[np.ix_(d21, d1)], m21.left_action[np.ix_(d2, d21)]]
-    c2 = a2.mul_table[np.ix_(d2, d2)]
-    c31 = m31.add_table[
-        m31.add_table[m31.right_action[np.ix_(d31, d1)], comp.table[np.ix_(d32, d21)]],
-        m31.left_action[np.ix_(d3, d31)],
-    ]
-    c32 = m32.add_table[m32.right_action[np.ix_(d32, d2)], m32.left_action[np.ix_(d3, d32)]]
-    c3 = a3.mul_table[np.ix_(d3, d3)]
-    mul = _encode_cols([c1, c21, c2, c31, c32, c3], radices)
-
-    one_digits = (a1.one, 0, a2.one, 0, 0, a3.one)
-    one = 0
-    for d, r in zip(one_digits, radices):
-        one = one * r + d
-
-    return FiniteRing(
-        n,
-        int(one),
-        add,
-        mul,
+    return _composite(
+        "tri3",
+        "triangular ring",
+        (a1, m21, a2, m31, m32, a3),
+        mul_cols,
+        (a1.one, 0, a2.one, 0, 0, a3.one),
         label=label or f"T3({a1.label},{a2.label},{a3.label})",
-        provenance={"kind": "tri3", "radices": list(radices)},
         cap=cap,
     )
 
@@ -611,37 +565,22 @@ def idealization(ring: FiniteRing, module: Bimodule, *, label: str | None = None
         raise ValueError("idealization requires a commutative base ring")
     if not module.is_symmetric():
         raise BimoduleError("idealization requires a symmetric module over the base ring")
-    radices = (ring.order, module.order)
-    n = radices[0] * radices[1]
-    _check_cap(n, cap, "idealization")
-    digits = _decode_digits(n, radices)
-    dr, dm = digits[:, 0], digits[:, 1]
-    add = _encode_cols(
-        [ring.add_table[np.ix_(dr, dr)], module.add_table[np.ix_(dm, dm)]],
-        radices,
-    )
-    la = module.left_action
-    mul_m = module.add_table[la[np.ix_(dr, dm)], la[np.ix_(dr, dm)].T]
-    mul = _encode_cols([ring.mul_table[np.ix_(dr, dr)], mul_m], radices)
-    one = ring.one * radices[1]
 
-    def decoder(i: int, _m=radices[1], _ring=ring) -> str:
-        return f"({_ring.describe(i // _m)},{i % _m})"
+    def mul_cols(dr, dm):
+        rm = module.left_action[np.ix_(dr, dm)]
+        return [ring.mul_table[np.ix_(dr, dr)], module.add_table[rm, rm.T]]
 
-    return FiniteRing(
-        n,
-        int(one),
-        add,
-        mul,
+    return _composite(
+        "idealization",
+        "idealization",
+        (ring, module),
+        mul_cols,
+        (ring.one, 0),
         label=label or f"{ring.label}({module.label})",
-        provenance={
-            "kind": "idealization",
-            "radices": list(radices),
-            "module_add": [[int(v) for v in row] for row in module.add_table],
-            "module_action": [[int(v) for v in row] for row in module.left_action],
-        },
-        decoder=decoder,
         cap=cap,
+        decoder=lambda d: f"({ring.describe(d[0])},{d[1]})",
+        module_add=[[int(v) for v in row] for row in module.add_table],
+        module_action=[[int(v) for v in row] for row in module.left_action],
     )
 
 
@@ -703,44 +642,36 @@ def truncated_power_series(base: FiniteRing, k: int, *, label: str | None = None
     """
     if k < 1:
         raise ValueError("truncation degree must be at least 1")
-    n = base.order**k
-    _check_cap(n, cap, "truncated series ring")
-    radices = (base.order,) * k
-    digits = _decode_digits(n, radices)
-    add_cols = [base.add_table[np.ix_(digits[:, c], digits[:, c])] for c in range(k)]
-    add = _encode_cols(add_cols, radices)
-    mul_cols = []
-    for i in range(k):
-        acc = None
-        for j in range(i + 1):
-            term = base.mul_table[np.ix_(digits[:, j], digits[:, i - j])]
-            acc = term if acc is None else base.add_table[acc, term]
-        mul_cols.append(acc)
-    mul = _encode_cols(mul_cols, radices)
-    one = base.one * base.order**(k - 1)
 
-    def decoder(i: int, _k=k, _n=base.order, _base=base) -> str:
-        coeffs = []
-        for _ in range(_k):
-            coeffs.append(i % _n)
-            i //= _n
-        coeffs.reverse()
+    def mul_cols(*d):
+        cols = []
+        for i in range(k):
+            acc = None
+            for j in range(i + 1):
+                term = base.mul_table[np.ix_(d[j], d[i - j])]
+                acc = term if acc is None else base.add_table[acc, term]
+            cols.append(acc)
+        return cols
+
+    def decoder(coeffs: list[int]) -> str:
         terms = []
         for power, c in enumerate(coeffs):
             if c or power == 0:
                 unit = "" if power == 0 else ("x" if power == 1 else f"x^{power}")
-                terms.append(f"{_base.describe(c)}{unit}" if power == 0 or c != _base.one else unit or "1")
+                terms.append(f"{base.describe(c)}{unit}" if power == 0 or c != base.one else unit or "1")
         return "+".join(terms)
 
-    return FiniteRing(
-        n,
-        int(one),
-        add,
-        mul,
+    return _composite(
+        "series",
+        "truncated series ring",
+        [base] * k,
+        mul_cols,
+        [base.one] + [0] * (k - 1),
         label=label or f"{base.label}[x]/x^{k}",
-        provenance={"kind": "series", "k": k, "base_order": base.order, "radices": list(radices)},
-        decoder=decoder,
         cap=cap,
+        decoder=decoder,
+        k=k,
+        base_order=base.order,
     )
 
 

@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .constructions import _index
 from .core import FiniteRing, SizeCapError
 
 DEFAULT_IDEAL_ENUM_CAP = 64
@@ -221,15 +222,8 @@ def _radices_of(ambient: FiniteRing, kind: str) -> tuple[int, ...]:
     return tuple(int(r) for r in prov["radices"])
 
 
-def _encode(digits: Sequence[int], radices: Sequence[int]) -> int:
-    idx = 0
-    for d, r in zip(digits, radices):
-        idx = idx * r + d
-    return idx
-
-
 def _induced(ambient: FiniteRing, slots: Sequence[Sequence[int]], radices: Sequence[int]) -> IdealSet:
-    members = [_encode(digits, radices) for digits in iter_product(*slots)]
+    members = [_index(digits, radices) for digits in iter_product(*slots)]
     result = IdealSet(ambient, tuple(members))
     if not is_ideal(ambient, result.members):
         raise RuntimeError("induced member set is not an ideal of the ambient ring")

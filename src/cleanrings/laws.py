@@ -42,10 +42,11 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .analysis import (
+    _corner_verdicts,
     decompositions,
     ideal_is_clean,
     ideal_is_uniquely_weakly_clean,
@@ -60,8 +61,8 @@ from .analysis import (
 from .catalog import build_catalog, catalog_entry
 from .constructions import (
     PairingMap,
+    _digits,
     cofactor,
-    corner_ring,
     det,
     direct_product,
     idealization,
@@ -80,7 +81,6 @@ from .constructions import (
 from .core import FiniteRing
 from .ideals import (
     IdealSet,
-    corner_ideal,
     full_ideal,
     ideal_closure,
     ideal_from_members,
@@ -813,11 +813,8 @@ def law_tri3_converse():
             )
             continue
         # Digits 0, 2 and 5 of an element's mixed-radix index are its diagonal.
-        radices = ambient.provenance["radices"]
-        diagonals = [
-            sorted({idx // prod(radices[pos + 1 :]) % radices[pos] for idx in block})
-            for pos in (0, 2, 5)
-        ]
+        digits = [_digits(idx, ambient.provenance["radices"]) for idx in block]
+        diagonals = [sorted({d[pos] for d in digits}) for pos in (0, 2, 5)]
         witness = None
         for slot, (ring, members) in enumerate(zip(rings3, diagonals)):
             extracted = ideal_from_members(ring, members)
@@ -855,9 +852,9 @@ def law_peirce_corners():
         if not ring.is_complete_orthogonal(es):
             yield _skipped(inputs, "the idempotents are not a complete orthogonal set")
             continue
-        corners = [corner_ring(ring, e) for e in es]
-        pairs = [(corner.ring, corner_ideal(corner, ideal)) for corner in corners]
-        corner_wc, corner_clean, scanned = _components(pairs)
+        verdicts = _corner_verdicts(ring, es, ideal)
+        corner_wc, corner_clean = ([v.ok for v in column] for column in zip(*verdicts))
+        scanned = sum(v.checked for pair in verdicts for v in pair)
         if not _at_most_one_not_clean(corner_wc, corner_clean):
             yield _skipped(inputs, "corner slices do not satisfy the hypothesis", scanned=scanned)
             continue

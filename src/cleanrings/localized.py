@@ -69,11 +69,31 @@ VALIDATED_MAX_PRIME = 11
 VALIDATED_MAX_EXPONENT = 2
 
 
+# Miller-Rabin with these bases decides primality of every n < 2^64.
+_WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; n at or above 2^64 is refused."""
+    if n >= 1 << 64:
+        raise ValueError(f"{n} is too large: localization primes must be below 2^64")
     if n < 2:
         return False
-    for d in range(2, int(math.isqrt(n)) + 1):
-        if n % d == 0:
+    for a in _WITNESS_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESS_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cleanrings import cli
 from cleanrings.cli import main
@@ -379,6 +382,7 @@ def test_examples_text_names_both_case_studies(capsys):
         (["units", "(zn " + "1" * 5000 + ")"], "arity error at 1:5: zn modulus"),
         (["units", "(localized " + "7" * 5000 + ")"], "arity error at 1:12: localized prime"),
         (["units", "(corner (zn 6) 7)"], "7 out of range for order 6"),
+        (["radical", "(localized 18446744073709551629)"], "must be below 2^64"),
     ],
 )
 def test_usage_and_construction_errors_exit_two(capsys, argv, needle):
@@ -565,3 +569,63 @@ def test_spec_command_output_matches_the_golden_pin(capsys, pin):
     code, out, err = run(capsys, *argv)
     assert err == ""
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == SPEC_COMMAND_PINS[pin]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any spec text ends in a verdict or a diagnostic, never a crash
+
+_MODULE_TEXT = st.sampled_from(["regular", "zero", "(znmod 1)", "(znmod 2)", "(znmod 4)"])
+_IDEAL_TEXT = st.one_of(
+    st.just("(ideal all)"),
+    st.lists(st.integers(0, 9), min_size=1, max_size=2).map(
+        lambda gens: "(ideal " + " ".join(map(str, gens)) + ")"
+    ),
+)
+
+
+def _composites(ring):
+    return st.one_of(
+        st.lists(ring, min_size=1, max_size=3).map(lambda rings: f"(product {' '.join(rings)})"),
+        st.builds("(matrix {} {})".format, st.integers(0, 2), ring),
+        st.builds("(tri2 {} {} {})".format, ring, ring, _MODULE_TEXT),
+        st.builds(
+            "(tri3 {} {} {} {} {} {})".format, ring, ring, ring, _MODULE_TEXT, _MODULE_TEXT, _MODULE_TEXT
+        ),
+        st.builds("(morita {} {} {} {})".format, ring, ring, _MODULE_TEXT, _MODULE_TEXT),
+        st.builds("(idealize {} {})".format, ring, _MODULE_TEXT),
+        st.builds("(quotient {} {})".format, ring, _IDEAL_TEXT),
+        st.builds("(series {} {})".format, ring, st.integers(0, 3)),
+        st.builds("(corner {} {})".format, ring, st.integers(0, 9)),
+    )
+
+
+# Localized specs keep to primes up to 11 and the commands take no --gens, so
+# the witness search never meets the int64 overflow of a huge generator.
+_SPEC_TEXT = st.one_of(
+    st.recursive(st.integers(0, 12).map("(zn {})".format), _composites, max_leaves=4),
+    st.lists(st.sampled_from([2, 3, 5, 7, 11]), min_size=1, max_size=3).map(
+        lambda primes: "(localized " + " ".join(map(str, primes)) + ")"
+    ),
+)
+
+
+@st.composite
+def _fuzzed_spec(draw):
+    """Spec text from the grammar, half the time with one character changed."""
+    text = draw(_SPEC_TEXT)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text) - 1))
+        new = draw(st.sampled_from(["", *"() 0129az-@"]))  # "" deletes
+        text = text[:at] + new + text[at + draw(st.integers(0, 1)) :]  # insert or replace
+    return text
+
+
+@given(_fuzzed_spec())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_specs_end_in_a_verdict_or_a_diagnostic(spec):
+    for command in ("units", "idempotents", "radical"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, spec])
+        assert code in (0, 1, 2), (command, spec, err.getvalue())
+        assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue()

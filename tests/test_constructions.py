@@ -119,6 +119,16 @@ def test_matrix_encode_decode_round_trip():
         assert matrix_element(ring, matrix_entries(ring, idx)) == idx
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [[[2, 0], [0, 0]], [[-1, 0], [0, 0]], [[1, 1, 1], [0, 0, 0], [0, 0, 0]], [[1]]],
+)
+def test_matrix_element_refuses_a_grid_outside_the_layout(grid):
+    # an entry outside Z_2 or a grid of the wrong size has no index in M_2(Z_2)
+    with pytest.raises(ValueError, match="do not fit radices"):
+        matrix_element(matrix_ring(zn(2), 2), grid)
+
+
 # -- determinants and cofactors -------------------------------------------------------
 
 

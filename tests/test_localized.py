@@ -29,6 +29,7 @@ from cleanrings.localized import (
     uniqueness_witness_search,
     witness_search,
 )
+from cleanrings.localized import _is_prime
 
 R35 = LocalizedIntegers((3, 5))
 R23 = LocalizedIntegers((2, 3))
@@ -64,6 +65,25 @@ def test_rejects_empty_or_composite_prime_sets():
         LocalizedIntegers((4,))
     with pytest.raises(ValueError):
         LocalizedIntegers((1, 3))
+
+
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_primality_agrees_with_trial_division_below_twenty_thousand():
+    assert [n for n in range(20_000) if _is_prime(n)] == [
+        n for n in range(20_000) if _trial_division(n)
+    ]
+
+
+def test_primality_is_decided_up_to_two_to_the_sixty_four():
+    # a strong pseudoprime to every base from 2 to 31: only base 37 exposes it
+    assert not _is_prime(3825123056546413051)
+    assert _is_prime(10**18 + 3)
+    assert _is_prime(2**64 - 59)
+    with pytest.raises(ValueError, match=r"below 2\^64"):
+        LocalizedIntegers((2**64 + 13,))
 
 
 def test_membership_is_checked_on_the_reduced_form():
