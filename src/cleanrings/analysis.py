@@ -117,6 +117,24 @@ def is_uniquely_weakly_clean_element(ring: FiniteRing, x: int) -> bool:
     return int(ok.sum()) == 1
 
 
+def exchange_idempotents(
+    ring: FiniteRing, x: int, candidates: Sequence[int] | None = None
+) -> np.ndarray:
+    """The idempotents e, in order, with e - x in R(x - x^2) or e + x in R(x + x^2).
+
+    The candidates are the given idempotents, or by default all of the ring's.
+    """
+    idem = np.array(ring.idempotents if candidates is None else candidates, dtype=np.int32)
+    x2 = ring.mul(x, x)
+    target_minus = np.zeros(ring.order, dtype=bool)
+    target_minus[ring.left_multiples(ring.sub(x, x2))] = True
+    target_plus = np.zeros(ring.order, dtype=bool)
+    target_plus[ring.left_multiples(ring.add(x, x2))] = True
+    e_minus_x = ring.add_table[idem, ring.neg_table[x]]
+    e_plus_x = ring.add_table[idem, x]
+    return idem[target_minus[e_minus_x] | target_plus[e_plus_x]]
+
+
 def is_weakly_exchange_element(
     ring: FiniteRing,
     x: int,
@@ -128,23 +146,13 @@ def is_weakly_exchange_element(
 
     In strict mode the idempotent must additionally belong to the given ideal.
     """
+    candidates = ring.idempotents
     if mode == "strict":
         if ideal is None:
             raise ValueError("strict mode requires the ideal")
         allowed = set(ideal.members)
-        idem = np.array([e for e in ring.idempotents if e in allowed], dtype=np.int32)
-    else:
-        idem = np.array(ring.idempotents, dtype=np.int32)
-    if idem.size == 0:
-        return False
-    x2 = ring.mul(x, x)
-    target_minus = np.zeros(ring.order, dtype=bool)
-    target_minus[ring.left_multiples(ring.sub(x, x2))] = True
-    target_plus = np.zeros(ring.order, dtype=bool)
-    target_plus[ring.left_multiples(ring.add(x, x2))] = True
-    e_minus_x = ring.add_table[idem, ring.neg_table[x]]
-    e_plus_x = ring.add_table[idem, x]
-    return bool((target_minus[e_minus_x] | target_plus[e_plus_x]).any())
+        candidates = [e for e in candidates if e in allowed]
+    return exchange_idempotents(ring, x, candidates).size > 0
 
 
 # -- ideal-level verdicts -------------------------------------------------------

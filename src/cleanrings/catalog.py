@@ -103,14 +103,7 @@ def build_catalog() -> tuple[CatalogEntry, ...]:
             quot, _ = quotient(
                 entry.ring, list(radical), label=f"{entry.ring.label}/J"
             )
-            out.append(
-                CatalogEntry(
-                    key=f"{entry.key}-mod-radical",
-                    ring=quot,
-                    in_ideal_laws=quot.order <= IDEAL_LAW_MAX_ORDER,
-                    note=f"radical quotient of {entry.key}",
-                )
-            )
+            out.append(_entry(f"{entry.key}-mod-radical", quot, f"radical quotient of {entry.key}"))
     return tuple(out)
 
 

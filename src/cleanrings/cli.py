@@ -33,6 +33,7 @@ from pathlib import Path
 from .analysis import (
     clean_class,
     decompositions,
+    exchange_idempotents,
     ideal_is_clean,
     ideal_is_uniquely_weakly_clean,
     ideal_is_weakly_clean,
@@ -56,8 +57,6 @@ from .localized import (
 )
 
 __all__ = ["main"]
-
-CHECKS = ("clean", "weakly-clean", "uniquely", "exchange")
 
 
 class _UsageError(ValueError):
@@ -207,31 +206,20 @@ def _yn(flag: bool) -> str:
 # ideal
 
 
-_FINITE_CHECKS = {
-    "clean": ideal_is_clean,
-    "weakly-clean": ideal_is_weakly_clean,
-    "uniquely": ideal_is_uniquely_weakly_clean,
-    "exchange": ideal_is_weakly_exchange,
-}
-
-_ANALYTIC_CHECKS = {
-    "clean": ideal_is_clean_analytic,
-    "weakly-clean": ideal_is_weakly_clean_analytic,
-    "uniquely": ideal_is_uniquely_weakly_clean_analytic,
-    "exchange": ideal_is_weakly_exchange_analytic,
+# each --check value: (its finite-ring verdict, its localization verdict)
+_CHECKS = {
+    "clean": (ideal_is_clean, ideal_is_clean_analytic),
+    "weakly-clean": (ideal_is_weakly_clean, ideal_is_weakly_clean_analytic),
+    "uniquely": (ideal_is_uniquely_weakly_clean, ideal_is_uniquely_weakly_clean_analytic),
+    "exchange": (ideal_is_weakly_exchange, ideal_is_weakly_exchange_analytic),
 }
 
 
 def _finite_witness(ring: FiniteRing, x: int, check: str) -> dict:
     """One audited decomposition (or exchange idempotent) for a passing element."""
     if check == "exchange":
-        x2 = ring.mul(x, x)
-        minus_targets = {int(v) for v in ring.left_multiples(ring.sub(x, x2))}
-        plus_targets = {int(v) for v in ring.left_multiples(ring.add(x, x2))}
-        for e in ring.idempotents:
-            if ring.sub(e, x) in minus_targets or ring.add(e, x) in plus_targets:
-                return {"element": x, "idempotent": e}
-        return {"element": x}
+        found = exchange_idempotents(ring, x)
+        return {"element": x, "idempotent": int(found[0])} if found.size else {"element": x}
     decs = decompositions(ring, x)
     if check == "clean":
         decs = tuple(d for d in decs if d.sign == 1)
@@ -246,9 +234,10 @@ def _finite_witness(ring: FiniteRing, x: int, check: str) -> dict:
 
 def _cmd_ideal(args: argparse.Namespace) -> int:
     spec, ring = _built(args)
+    finite_check, analytic_check = _CHECKS[args.check]
     if isinstance(ring, LocalizedIntegers):
         ideal = _localized_ideal(ring, args.gens)
-        verdict = _ANALYTIC_CHECKS[args.check](ideal)
+        verdict = analytic_check(ideal)
         ok = bool(verdict)
         witness = None
         if not ok:
@@ -270,7 +259,7 @@ def _cmd_ideal(args: argparse.Namespace) -> int:
             lines.append(f"  no witness within the search bound {args.bound} (raise --bound)")
     else:
         ideal = _finite_ideal(ring, args.gens)
-        verdict = _FINITE_CHECKS[args.check](ring, ideal)
+        verdict = finite_check(ring, ideal)
         ok = verdict.ok
         verdict_json = verdict.to_json_dict()
         witnesses = (
@@ -471,7 +460,7 @@ def _parser() -> argparse.ArgumentParser:
         metavar="G",
         help="ideal generators (omit for the whole ring)",
     )
-    ideal.add_argument("--check", required=True, choices=CHECKS)
+    ideal.add_argument("--check", required=True, choices=tuple(_CHECKS))
     ideal.add_argument(
         "--bound",
         type=_positive_int,

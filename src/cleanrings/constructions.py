@@ -43,6 +43,8 @@ def _check_cap(order: int, cap: int | None, what: str) -> None:
 
 def _digits(idx: int, radices: Sequence[int]) -> list[int]:
     """The digits of an element index, first radix most significant."""
+    if not 0 <= idx < math.prod(radices):
+        raise ValueError(f"index {idx} out of range 0..{math.prod(radices) - 1}")
     return [idx // math.prod(radices[c + 1 :]) % r for c, r in enumerate(radices)]
 
 
@@ -189,7 +191,10 @@ def matrix_element(ambient: FiniteRing, entries: Sequence[Sequence[int]]) -> int
     prov = ambient.provenance or {}
     if prov.get("kind") != "matrix":
         raise ValueError("not a matrix ring")
-    return _index([e for row in entries for e in row], prov["radices"])
+    k, radices = prov["k"], prov["radices"]
+    if len(entries) != k or any(len(row) != k for row in entries):
+        raise ValueError(f"entries {entries} do not fit radices {radices}: a {k} x {k} grid is needed")
+    return _index([e for row in entries for e in row], radices)
 
 
 def det(base: FiniteRing, entries: Sequence[Sequence[int]]) -> int:

@@ -95,8 +95,11 @@ from .ideals import (
     tri3_ideal,
 )
 from .localized import (
+    VALIDATED_MAX_EXPONENT,
+    VALIDATED_MAX_PRIME,
     LocalizedIntegers,
     candidate_stream,
+    envelope_ideals,
     ideal_is_clean_analytic,
     ideal_is_uniquely_weakly_clean_analytic,
     ideal_is_weakly_clean_analytic,
@@ -159,15 +162,20 @@ class LawReport:
 # declaring a law
 
 
+# every (declaration, public law_* function), in declaration order
+_DECLARED: list[tuple[_Law, Callable[[], list[LawReport]]]] = []
+
+
 @dataclass(frozen=True)
 class _Law:
     """One law's declaration.
 
     Used as a decorator on a function that yields (or returns an iterator
     of) per-instance fields, it returns a function that runs it to the end
-    and returns the reports, so the law does all of its work when called. The laws that sweep a
-    ring's ideal lattice also carry their ``check(ring, inputs, ideals,
-    complete)``, which returns the fields of the report on one ring.
+    and returns the reports, so the law does all of its work when called,
+    and registers the law. The laws that sweep a ring's ideal lattice also
+    carry their ``check(ring, inputs, ideals, complete)``, which returns the
+    fields of the report on one ring.
     """
 
     law_id: str
@@ -180,7 +188,7 @@ class _Law:
         def run() -> list[LawReport]:
             return self.reports(body())
 
-        run.law_id = self.law_id
+        _DECLARED.append((self, run))
         return run
 
     def reports(self, instances: Iterable[dict]) -> list[LawReport]:
@@ -1079,28 +1087,6 @@ def law_radical_sum():
 # localized-agreement
 
 
-ENVELOPE_PRIMES = (2, 3, 5, 7, 11)
-ENVELOPE_MAX_PRIMES = 3
-ENVELOPE_MAX_EXPONENT = 2
-
-
-def envelope_ideals():
-    """Every localization ideal inside the validated envelope.
-
-    Yields (ring, ideal) for all prime sets of size one to three drawn from
-    the primes up to eleven, with the zero ideal plus every exponent vector
-    bounded by two.
-    """
-    for size in range(1, ENVELOPE_MAX_PRIMES + 1):
-        for primes in itertools.combinations(ENVELOPE_PRIMES, size):
-            ring = LocalizedIntegers(primes)
-            yield ring, ring.zero_ideal()
-            for exponents in itertools.product(
-                range(ENVELOPE_MAX_EXPONENT + 1), repeat=size
-            ):
-                yield ring, ring.ideal(exponents)
-
-
 @_Law(
     "localized-agreement",
     "equation",
@@ -1133,7 +1119,8 @@ def law_localized_agreement():
                 }
             )
     yield _verdict(
-        f"{checked} ideals, primes up to 11, exponents up to 2",
+        f"{checked} ideals, primes up to {VALIDATED_MAX_PRIME},"
+        f" exponents up to {VALIDATED_MAX_EXPONENT}",
         not disagreements,
         strength="discriminating",
         witness=None if not disagreements else {"disagreements": disagreements[:3]},
@@ -1189,40 +1176,13 @@ def law_units_sanity():
 
 
 LAW_FUNCTIONS: tuple[tuple[str, Callable[[], list[LawReport]]], ...] = tuple(
-    (fn.law_id, fn)
-    for fn in (
-        law_proper_ideals,
-        law_weakly_clean_implies_weakly_exchange,
-        law_central_equivalence,
-        law_reduced_rings,
-        law_determinant_cofactor,
-        law_matrix_ideal,
-        law_product_ideal,
-        law_uniqueness_forces_central,
-        law_morita_ideal,
-        law_tri3_ideal,
-        law_tri3_converse,
-        law_peirce_corners,
-        law_series_ideal,
-        law_idealization_ideal,
-        law_radical_quotient,
-        law_radical_sum,
-        law_localized_agreement,
-        law_units_sanity,
-    )
+    (law.law_id, fn) for law, fn in _DECLARED
 )
 
 LAW_IDS: tuple[str, ...] = tuple(law_id for law_id, _ in LAW_FUNCTIONS)
 
 # The laws that sweep a ring's ideal lattice, which ``run_ring`` applies.
-_RING_LAWS: tuple[_Law, ...] = (
-    _proper_ideals,
-    _wc_implies_wex,
-    _central_equivalence,
-    _reduced_rings,
-    _uniqueness_forces_central,
-    _radical_quotient,
-)
+_RING_LAWS: tuple[_Law, ...] = tuple(law for law, _ in _DECLARED if law.check is not None)
 
 RING_LAW_IDS: tuple[str, ...] = tuple(law.law_id for law in _RING_LAWS)
 

@@ -34,6 +34,7 @@ with valuations (e_p):
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,11 +60,14 @@ __all__ = [
     "candidate_stream",
     "product_weakly_clean",
     "reproduce_examples",
+    "envelope_ideals",
     "DEFAULT_SEARCH_BOUND",
 ]
 
 DEFAULT_SEARCH_BOUND = 64
 
+# The validated envelope, where the case table is checked against the witness
+# search on every ideal (``envelope_ideals``).
 VALIDATED_MAX_PRIMES = 3
 VALIDATED_MAX_PRIME = 11
 VALIDATED_MAX_EXPONENT = 2
@@ -358,6 +362,22 @@ def _method_for(ideal: LocalizedIdeal) -> str:
         and max(ideal.exponents, default=0) <= VALIDATED_MAX_EXPONENT
     )
     return "analytic" if inside else "analytic (unvalidated envelope)"
+
+
+def envelope_ideals() -> Iterator[tuple[LocalizedIntegers, LocalizedIdeal]]:
+    """Every localization ideal inside the validated envelope.
+
+    Yields (ring, ideal) for every set of one to VALIDATED_MAX_PRIMES primes
+    up to VALIDATED_MAX_PRIME: the zero ideal, then every exponent vector
+    bounded by VALIDATED_MAX_EXPONENT.
+    """
+    primes = [p for p in range(2, VALIDATED_MAX_PRIME + 1) if _is_prime(p)]
+    for size in range(1, VALIDATED_MAX_PRIMES + 1):
+        for chosen in itertools.combinations(primes, size):
+            ring = LocalizedIntegers(chosen)
+            yield ring, ring.zero_ideal()
+            for exponents in itertools.product(range(VALIDATED_MAX_EXPONENT + 1), repeat=size):
+                yield ring, ring.ideal(exponents)
 
 
 def _zero_exponent_primes(ideal: LocalizedIdeal) -> list[int]:

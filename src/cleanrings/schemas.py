@@ -3,30 +3,49 @@
 The ``laws`` command emits one JSON object per line, each matching
 LAW_REPORT. Every other command emits a single JSON object matching the
 entry of COMMAND_SCHEMAS named after the command. Schemas follow JSON
-Schema draft 2020-12 and are deliberately strict (additionalProperties
-false) so accidental payload drift fails validation in the test suite.
+Schema draft 2020-12 and are deliberately strict: every object schema
+forbids additional properties and requires each of its properties that it
+does not name optional, so accidental payload drift fails validation in the
+test suite.
 """
 
 from __future__ import annotations
 
 __all__ = ["COMMAND_SCHEMAS", "LAW_REPORT", "schema_for"]
 
+
+def _object(properties: dict, *, optional: tuple[str, ...] = ()) -> dict:
+    """A strict object schema requiring its non-optional properties, in order."""
+    required = [name for name in properties if name not in optional]
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": required,
+        "additionalProperties": False,
+    }
+
+
+def _document(properties: dict, *, command: str | None = None, one_ring: bool = False) -> dict:
+    """A top-level schema; like ``cli._render``, it puts the command name and,
+    for a command about one ring, its spec and ring label first."""
+    header: dict = {} if command is None else {"command": {"const": command}}
+    if one_ring:
+        header |= {"spec": {"type": "string"}, "ring": {"type": "string"}}
+    return {
+        "$schema": "https://json-schema.org/draft/2020-12/schema",
+        **_object({**header, **properties}),
+    }
+
+
 _DECOMPOSITION = {
-    "type": "object",
-    "properties": {
-        "sign": {"enum": [1, -1]},
-        "idempotent": {"type": "integer"},
-        "unit": {"type": "integer"},
-    },
-    "required": ["sign", "idempotent", "unit"],
-    "additionalProperties": False,
+    "sign": {"enum": [1, -1]},
+    "idempotent": {"type": "integer"},
+    "unit": {"type": "integer"},
 }
 
 # one line of `laws --json` output
-LAW_REPORT = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
+LAW_REPORT = _document(
+    {
         "law": {"type": "string"},
         "inputs": {"type": "string"},
         "verdict": {"enum": ["pass", "fail", "skipped"]},
@@ -36,86 +55,48 @@ LAW_REPORT = {
         "reason": {"type": "string"},
         "witness": {"type": ["object", "null"]},
         "scanned": {"type": "integer", "minimum": 0},
-    },
-    "required": [
-        "law",
-        "inputs",
-        "verdict",
-        "direction",
-        "instance_strength",
-        "description",
-        "reason",
-        "witness",
-        "scanned",
-    ],
-    "additionalProperties": False,
-}
+    }
+)
 
-_ANALYZE = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "command": {"const": "analyze"},
-        "spec": {"type": "string"},
-        "ring": {"type": "string"},
+_ANALYZE = _document(
+    {
         "ok": {"type": "boolean"},
         "verdict": {
             "oneOf": [
-                {  # finite ring: full decomposition census
-                    "type": "object",
-                    "properties": {
+                _object(  # finite ring: full decomposition census
+                    {
                         "element": {"type": "integer"},
                         "clean": {"type": "boolean"},
                         "weakly_clean": {"type": "boolean"},
                         "uniquely_weakly_clean": {"type": "boolean"},
-                        "decompositions": {
-                            "type": "array",
-                            "items": _DECOMPOSITION,
-                        },
-                    },
-                    "required": [
-                        "element",
-                        "clean",
-                        "weakly_clean",
-                        "uniquely_weakly_clean",
-                        "decompositions",
-                    ],
-                    "additionalProperties": False,
-                },
-                {  # localization: sign classes
-                    "type": "object",
-                    "properties": {
+                        "decompositions": {"type": "array", "items": _object(_DECOMPOSITION)},
+                    }
+                ),
+                _object(  # localization: sign classes
+                    {
                         "element": {"type": "string"},
                         "clean": {"type": "boolean"},
                         "weakly_clean": {"type": "boolean"},
                         "plus": {"type": "boolean"},
                         "minus": {"type": "boolean"},
-                    },
-                    "required": ["element", "clean", "weakly_clean", "plus", "minus"],
-                    "additionalProperties": False,
-                },
+                    }
+                ),
             ]
         },
     },
-    "required": ["command", "spec", "ring", "ok", "verdict"],
-    "additionalProperties": False,
-}
+    command="analyze",
+    one_ring=True,
+)
 
-_IDEAL = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "command": {"const": "ideal"},
-        "spec": {"type": "string"},
-        "ring": {"type": "string"},
+_IDEAL = _document(
+    {
         "check": {"enum": ["clean", "weakly-clean", "uniquely", "exchange"]},
         "ideal": {"type": "string"},
         "ok": {"type": "boolean"},
         "verdict": {
             "oneOf": [
-                {  # finite ring: exhaustive scan
-                    "type": "object",
-                    "properties": {
+                _object(  # finite ring: exhaustive scan
+                    {
                         "property": {"type": "string"},
                         "ideal": {"type": "string"},
                         "ok": {"type": "boolean"},
@@ -124,118 +105,66 @@ _IDEAL = {
                         "detail": {"type": "string"},
                         "trace": {"type": "array"},
                     },
-                    "required": ["property", "ideal", "ok", "checked"],
-                    "additionalProperties": False,
-                },
-                {  # localization: analytic criterion plus oracle cross-check
-                    "type": "object",
-                    "properties": {
+                    optional=("failing_element", "detail", "trace"),
+                ),
+                _object(  # localization: analytic criterion plus oracle cross-check
+                    {
                         "value": {"type": "boolean"},
                         "method": {"type": "string"},
                         "witness": {"type": ["string", "null"]},
-                    },
-                    "required": ["value", "method", "witness"],
-                    "additionalProperties": False,
-                },
+                    }
+                ),
             ]
         },
         "witnesses": {
             "type": ["array", "null"],
-            "items": {
-                "type": "object",
-                "properties": {
-                    "element": {"type": "integer"},
-                    "sign": {"enum": [1, -1]},
-                    "idempotent": {"type": "integer"},
-                    "unit": {"type": "integer"},
-                },
-                "required": ["element"],
-                "additionalProperties": False,
-            },
+            # each element of a passing ideal, with its decomposition if it has one
+            "items": _object(
+                {"element": {"type": "integer"}, **_DECOMPOSITION},
+                optional=tuple(_DECOMPOSITION),
+            ),
         },
     },
-    "required": ["command", "spec", "ring", "check", "ideal", "ok", "verdict", "witnesses"],
-    "additionalProperties": False,
-}
+    command="ideal",
+    one_ring=True,
+)
 
-_RADICAL = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "command": {"const": "radical"},
-        "spec": {"type": "string"},
-        "ring": {"type": "string"},
+_RADICAL = _document(
+    {
         "kind": {"enum": ["finite", "localized"]},
         "members": {"type": ["array", "null"], "items": {"type": "integer"}},
         "size": {"type": ["integer", "null"]},
         "generator": {"type": ["string", "null"]},
         "description": {"type": "string"},
     },
-    "required": [
-        "command",
-        "spec",
-        "ring",
-        "kind",
-        "members",
-        "size",
-        "generator",
-        "description",
-    ],
-    "additionalProperties": False,
-}
+    command="radical",
+    one_ring=True,
+)
 
-_IDEMPOTENTS = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "command": {"const": "idempotents"},
-        "spec": {"type": "string"},
-        "ring": {"type": "string"},
-        "idempotents": {
-            "type": "array",
-            "items": {"type": ["integer", "string"]},
-        },
+_IDEMPOTENTS = _document(
+    {
+        "idempotents": {"type": "array", "items": {"type": ["integer", "string"]}},
         "count": {"type": "integer", "minimum": 1},
     },
-    "required": ["command", "spec", "ring", "idempotents", "count"],
-    "additionalProperties": False,
-}
+    command="idempotents",
+    one_ring=True,
+)
 
-_UNITS = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "command": {"const": "units"},
-        "spec": {"type": "string"},
-        "ring": {"type": "string"},
+_UNITS = _document(
+    {
         "kind": {"enum": ["finite", "localized"]},
         "units": {"type": ["array", "null"], "items": {"type": "integer"}},
         "count": {"type": ["integer", "null"]},
         "criterion": {"type": ["string", "null"]},
     },
-    "required": ["command", "spec", "ring", "kind", "units", "count", "criterion"],
-    "additionalProperties": False,
-}
+    command="units",
+    one_ring=True,
+)
 
-_WITNESS_CHECKS = {
-    "type": "object",
-    "properties": {
-        "x_is_unit": {"type": "boolean"},
-        "x_minus_one_is_unit": {"type": "boolean"},
-        "x_plus_one_is_unit": {"type": "boolean"},
-    },
-    "required": ["x_is_unit", "x_minus_one_is_unit", "x_plus_one_is_unit"],
-    "additionalProperties": False,
-}
-
-_EXAMPLES = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "command": {"const": "examples"},
-        "full_ring_weakly_clean_not_clean": {
-            "type": "object",
-            "properties": {
+_EXAMPLES = _document(
+    {
+        "full_ring_weakly_clean_not_clean": _object(
+            {
                 "ring": {"type": "string"},
                 "generator": {"type": "string"},
                 "generator_is_unit": {"type": "boolean"},
@@ -244,81 +173,36 @@ _EXAMPLES = {
                 "weakly_clean": {"type": "boolean"},
                 "clean": {"type": "boolean"},
                 "non_clean_witness": {"type": "string"},
-                "witness_checks": _WITNESS_CHECKS,
-            },
-            "required": [
-                "ring",
-                "generator",
-                "generator_is_unit",
-                "ideal",
-                "ideal_is_full_ring",
-                "weakly_clean",
-                "clean",
-                "non_clean_witness",
-                "witness_checks",
-            ],
-            "additionalProperties": False,
-        },
-        "product_not_weakly_clean": {
-            "type": "object",
-            "properties": {
+                "witness_checks": _object(
+                    {
+                        "x_is_unit": {"type": "boolean"},
+                        "x_minus_one_is_unit": {"type": "boolean"},
+                        "x_plus_one_is_unit": {"type": "boolean"},
+                    }
+                ),
+            }
+        ),
+        "product_not_weakly_clean": _object(
+            {
                 "ring": {"type": "string"},
                 "generators": {"type": "array", "items": {"type": "string"}},
-                "generators_are_units": {
-                    "type": "array",
-                    "items": {"type": "boolean"},
-                },
+                "generators_are_units": {"type": "array", "items": {"type": "boolean"}},
                 "component_ideals": {"type": "array", "items": {"type": "string"}},
-                "product": {
-                    "type": "object",
-                    "properties": {
+                "product": _object(
+                    {
                         "ok": {"type": "boolean"},
-                        "witness": {
-                            "type": ["array", "null"],
-                            "items": {"type": "string"},
-                        },
-                        "witness_sign_classes": {
-                            "type": ["array", "null"],
-                            "items": {"type": "string"},
-                        },
-                        "component_weakly_clean": {
-                            "type": "array",
-                            "items": {"type": "boolean"},
-                        },
-                        "component_clean": {
-                            "type": "array",
-                            "items": {"type": "boolean"},
-                        },
+                        "witness": {"type": ["array", "null"], "items": {"type": "string"}},
+                        "witness_sign_classes": {"type": ["array", "null"], "items": {"type": "string"}},
+                        "component_weakly_clean": {"type": "array", "items": {"type": "boolean"}},
+                        "component_clean": {"type": "array", "items": {"type": "boolean"}},
                         "detail": {"type": "string"},
-                    },
-                    "required": [
-                        "ok",
-                        "witness",
-                        "witness_sign_classes",
-                        "component_weakly_clean",
-                        "component_clean",
-                        "detail",
-                    ],
-                    "additionalProperties": False,
-                },
-            },
-            "required": [
-                "ring",
-                "generators",
-                "generators_are_units",
-                "component_ideals",
-                "product",
-            ],
-            "additionalProperties": False,
-        },
+                    }
+                ),
+            }
+        ),
     },
-    "required": [
-        "command",
-        "full_ring_weakly_clean_not_clean",
-        "product_not_weakly_clean",
-    ],
-    "additionalProperties": False,
-}
+    command="examples",
+)
 
 COMMAND_SCHEMAS = {
     "analyze": _ANALYZE,

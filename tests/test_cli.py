@@ -478,6 +478,37 @@ def test_every_command_schema_is_itself_valid():
         validator.check_schema(schema)
 
 
+def test_command_schemas_match_the_golden_pin():
+    text = json.dumps(COMMAND_SCHEMAS, sort_keys=True)
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "88b8b6a28d20b24bc0ad6caf8ca2a207a40f9d02b26a037bb2d77382730547e9"
+    )
+
+
+def _object_schemas(node):
+    if isinstance(node, dict):
+        if node.get("type") == "object":
+            yield node
+        for value in node.values():
+            yield from _object_schemas(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _object_schemas(value)
+
+
+def test_every_object_schema_is_strict():
+    objects = list(_object_schemas(COMMAND_SCHEMAS))
+    assert len(objects) == 17
+    for node in objects:
+        assert node["additionalProperties"] is False
+        assert set(node["required"]) <= set(node["properties"])
+
+
+def test_ideal_schema_names_the_cli_checks_in_order():
+    assert schema_for("ideal")["properties"]["check"]["enum"] == list(cli._CHECKS)
+
+
 # ---------------------------------------------------------------------------
 # golden pins: the exact stdout and exit code of every spec command
 

@@ -121,12 +121,32 @@ def test_matrix_encode_decode_round_trip():
 
 @pytest.mark.parametrize(
     "grid",
-    [[[2, 0], [0, 0]], [[-1, 0], [0, 0]], [[1, 1, 1], [0, 0, 0], [0, 0, 0]], [[1]]],
+    [
+        [[2, 0], [0, 0]],
+        [[-1, 0], [0, 0]],
+        [[1, 1, 1], [0, 0, 0], [0, 0, 0]],
+        [[1]],
+        [[1, 0, 0], [1]],
+        [[1], [0, 0, 0]],
+        [[1, 0], [1], [0]],
+    ],
 )
 def test_matrix_element_refuses_a_grid_outside_the_layout(grid):
-    # an entry outside Z_2 or a grid of the wrong size has no index in M_2(Z_2)
+    # an entry outside Z_2, a grid of the wrong size, or a ragged grid of four
+    # entries has no index in M_2(Z_2)
     with pytest.raises(ValueError, match="do not fit radices"):
         matrix_element(matrix_ring(zn(2), 2), grid)
+
+
+@pytest.mark.parametrize(
+    "ring, idx",
+    [(matrix_ring(zn(3), 2), 81), (matrix_ring(zn(2), 2), -1), (matrix_ring(zn(2), 2), 16)],
+)
+def test_decoding_refuses_an_index_outside_the_ring(ring, idx):
+    with pytest.raises(ValueError, match="out of range"):
+        matrix_entries(ring, idx)
+    with pytest.raises(ValueError, match="out of range"):
+        ring.describe(idx)
 
 
 # -- determinants and cofactors -------------------------------------------------------

@@ -14,6 +14,7 @@ from cleanrings.dsl import build, parse, pretty
 from cleanrings.laws import (
     LAW_FUNCTIONS,
     LAW_IDS,
+    RING_LAW_IDS,
     LawReport,
     reports_to_json,
     run_catalog,
@@ -21,7 +22,7 @@ from cleanrings.laws import (
     run_ring,
     summarize,
 )
-from cleanrings.localized import LocalizedIntegers, clean_flags
+from cleanrings.localized import LocalizedIntegers, clean_flags, ideal_is_clean_analytic
 
 REPORTS = run_catalog()
 BY_LAW: dict[str, list] = defaultdict(list)
@@ -195,6 +196,14 @@ def test_envelope_really_holds_400_ideals():
     assert sum(1 for _, i in pairs if i.is_zero) == 25
 
 
+def test_every_envelope_ideal_is_labelled_analytic():
+    # _method_for and envelope_ideals read the same bounds
+    from cleanrings.laws import envelope_ideals
+
+    for _, ideal in envelope_ideals():
+        assert ideal_is_clean_analytic(ideal).method == "analytic"
+
+
 def test_units_sanity_counts():
     report = _one("units-sanity", "19 unit-count identities")
     assert report.verdict == "pass"
@@ -321,3 +330,41 @@ def test_law_functions_are_module_attributes_that_report_their_own_id():
         reports = fn()
         assert isinstance(reports, list)
         assert {r.law_id for r in reports} == {law_id}
+
+
+def test_law_ids_are_pinned_in_declaration_order():
+    # The CLI prints both orders in its usage errors.
+    assert LAW_IDS == (
+        "proper-ideals",
+        "weakly-clean-implies-weakly-exchange",
+        "central-equivalence",
+        "reduced-rings",
+        "determinant-cofactor",
+        "matrix-ideal",
+        "product-ideal",
+        "uniqueness-forces-central",
+        "morita-ideal",
+        "tri3-ideal",
+        "tri3-converse",
+        "peirce-corners",
+        "series-ideal",
+        "idealization-ideal",
+        "radical-quotient",
+        "radical-sum",
+        "localized-agreement",
+        "units-sanity",
+    )
+    assert RING_LAW_IDS == (
+        "proper-ideals",
+        "weakly-clean-implies-weakly-exchange",
+        "central-equivalence",
+        "reduced-rings",
+        "uniqueness-forces-central",
+        "radical-quotient",
+    )
+
+
+def test_every_law_function_is_registered():
+    # A law_* function that is not declared as a law would never run.
+    declared = {name for name in vars(laws) if name.startswith("law_")}
+    assert declared == {fn.__name__ for _, fn in LAW_FUNCTIONS}
