@@ -17,7 +17,10 @@ as a function of the digit columns, and the digits of its one; addition is
 always componentwise. _digits and _index convert one element.
 
 Every constructor's output goes through the exhaustive validator, so an
-invalid bimodule or pairing cannot produce a live ring.
+invalid bimodule or pairing cannot produce a live ring. Bimodule and pairing
+laws go through core's row kernel, each law over all rows before the next;
+both sides of a bimodule are checked as left actions (the right side of the
+opposite ring), by the function that checks a ring as a module over itself.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import FiniteRing, SizeCapError, size_cap, _abelian_group_violations, _as_table
+from .core import FiniteRing, SizeCapError, size_cap, _abelian_group_violations, _action_breaks
+from .core import _as_table, _closure_break, _first_break, _int_table
 
 
 class BimoduleError(ValueError):
@@ -270,13 +274,10 @@ class Bimodule:
         self.right_action = _as_table(right_action, (order, right_ring.order), order, "right action")
         self.label = label or f"bimodule{order}"
         self._validate()
-        neg = (self.add_table == 0).argmax(axis=1).astype(np.int32)
-        neg.setflags(write=False)
-        self.neg_table = neg
 
     def _validate(self) -> None:
-        violations, neg = _abelian_group_violations(self.add_table)
-        if violations or neg is None:
+        violations, _ = _abelian_group_violations(self.add_table)
+        if violations:
             raise BimoduleError(f"carrier is not an abelian group: {violations[0].axiom}")
         idx = np.arange(self.order)
         L, R = self.left_ring, self.right_ring
@@ -285,32 +286,17 @@ class Bimodule:
             raise BimoduleError("left action is not unital")
         if not np.array_equal(ra[:, R.one], idx):
             raise BimoduleError("right action is not unital")
-        for r in range(L.order):
-            # (r r') m = r (r' m)
-            if not np.array_equal(la[L.mul_table[r, :], :], la[r, la]):
-                raise BimoduleError("left action is not associative over ring multiplication")
-            # (r + r') m = r m + r' m
-            lhs = la[L.add_table[r, :], :]
-            rhs = madd[np.tile(la[r], (L.order, 1)), la]
-            if not np.array_equal(lhs, rhs):
-                raise BimoduleError("left action is not additive in the ring argument")
-            # r (m + m') = r m + r m'
-            if not np.array_equal(la[r, madd], madd[np.ix_(la[r], la[r])]):
-                raise BimoduleError("left action is not additive in the module argument")
-        for s in range(R.order):
-            # m (s s') = (m s) s'
-            if not np.array_equal(ra[:, R.mul_table[s, :]], ra[ra[:, s], :]):
-                raise BimoduleError("right action is not associative over ring multiplication")
-            # m (s + s') = m s + m s'
-            if not np.array_equal(ra[:, R.add_table[s, :]], madd[np.tile(ra[:, s][:, None], (1, R.order)), ra]):
-                raise BimoduleError("right action is not additive in the ring argument")
-            # (m + m') s = m s + m' s
-            if not np.array_equal(ra[madd, s], madd[np.ix_(ra[:, s], ra[:, s])]):
-                raise BimoduleError("right action is not additive in the module argument")
+        laws = ("associative over ring multiplication",
+                "additive in the module argument", "additive in the ring argument")
+        # m s is the left action s m of the opposite ring, whose product is R's transposed
+        sides = {"left": (L.add_table, L.mul_table, la), "right": (R.add_table, R.mul_table.T, ra.T)}
+        for side, (ring_add, ring_mul, act) in sides.items():
+            for law, witness in zip(laws, _action_breaks(ring_add, ring_mul, act, madd)):
+                if witness is not None:
+                    raise BimoduleError(f"{side} action is not {law}")
         # (r m) s = r (m s)
-        for r in range(L.order):
-            if not np.array_equal(ra[la[r, :], :], la[r, ra]):
-                raise BimoduleError("left and right actions do not commute")
+        if _first_break(L.order, lambda r: ra[la[r, :], :], lambda r: la[r, ra]) is not None:
+            raise BimoduleError("left and right actions do not commute")
 
     def add(self, a: int, b: int) -> int:
         return int(self.add_table[a, b])
@@ -370,7 +356,7 @@ def zn_bimodule(left_ring: FiniteRing, right_ring: FiniteRing, m: int) -> Bimodu
 
 def module_from_action(ring: FiniteRing, add_table, action) -> Bimodule:
     """Symmetric bimodule over a commutative ring from a single action table."""
-    action = np.asarray(action, dtype=np.int64)
+    action = np.asarray(action)
     return Bimodule(ring, ring, add_table, action, action.T, label=f"{ring.label}-module")
 
 
@@ -384,9 +370,8 @@ class PairingMap:
     """
 
     def __init__(self, table, label: str = ""):
-        arr = np.asarray(table, dtype=np.int64).astype(np.int32)
-        arr.setflags(write=False)
-        self.table = arr
+        self.table = _int_table(table, "pairing")
+        self.table.setflags(write=False)
         self.label = label or "pairing"
 
     @staticmethod
@@ -405,26 +390,22 @@ def _validate_pairing(comp: PairingMap, m32: Bimodule, m21: Bimodule, m31: Bimod
         raise BimoduleError("pairing table shape does not match the bimodules")
     if t.size and (t.min() < 0 or t.max() >= m31.order):
         raise BimoduleError("pairing values out of range for the target bimodule")
-    a2 = m32.right_ring
-    a3 = m32.left_ring
-    a1 = m21.right_ring
-    for u in range(m32.order):
-        # biadditive in the second slot
-        if not np.array_equal(t[u, m21.add_table], m31.add_table[np.ix_(t[u], t[u])]):
-            raise BimoduleError("pairing is not additive in its second argument")
-    for v in range(m21.order):
-        if not np.array_equal(t[m32.add_table, v], m31.add_table[np.ix_(t[:, v], t[:, v])]):
-            raise BimoduleError("pairing is not additive in its first argument")
-    for r in range(a2.order):
-        # balance: comp(u * r, v) = comp(u, r * v)
-        if not np.array_equal(t[m32.right_action[:, r], :], t[:, m21.left_action[r, :]]):
-            raise BimoduleError("pairing is not balanced over the middle ring")
-    for r in range(a3.order):
-        if not np.array_equal(t[m32.left_action[r, :], :], m31.left_action[r, t]):
-            raise BimoduleError("pairing is not linear over the left outer ring")
-    for r in range(a1.order):
-        if not np.array_equal(t[:, m21.right_action[:, r]], m31.right_action[t, r]):
-            raise BimoduleError("pairing is not linear over the right outer ring")
+    add31 = m31.add_table
+    laws = (  # (law, rows, lhs(row), rhs(row))
+        ("additive in its second argument", m32.order,  # comp(u, v + v') = comp(u, v) + comp(u, v')
+         lambda u: t[u, m21.add_table], lambda u: add31[np.ix_(t[u], t[u])]),
+        ("additive in its first argument", m21.order,  # comp(u + u', v) = comp(u, v) + comp(u', v)
+         lambda v: t[m32.add_table, v], lambda v: add31[np.ix_(t[:, v], t[:, v])]),
+        ("balanced over the middle ring", m32.right_ring.order,  # comp(u r, v) = comp(u, r v)
+         lambda r: t[m32.right_action[:, r], :], lambda r: t[:, m21.left_action[r, :]]),
+        ("linear over the left outer ring", m32.left_ring.order,  # comp(r u, v) = r comp(u, v)
+         lambda r: t[m32.left_action[r, :], :], lambda r: m31.left_action[r, t]),
+        ("linear over the right outer ring", m21.right_ring.order,  # comp(u, v r) = comp(u, v) r
+         lambda r: t[:, m21.right_action[:, r]], lambda r: m31.right_action[t, r]),
+    )
+    for law, rows, lhs, rhs in laws:
+        if _first_break(rows, lhs, rhs) is not None:
+            raise BimoduleError(f"pairing is not {law}")
 
 
 # ---------------------------------------------------------------------------
@@ -596,19 +577,11 @@ def quotient(ring: FiniteRing, ideal, *, label: str | None = None, cap: int | No
     zero coset is index 0. Accepts an IdealSet or a plain member sequence;
     two-sidedness is verified here because well-definedness depends on it.
     """
-    members = tuple(ideal.members) if hasattr(ideal, "members") else tuple(int(x) for x in ideal)
-    m = np.array(sorted(set(members)), dtype=np.int32)
-    mask = np.zeros(ring.order, dtype=bool)
-    mask[m] = True
-    if not mask[0]:
-        raise ValueError("quotient requires an ideal containing 0")
-    ok = (
-        mask[ring.add_table[np.ix_(m, m)]].all()
-        and mask[ring.mul_table[:, m]].all()
-        and mask[ring.mul_table[m, :]].all()
-    )
-    if not ok:
-        raise ValueError("quotient requires a two-sided ideal")
+    members = sorted({int(x) for x in ideal})
+    gap = _closure_break(members, ring.add_table, ring.mul_table, ring.mul_table.T)
+    if gap is not None:
+        raise ValueError(f"quotient requires a two-sided ideal: {gap}")
+    m = np.array(members, dtype=np.int32)
 
     canon = ring.add_table[:, m].min(axis=1)
     reps = np.unique(canon)

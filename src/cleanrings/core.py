@@ -9,7 +9,10 @@ Validation is exhaustive: every axiom is checked over all element triples,
 which is O(n^3) and therefore guarded by a hard size cap (default 256,
 configurable per call or through the CLEANRINGS_SIZE_CAP environment
 variable). Oversized tables are rejected outright; axiom checks are never
-silently skipped.
+silently skipped. Table entries must be integers; floats, strings and
+integers beyond 64 bits are refused. Every table law is checked row by row
+through one kernel, _first_break, and a ring is checked as a left module over
+itself: its product is a left action, with the laws of a bimodule's sides.
 
 Rings are immutable value objects: tables are locked after construction and
 equality/hashing is structural (order, identity index, tables), ignoring the
@@ -52,7 +55,10 @@ def size_cap(override: int | None = None) -> int:
     if override is not None:
         return int(override)
     env = os.environ.get(SIZE_CAP_ENV)
-    return int(env) if env else DEFAULT_SIZE_CAP
+    try:
+        return int(env) if env else DEFAULT_SIZE_CAP
+    except ValueError:
+        raise ValueError(f"{SIZE_CAP_ENV} must be an integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)
@@ -73,11 +79,19 @@ class ValidationReport:
         return {v.axiom for v in self.violations}
 
 
-def _as_table(table, shape: tuple[int, ...], order: int, name: str) -> np.ndarray:
+def _int_table(table, name: str) -> np.ndarray:
+    """A copy of table as int64, refusing any entry that is not an integer."""
     try:
-        arr = np.asarray(table, dtype=np.int64)
-    except (TypeError, ValueError) as exc:
+        arr = np.array(table, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise TableFormatError(f"{name} table is not an integer table: {exc}") from None
+    if arr.size and np.asarray(table).dtype.kind not in "iu":
+        raise TableFormatError(f"{name} table is not an integer table: {np.asarray(table).dtype} entries")
+    return arr
+
+
+def _as_table(table, shape: tuple[int, ...], order: int, name: str) -> np.ndarray:
+    arr = _int_table(table, name)
     if arr.shape != shape:
         raise TableFormatError(f"{name} table has shape {arr.shape}, expected {shape}")
     if arr.size and (arr.min() < 0 or arr.max() >= order):
@@ -85,6 +99,15 @@ def _as_table(table, shape: tuple[int, ...], order: int, name: str) -> np.ndarra
     arr = arr.astype(np.int32)
     arr.setflags(write=False)
     return arr
+
+
+def _first_break(rows: int, lhs: Callable, rhs: Callable) -> tuple[int, ...] | None:
+    """The first (i, *position) with lhs(i) != rhs(i) at position, for i < rows, or None."""
+    for i in range(rows):
+        a, b = lhs(i), rhs(i)
+        if not np.array_equal(a, b):
+            return (i, *map(int, np.argwhere(a != b)[0]))
+    return None
 
 
 def _abelian_group_violations(add: np.ndarray) -> tuple[list[Violation], np.ndarray | None]:
@@ -111,14 +134,48 @@ def _abelian_group_violations(add: np.ndarray) -> tuple[list[Violation], np.ndar
     else:
         out.append(Violation("add-inverse", (int(np.flatnonzero(~has_inv)[0]),)))
 
-    for i in range(n):
-        lhs = add[add[i, :], :]
-        rhs = add[i, add]
-        if not np.array_equal(lhs, rhs):
-            j, k = map(int, np.argwhere(lhs != rhs)[0])
-            out.append(Violation("add-associative", (i, j, k)))
-            break
+    witness = _first_break(n, lambda i: add[add[i, :], :], lambda i: add[i, add])
+    if witness is not None:
+        out.append(Violation("add-associative", witness))
     return out, neg
+
+
+def _action_breaks(ring_add: np.ndarray, ring_mul: np.ndarray, act: np.ndarray, mod_add: np.ndarray):
+    """First witnesses, or None, of the three laws of a left action act[r, m] of
+    the ring (ring_add, ring_mul) on the group mod_add: (r r') m = r (r' m) as
+    (r, r', m); r (m + m') = r m + r m' as (r, m, m'); and (r + r') m = r m + r' m
+    as (r, r', m), scanning m first. For a ring acting on itself, (add, mul,
+    mul, add), they are mul-associativity and left and right distributivity.
+    A right action is a left action of the opposite ring: pass ring_mul.T, act.T.
+    """
+    rows = len(act)
+    ring_additive = _first_break(
+        act.shape[1], lambda m: act[ring_add, m], lambda m: mod_add[np.ix_(act[:, m], act[:, m])]
+    )
+    return (
+        _first_break(rows, lambda r: act[ring_mul[r, :], :], lambda r: act[r, act]),
+        _first_break(rows, lambda r: act[r, mod_add], lambda r: mod_add[np.ix_(act[r], act[r])]),
+        None if ring_additive is None else (*ring_additive[1:], ring_additive[0]),
+    )
+
+
+def _closure_break(members: Iterable[int], add: np.ndarray, *actions: np.ndarray) -> str | None:
+    """Why members (range-checked, never wrapped) are not a subgroup of add
+    closed under each action, act[r, x] for every member x; None when they are."""
+    n = len(add)
+    ms = sorted({int(x) for x in members})
+    if ms and (ms[0] < 0 or ms[-1] >= n):
+        return f"member {ms[0] if ms[0] < 0 else ms[-1]} lies outside 0..{n - 1}"
+    m = np.array(ms, dtype=np.int64)
+    mask = np.zeros(n, dtype=bool)
+    mask[m] = True
+    if not mask[0]:
+        return "0 is not a member"
+    if not mask[add[np.ix_(m, m)]].all():
+        return "members are not closed under addition"
+    if not all(mask[act[:, m]].all() for act in actions):
+        return "members are not closed under the action"
+    return None
 
 
 def validate_ring(
@@ -163,31 +220,11 @@ def validate_ring(
         bad = int(row_bad[0]) if row_bad.size else int(col_bad[0])
         violations.append(Violation("one-identity", (bad,)))
 
-    mul_assoc_done = dist_left_done = dist_right_done = False
-    for i in range(order):
-        if not mul_assoc_done:
-            lhs = mul[mul[i, :], :]
-            rhs = mul[i, mul]
-            if not np.array_equal(lhs, rhs):
-                j, k = map(int, np.argwhere(lhs != rhs)[0])
-                violations.append(Violation("mul-associative", (i, j, k)))
-                mul_assoc_done = True
-        if not dist_left_done:
-            lhs = mul[i, add]
-            rhs = add[np.ix_(mul[i, :], mul[i, :])]
-            if not np.array_equal(lhs, rhs):
-                j, k = map(int, np.argwhere(lhs != rhs)[0])
-                violations.append(Violation("left-distributive", (i, j, k)))
-                dist_left_done = True
-        if not dist_right_done:
-            lhs = mul[add, i]
-            rhs = add[np.ix_(mul[:, i], mul[:, i])]
-            if not np.array_equal(lhs, rhs):
-                j, k = map(int, np.argwhere(lhs != rhs)[0])
-                violations.append(Violation("right-distributive", (j, k, i)))
-                dist_right_done = True
-        if mul_assoc_done and dist_left_done and dist_right_done:
-            break
+    # the ring as a left module over itself
+    laws = ("mul-associative", "left-distributive", "right-distributive")
+    for axiom, witness in zip(laws, _action_breaks(add, mul, mul, add)):
+        if witness is not None:
+            violations.append(Violation(axiom, witness))
 
     return ValidationReport(
         ok=not violations,
@@ -387,13 +424,9 @@ class FiniteRing:
         for x in members:
             if x != 0 and self.is_idempotent(x):
                 raise RuntimeError(f"radical cross-check failed: nonzero idempotent {x} in J")
-        mask = np.zeros(self.order, dtype=bool)
-        mask[m] = True
-        if m.size:
-            if not mask[add[np.ix_(m, m)]].all():
-                raise RuntimeError("radical cross-check failed: J not additively closed")
-            if not (mask[mul[:, m]].all() and mask[mul[m, :]].all()):
-                raise RuntimeError("radical cross-check failed: J not a two-sided ideal")
+        gap = _closure_break(members, add, mul, mul.T)
+        if gap is not None:
+            raise RuntimeError(f"radical cross-check failed: J is not a two-sided ideal: {gap}")
 
     # -- value-object protocol ----------------------------------------------
 

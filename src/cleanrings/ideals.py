@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .constructions import _index
-from .core import FiniteRing, SizeCapError
+from .core import FiniteRing, SizeCapError, _closure_break
 
 DEFAULT_IDEAL_ENUM_CAP = 64
 
@@ -80,19 +80,7 @@ class IdealSet:
 
 def is_ideal(ring: FiniteRing, members: Iterable[int]) -> bool:
     """Exhaustive two-sided ideal check: 0 present, closed under + and R*x*R."""
-    ms = sorted(dict.fromkeys(int(m) for m in members))
-    if not ms or ms[0] < 0 or ms[-1] >= ring.order or 0 not in ms:
-        return False
-    m = np.array(ms, dtype=np.int32)
-    mask = np.zeros(ring.order, dtype=bool)
-    mask[m] = True
-    if not mask[ring.add_table[np.ix_(m, m)]].all():
-        return False
-    if not mask[ring.mul_table[:, m]].all():
-        return False
-    if not mask[ring.mul_table[m, :]].all():
-        return False
-    return True
+    return _closure_break(members, ring.add_table, ring.mul_table, ring.mul_table.T) is None
 
 
 def ideal_closure(ring: FiniteRing, generators: Sequence[int]) -> IdealSet:
@@ -289,18 +277,10 @@ def idealization_ideal(ambient: FiniteRing, ideal: IdealSet, submodule: Sequence
     """
     radices = _radices_of(ambient, "idealization")
     prov = ambient.provenance or {}
-    module_add = np.asarray(prov["module_add"], dtype=np.int32)
-    action = np.asarray(prov["module_action"], dtype=np.int32)
-    ns = sorted(dict.fromkeys(int(x) for x in submodule))
-    mask = np.zeros(radices[1], dtype=bool)
-    mask[ns] = True
-    arr = np.array(ns, dtype=np.int32)
-    if not mask[0]:
-        raise ValueError("submodule must contain 0")
-    if not mask[module_add[np.ix_(arr, arr)]].all():
-        raise ValueError("submodule is not additively closed")
-    if not mask[action[:, arr]].all():
-        raise ValueError("submodule is not closed under the module action")
+    ns = sorted({int(x) for x in submodule})
+    gap = _closure_break(ns, np.asarray(prov["module_add"]), np.asarray(prov["module_action"]))
+    if gap is not None:
+        raise ValueError(f"{ns} is not a submodule: {gap}")
     return _induced(ambient, [ideal.members, ns], radices)
 
 

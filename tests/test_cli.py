@@ -437,6 +437,25 @@ def test_spec_file_admits_table_modules_inline_does_not(tmp_path, capsys):
     assert payload["size"] >= 1
 
 
+def test_spec_file_table_entry_past_64_bits_exits_two(tmp_path, capsys):
+    path = tmp_path / "huge.spec"
+    path.write_text(
+        "(idealize (zn 2) (table (add (0 1) (1 99999999999999999999))"
+        " (left (0 0) (0 1)) (right (0 0) (0 1))))\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "units", "--spec-file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("cleanrings: error: module add table is not an integer table")
+
+
+def test_malformed_size_cap_environment_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("CLEANRINGS_SIZE_CAP", "abc")
+    code, out, err = run(capsys, "units", "(zn 6)")
+    assert (code, out) == (2, "")
+    assert err == "cleanrings: error: CLEANRINGS_SIZE_CAP must be an integer, got 'abc'\n"
+
+
 def test_spec_file_and_inline_spec_together_is_an_error(tmp_path, capsys):
     path = tmp_path / "ring.spec"
     path.write_text("(zn 6)\n", encoding="utf-8")

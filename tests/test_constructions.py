@@ -16,6 +16,7 @@ from cleanrings import (
     BimoduleError,
     PairingMap,
     RingValidationError,
+    TableFormatError,
     cofactor,
     corner_ring,
     det,
@@ -424,6 +425,25 @@ def test_quotient_rejects_non_ideals():
         quotient(ring, [0, 5])
     with pytest.raises(ValueError):
         quotient(ring, [4, 8])
+
+
+@pytest.mark.parametrize("members", [[0, 4, -4], [0, 4, 12]], ids=["negative", "past-the-end"])
+def test_quotient_refuses_members_outside_the_ring(members):
+    """An out-of-range member is refused, not wrapped into range or left to crash."""
+    with pytest.raises(ValueError, match="outside 0..7"):
+        quotient(zn(8), members)
+
+
+@pytest.mark.parametrize("table", [[[2**70]], [[0.5]], [["0"]]], ids=["2^70", "float", "string"])
+def test_pairing_tables_hold_integers(table):
+    with pytest.raises(TableFormatError, match="pairing table"):
+        PairingMap(table)
+
+
+def test_module_action_tables_hold_integers():
+    z2 = zn(2)
+    with pytest.raises(TableFormatError, match="left action table"):
+        module_from_action(z2, z2.add_table, [[0.0, 0.0], [0.0, 1.0]])
 
 
 def test_quotient_of_matrix_ring_by_radical():

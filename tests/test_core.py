@@ -4,6 +4,7 @@ under test)."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from cleanrings import (
     validate_ring,
     zn,
 )
+from cleanrings.core import size_cap
 
 
 # -- oracles ------------------------------------------------------------------
@@ -230,6 +232,25 @@ def test_json_round_trip():
     assert clone == ring
     assert clone.label == "Z_8"
     assert clone.provenance == {"kind": "zn", "n": 8}
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [0.9, 0.0, "0", 2**63, 2**70],
+    ids=["float", "integral-float", "string", "2^63", "2^70"],
+)
+def test_non_integer_and_oversized_table_entries_are_refused(entry):
+    """A table entry must be an integer: never truncated, parsed or overflowed."""
+    record = json.loads(zn(2).to_json())
+    record["add_table"][0][0] = entry
+    with pytest.raises(TableFormatError, match="add table"):
+        FiniteRing.from_json_dict(record)
+
+
+def test_size_cap_names_a_malformed_environment_value(monkeypatch):
+    monkeypatch.setenv("CLEANRINGS_SIZE_CAP", "abc")
+    with pytest.raises(ValueError, match="CLEANRINGS_SIZE_CAP.*'abc'"):
+        size_cap()
 
 
 # -- radical cross-checks ----------------------------------------------------------
