@@ -79,12 +79,21 @@ class ValidationReport:
         return {v.axiom for v in self.violations}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_table(table, name: str) -> np.ndarray:
     """A copy of table as int64, refusing any entry that is not an integer."""
     try:
         arr = np.array(table, dtype=np.int64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise TableFormatError(f"{name} table is not an integer table: {exc}") from None
+    # numpy reads a bool among Python integers as 0 or 1
+    if not isinstance(table, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(table, dtype=object).flat
+    ):
+        raise TableFormatError(f"{name} table is not an integer table: bool entries")
     if arr.size and np.asarray(table).dtype.kind not in "iu":
         raise TableFormatError(f"{name} table is not an integer table: {np.asarray(table).dtype} entries")
     return arr
@@ -193,7 +202,7 @@ def validate_ring(
     axiom failures are collected into the report, at least one witness per
     violated axiom. The one-element (trivial) ring is legal and flagged.
     """
-    if not isinstance(order, int) or order <= 0:
+    if not _is_int(order) or order <= 0:
         raise TableFormatError(f"order must be a positive integer, got {order!r}")
     limit = size_cap(cap)
     if order > limit:
@@ -201,7 +210,7 @@ def validate_ring(
             f"order {order} exceeds the exhaustive-validation cap {limit}; "
             f"raise the cap explicitly to accept the O(n^3) cost"
         )
-    if not isinstance(one, int) or not (0 <= one < order):
+    if not _is_int(one) or not (0 <= one < order):
         raise TableFormatError(f"one must be an element index in 0..{order - 1}")
     add = _as_table(add_table, (order, order), order, "add")
     mul = _as_table(mul_table, (order, order), order, "mul")
@@ -470,8 +479,8 @@ class FiniteRing:
     @staticmethod
     def from_json_dict(record: dict, *, cap: int | None = None) -> "FiniteRing":
         return FiniteRing(
-            int(record["order"]),
-            int(record["one"]),
+            record["order"],
+            record["one"],
             record["add_table"],
             record["mul_table"],
             record.get("neg_table"),

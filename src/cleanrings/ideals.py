@@ -1,16 +1,20 @@
 """Two-sided ideals of finite rings as explicit member sets.
 
 An ideal is represented by the sorted tuple of its member indices plus the
-generators it was closed from (when known). Closures use a worklist: each new
-element contributes its sums with the current members and its left and right
-multiples. In a finite additive group closure under addition already yields
-negatives and zero; that fact is asserted rather than assumed.
+generators it was closed from (when known). In a unital ring the ideal <g> is
+the additive span of R*g*R, so a closure gathers every r*g*s in one table
+lookup per generator and then takes the additive subgroup those products
+generate, adding each round's new members to all members until no new sum
+appears. In a finite additive group closure under addition already yields
+negatives and zero; that fact is asserted rather than assumed, and so is the
+two-sided ideal property of every result.
 
-all_ideals enumerates the full ideal lattice by closing the set of principal
-ideals under pairwise ideal sums until a fixpoint. Every ideal of a finite
-ring is a finite sum of principal ideals, so the enumeration is complete.
-It refuses rings above a configurable cap (default 64); callers are expected
-to fall back to principal ideals only.
+principal_ideals closes one element of each two-sided unit orbit U*x*U only,
+since <u*x*v> = <x>. all_ideals enumerates the full ideal lattice by closing
+the set of principal ideals under pairwise ideal sums until a fixpoint. Every
+ideal of a finite ring is a finite sum of principal ideals, so the
+enumeration is complete. It refuses rings above a configurable cap (default
+64); callers are expected to fall back to principal ideals only.
 """
 
 from __future__ import annotations
@@ -84,29 +88,26 @@ def is_ideal(ring: FiniteRing, members: Iterable[int]) -> bool:
 
 
 def ideal_closure(ring: FiniteRing, generators: Sequence[int]) -> IdealSet:
-    """Smallest two-sided ideal containing the generators (worklist closure)."""
+    """Smallest two-sided ideal containing the generators: the additive span
+    of R*g*R over the generators g."""
     gens = tuple(dict.fromkeys(int(g) for g in generators))
     for g in gens:
         if not (0 <= g < ring.order):
             raise ValueError(f"generator {g} out of range for order {ring.order}")
     add, mul = ring.add_table, ring.mul_table
-    members: set[int] = {0}
-    pending: list[int] = list(gens)
-    while pending:
-        x = pending.pop()
-        if x in members:
-            continue
-        members.add(x)
-        current = np.fromiter(members, dtype=np.int32)
-        fresh = set(map(int, add[x, current]))
-        fresh.update(map(int, mul[x, :]))
-        fresh.update(map(int, mul[:, x]))
-        pending.extend(c for c in fresh if c not in members)
+    mask = np.zeros(ring.order, dtype=bool)
+    mask[0] = True
+    mask[mul[mul[:, np.array(gens, dtype=np.intp)], :]] = True
+    frontier = np.flatnonzero(mask)
+    while frontier.size:
+        sums = add[np.ix_(np.flatnonzero(mask), frontier)]
+        frontier = np.unique(sums[~mask[sums]])
+        mask[frontier] = True
+    members = np.flatnonzero(mask)
     # negation closure is implied in a finite additive group; assert anyway
-    for x in members:
-        if ring.neg(x) not in members:
-            raise RuntimeError("closure invariant failed: not closed under negation")
-    result = IdealSet(ring, tuple(members), generators=gens)
+    if not mask[ring.neg_table[members]].all():
+        raise RuntimeError("closure invariant failed: not closed under negation")
+    result = IdealSet(ring, tuple(members.tolist()), generators=gens)
     if not is_ideal(ring, result.members):
         raise RuntimeError("closure invariant failed: result is not an ideal")
     return result
@@ -151,9 +152,20 @@ def ideal_intersection(a: IdealSet, b: IdealSet) -> IdealSet:
 
 
 def principal_ideals(ring: FiniteRing) -> list[IdealSet]:
-    """Deduplicated closures <x> for every element x, sorted by (size, members)."""
+    """Deduplicated closures <x> for every element x, sorted by (size, members).
+
+    Elements are visited in index order and every x in the two-sided unit
+    orbit U*x'*U of an earlier x' is skipped, because <u*x'*v> = <x'>. So the
+    generator recorded for each ideal is the least x with that closure.
+    """
+    mul = ring.mul_table
+    units = np.flatnonzero(ring.units_mask)
+    covered = np.zeros(ring.order, dtype=bool)
     seen: dict[tuple[int, ...], IdealSet] = {}
     for x in ring.elements:
+        if covered[x]:
+            continue
+        covered[mul[np.ix_(mul[units, x], units)]] = True
         ideal = ideal_closure(ring, (x,))
         seen.setdefault(ideal.members, ideal)
     return sorted(seen.values(), key=lambda i: (len(i.members), i.members))

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -679,3 +681,100 @@ def test_fuzzed_specs_end_in_a_verdict_or_a_diagnostic(spec):
             code = main([command, spec])
         assert code in (0, 1, 2), (command, spec, err.getvalue())
         assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the flags of `ideal` and `analyze` on finite rings; where the ring
+# has a model in perfbench/checks.py, which shares no code with cleanrings,
+# the verdict and its witnesses are checked against that model
+
+
+def _load_bench_checks():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench = _load_bench_checks()
+
+# (spec text, the independent model of that ring or None)
+_FLAG_RINGS = st.one_of(
+    st.integers(1, 12).map(lambda n: (f"(zn {n})", bench.ZMod(n))),
+    st.lists(st.integers(1, 4), min_size=2, max_size=3).map(
+        lambda ms: ("(product " + " ".join(f"(zn {m})" for m in ms) + ")", bench.Product(ms))
+    ),
+    st.integers(1, 3).map(lambda m: (f"(matrix 2 (zn {m}))", bench.Matrix2(m))),
+    st.builds(lambda m, k: (f"(series (zn {m}) {k})", bench.Series(m, k)), st.integers(1, 4), st.integers(1, 3)),
+    st.sampled_from(
+        [
+            "(tri2 (zn 2) (zn 2) regular)",
+            "(quotient (zn 12) (ideal 4))",
+            "(morita (zn 2) (zn 2) regular regular)",
+            "(idealize (zn 4) regular)",
+            "(corner (matrix 2 (zn 2)) 8)",
+        ]
+    ).map(lambda text: (text, None)),
+)
+
+
+def _flag_element(order):
+    """(text, index or None when the text names no element of the ring),
+    three times in four an element."""
+    valid = st.integers(0, order - 1).map(lambda i: (str(i), i))
+    return st.one_of(
+        valid,
+        valid,
+        valid,
+        st.sampled_from([str(order), str(order + 7), "-1", "x", "1.5", "1/2", ""]).map(lambda t: (t, None)),
+    )
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue(), argv
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(_FLAG_RINGS, st.data())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_ideal_flags_end_in_a_verdict_or_a_diagnostic(ring, data):
+    text, model = ring
+    order = build(parse(text)).order
+    gens = data.draw(st.none() | st.lists(_flag_element(order), min_size=1, max_size=3))
+    check = data.draw(st.sampled_from(sorted(cli._CHECKS)))
+    as_json = data.draw(st.booleans())
+    bound = data.draw(st.sampled_from([None, None, "3", "0", "x"]))
+    argv = ["ideal", text, "--check", check]
+    argv += [] if gens is None else ["--gens", *(g for g, _ in gens)]
+    argv += ["--json"] if as_json else []
+    argv += [] if bound is None else ["--bound", bound]
+    _run_main(argv)
+    if model is not None and all(i is not None for _, i in gens or ()):
+        # every finite ring is clean, so the verdict is yes with a witness per member
+        argv = ["ideal", text, "--check", "weakly-clean", "--json"]
+        argv += [] if gens is None else ["--gens", *(g for g, _ in gens)]
+        members = set(range(order)) if gens is None else bench.ideal_of(model, [i for _, i in gens])
+        assert bench.check_finite_ideal(model, members, *_run_main(argv)) == [], argv
+
+
+@given(_FLAG_RINGS, st.data())
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_analyze_flags_end_in_a_verdict_or_a_diagnostic(ring, data):
+    text, model = ring
+    element, x = data.draw(_flag_element(build(parse(text)).order))
+    code, out, err = _run_main(["analyze", text, "--element", element, "--json"])
+    if x is None:
+        assert code == 2
+    elif model is not None:
+        payload = json.loads(out)
+        assert (code, payload["ok"]) == (0, True)
+        for d in payload["verdict"]["decompositions"]:
+            assert bench.check_decomposition(model, {**d, "element": x}) == [], (text, x, d)

@@ -247,6 +247,30 @@ def test_non_integer_and_oversized_table_entries_are_refused(entry):
         FiniteRing.from_json_dict(record)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("one", 1.7), ("one", 1.0), ("one", True), ("one", "1"), ("order", "2"), ("order", 2.0), ("order", True)],
+    ids=["one-float", "one-integral-float", "one-bool", "one-string", "order-string", "order-float", "order-bool"],
+)
+def test_non_integer_order_and_identity_are_refused(key, value):
+    """order and one must be JSON integers: never truncated, parsed or read from a bool."""
+    record = json.loads(zn(2).to_json())
+    record[key] = value
+    with pytest.raises(TableFormatError, match=key):
+        FiniteRing.from_json_dict(record)
+
+
+@pytest.mark.parametrize("table", ["add_table", "mul_table"])
+@pytest.mark.parametrize("entry", [False, True, np.False_], ids=["false", "true", "numpy-false"])
+def test_bool_table_entries_are_refused(table, entry):
+    """A bool among integer entries is not read as 0 or 1."""
+    record = json.loads(zn(2).to_json())
+    row = 0 if table == "add_table" else 1
+    record[table][row][0] = entry  # the entry there is 0 in add and mul
+    with pytest.raises(TableFormatError, match=table.split("_")[0] + " table"):
+        FiniteRing.from_json_dict(record)
+
+
 def test_size_cap_names_a_malformed_environment_value(monkeypatch):
     monkeypatch.setenv("CLEANRINGS_SIZE_CAP", "abc")
     with pytest.raises(ValueError, match="CLEANRINGS_SIZE_CAP.*'abc'"):

@@ -1,13 +1,15 @@
 """Ideal enumeration and induced ideals, checked against divisor-lattice
-oracles for Z_n and tuple-membership oracles for block constructions."""
+oracles for Z_n, tuple-membership oracles for block constructions, and a
+worklist closure that follows the definition of a two-sided ideal."""
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cleanrings import (
     IdealSet,
@@ -35,6 +37,8 @@ from cleanrings import (
     zn,
     zn_bimodule,
 )
+from cleanrings.catalog import build_catalog
+from cleanrings.dsl import SpecError, build, parse, size_estimate
 from cleanrings.ideals import (
     idealization_ideal,
     matrix_ideal,
@@ -51,6 +55,34 @@ def zn_ideal_members_oracle(n: int, d: int) -> tuple[int, ...]:
     """Members of the ideal generated by d in Z_n: multiples of gcd(d, n)."""
     g = math.gcd(d, n) or n
     return tuple(range(0, n, g)) if g else (0,)
+
+
+def worklist_closure(ring, generators) -> tuple[int, ...]:
+    """Members of the ideal generated by generators, by definition: each new
+    element contributes its sums with the current members and its left and
+    right multiples, until nothing new appears."""
+    add, mul = ring.add_table, ring.mul_table
+    members: set[int] = {0}
+    pending: list[int] = [int(g) for g in generators]
+    while pending:
+        x = pending.pop()
+        if x in members:
+            continue
+        members.add(x)
+        current = np.fromiter(members, dtype=np.int32)
+        fresh = set(map(int, add[x, current]))
+        fresh.update(map(int, mul[x, :]))
+        fresh.update(map(int, mul[:, x]))
+        pending.extend(c for c in fresh if c not in members)
+    return tuple(sorted(members))
+
+
+def worklist_principal_ideals(ring) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(members, generators) of every <x>, the first x kept, sorted by (size, members)."""
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for x in ring.elements:
+        seen.setdefault(worklist_closure(ring, (x,)), (x,))
+    return sorted(seen.items(), key=lambda item: (len(item[0]), item[0]))
 
 
 # -- basic predicates -----------------------------------------------------------
@@ -275,3 +307,69 @@ def test_closure_contains_generators_and_is_minimal(n, gens):
     for x in gens:
         g = math.gcd(g, x)
     assert ideal.members == zn_ideal_members_oracle(n, g % n if n else 0)
+
+
+# -- the span closure against the worklist oracle ----------------------------------------
+
+CATALOG_RINGS = [entry.ring for entry in build_catalog()]
+
+
+@pytest.mark.parametrize("ring", CATALOG_RINGS, ids=lambda ring: ring.label)
+def test_closure_and_principal_ideals_match_the_worklist_on_the_catalog(ring):
+    for x in ring.elements:
+        assert ideal_closure(ring, (x,)).members == worklist_closure(ring, (x,))
+    got = [(ideal.members, ideal.generators) for ideal in principal_ideals(ring)]
+    assert got == worklist_principal_ideals(ring)
+
+
+_SMALL_RING_TEXT = st.recursive(
+    st.integers(1, 4).map("(zn {})".format),
+    lambda ring: st.one_of(
+        st.lists(ring, min_size=1, max_size=3).map(lambda rings: f"(product {' '.join(rings)})"),
+        ring.map("(matrix 2 {})".format),
+        ring.map("(tri2 {0} {0} regular)".format),
+        st.builds("(series {} {})".format, ring, st.integers(1, 3)),
+        st.builds("(quotient {} (ideal {}))".format, ring, st.integers(0, 3)),
+    ),
+    max_leaves=3,
+)
+
+
+@st.composite
+def _small_composite(draw):
+    try:
+        spec = parse(draw(_SMALL_RING_TEXT))
+        assume(size_estimate(spec) <= 64)
+        return build(spec)
+    except (SpecError, ValueError):
+        assume(False)
+
+
+@given(_small_composite(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_closure_matches_the_worklist_on_composites(ring, data):
+    elements = st.integers(0, ring.order - 1)
+    gens = data.draw(st.lists(elements, max_size=3))
+    assert ideal_closure(ring, gens).members == worklist_closure(ring, gens)
+    got = [(ideal.members, ideal.generators) for ideal in principal_ideals(ring)]
+    assert got == worklist_principal_ideals(ring)
+
+
+NEAR_CAP = {
+    "(matrix 2 (zn 4))": 3,
+    "(series (zn 4) 4)": 16,
+    "(zn 256)": 9,
+    "(product (zn 4) (zn 4) (zn 16))": 45,
+}
+
+
+@pytest.mark.parametrize("spec", list(NEAR_CAP))
+def test_near_cap_principal_ideals_are_pinned_and_match_the_worklist(spec):
+    ring = build(parse(spec))
+    ideals = principal_ideals(ring)
+    assert len(ideals) == NEAR_CAP[spec]
+    for x in random.Random(spec).sample(ring.elements, 4):
+        assert ideal_closure(ring, (x,)).members == worklist_closure(ring, (x,))
+    # every ideal is the closure of the generator recorded for it
+    for ideal in ideals:
+        assert worklist_closure(ring, ideal.generators) == ideal.members
