@@ -58,7 +58,8 @@ def medians(runs: list[dict]) -> dict:
         for workload in sorted({r["workload"] for r in runs if r["side"] == side}):
             mine = [r["result"] for r in runs if (r["side"], r["workload"]) == (side, workload)]
             metrics = {
-                name: statistics.median(m["metrics"][name] for m in mine) for name in mine[0]["metrics"]
+                name: {"value": statistics.median(m["metrics"][name]["value"] for m in mine), "unit": unit["unit"]}
+                for name, unit in mine[0]["metrics"].items()
             }
             out.setdefault(side, {})[workload] = {
                 "runs": len(mine),
