@@ -97,7 +97,8 @@ def ideal_closure(ring: FiniteRing, generators: Sequence[int]) -> IdealSet:
     add, mul = ring.add_table, ring.mul_table
     mask = np.zeros(ring.order, dtype=bool)
     mask[0] = True
-    mask[mul[mul[:, np.array(gens, dtype=np.intp)], :]] = True
+    for g in gens:
+        mask[mul[mul[:, g], :]] = True
     frontier = np.flatnonzero(mask)
     while frontier.size:
         sums = add[np.ix_(np.flatnonzero(mask), frontier)]

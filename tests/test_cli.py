@@ -770,11 +770,11 @@ def test_fuzzed_ideal_flags_end_in_a_verdict_or_a_diagnostic(ring, data):
 def test_fuzzed_analyze_flags_end_in_a_verdict_or_a_diagnostic(ring, data):
     text, model = ring
     element, x = data.draw(_flag_element(build(parse(text)).order))
-    code, out, err = _run_main(["analyze", text, "--element", element, "--json"])
+    as_json = data.draw(st.booleans())
+    code, out, err = _run_main(["analyze", text, "--element", element, *(["--json"] if as_json else [])])
     if x is None:
         assert code == 2
     elif model is not None:
-        payload = json.loads(out)
-        assert (code, payload["ok"]) == (0, True)
-        for d in payload["verdict"]["decompositions"]:
+        assert code == 0  # every element of a finite ring is clean
+        for d in json.loads(out)["verdict"]["decompositions"] if as_json else ():
             assert bench.check_decomposition(model, {**d, "element": x}) == [], (text, x, d)
