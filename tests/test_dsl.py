@@ -86,9 +86,12 @@ def _modules():
 
 
 def _tri2(spec):
-    # the regular module demands equal neighbours, so draw it separately
+    # the regular module demands equal neighbours, so draw it separately; its
+    # one operand is printed twice, so k nested draws would give text of 2^k
+    # operands: each operand is kept to at most 200 characters
     with_named = st.builds(Tri2Spec, spec, spec, _modules())
-    with_regular = st.builds(lambda r: Tri2Spec(r, r, ModuleRef("regular")), spec)
+    small = spec.filter(lambda r: len(pretty(r)) <= 200)
+    with_regular = st.builds(lambda r: Tri2Spec(r, r, ModuleRef("regular")), small)
     return st.one_of(with_named, with_regular)
 
 
