@@ -1,14 +1,13 @@
 """Record perfbench runs in a checked-in file, BENCH_<tag>.json.
 
     python3 tools/bench_record.py --tag NAME --seeds 1 2 3
-                                  [--workloads catalog near-cap localized]
-                                  [--seconds S] [--parent DIR]
+                                  [--workloads W ...] [--seconds S] [--parent DIR]
 
 Run from the root of a cleanrings checkout. For every workload and seed it
 runs `perfbench/run.py --trace 0` in this checkout and, with --parent, in
 the checkout at DIR as well, alternating which of the two goes first from
 one seed to the next so that slow phases of the machine fall on both sides.
-S defaults to BENCHMARK.json's run_seconds. The file holds every result
+The workloads W and the run length S default to BENCHMARK.json's. The file holds every result
 line with its side, workload and seed; the median of each end-to-end metric
 per side and workload; and the Python and numpy versions, CPU count, date
 and git revision of each side. Uses the standard library only.
@@ -26,9 +25,6 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-
-WORKLOADS = ("catalog", "near-cap", "localized")
-
 
 def revision(root: Path) -> dict:
     """The checkout's git commit and whether its tree differs from it."""
@@ -71,16 +67,17 @@ def medians(runs: list[dict]) -> dict:
 
 
 def main(argv=None) -> int:
+    root = Path.cwd().resolve()
+    benchmark = json.loads((root / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in benchmark["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tag", required=True, help="the file is BENCH_<tag>.json")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
+    parser.add_argument("--workloads", nargs="+", choices=workloads, default=workloads)
+    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
     parser.add_argument("--parent", type=Path, help="a checkout of the parent commit to run in turn")
     args = parser.parse_args(argv)
 
-    root = Path.cwd().resolve()
-    seconds = args.seconds or json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
     sides = {"change": root}
     if args.parent is not None:
         sides["parent"] = args.parent.resolve()
@@ -89,7 +86,7 @@ def main(argv=None) -> int:
         for i, seed in enumerate(args.seeds):
             order = list(sides) if i % 2 else list(sides)[::-1]
             for side in order:
-                result = run_once(sides[side], workload, seed, seconds)
+                result = run_once(sides[side], workload, seed, args.seconds)
                 runs.append({"side": side, "workload": workload, "seed": seed, "result": result})
                 print(json.dumps(runs[-1]), file=sys.stderr)
 
@@ -99,7 +96,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": importlib.metadata.version("numpy"),
         "cpus": os.cpu_count(),
-        "seconds": seconds,
+        "seconds": args.seconds,
         "revisions": {side: revision(path) for side, path in sides.items()},
         "runs": runs,
         "medians": medians(runs),
