@@ -86,17 +86,19 @@ def _is_int(value) -> bool:
 def _int_table(table, name: str) -> np.ndarray:
     """A copy of table as int64, refusing any entry that is not an integer."""
     try:
-        arr = np.array(table, dtype=np.int64)
+        if isinstance(table, np.ndarray):
+            entries = table
+            bad = table.dtype if table.size and table.dtype.kind not in "iu" else None
+        else:
+            # entry by entry: numpy would cast a bool or a float among integers
+            entries = np.array(table, dtype=object)
+            bad = next((type(v).__name__ for v in entries.flat
+                        if not (_is_int(v) or isinstance(v, np.integer))), None)
+        if bad is None:
+            return entries.astype(np.int64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise TableFormatError(f"{name} table is not an integer table: {exc}") from None
-    # numpy reads a bool among Python integers as 0 or 1
-    if not isinstance(table, np.ndarray) and any(
-        isinstance(v, (bool, np.bool_)) for v in np.asarray(table, dtype=object).flat
-    ):
-        raise TableFormatError(f"{name} table is not an integer table: bool entries")
-    if arr.size and np.asarray(table).dtype.kind not in "iu":
-        raise TableFormatError(f"{name} table is not an integer table: {np.asarray(table).dtype} entries")
-    return arr
+    raise TableFormatError(f"{name} table is not an integer table: {bad} entries")
 
 
 def _as_table(table, shape: tuple[int, ...], order: int, name: str) -> np.ndarray:

@@ -85,40 +85,48 @@ def _modules():
     )
 
 
-def _tri2(spec):
-    # the regular module demands equal neighbours, so draw it separately; its
-    # one operand is printed twice, so k nested draws would give text of 2^k
-    # operands: each operand is kept to at most 200 characters
+def _tri2(spec, regular_depth):
+    # the regular module demands equal neighbours, so draw it separately; it
+    # prints its one operand twice, so k nested regular forms would give text
+    # of 2^k operands: their nesting is bounded, their operands are not
     with_named = st.builds(Tri2Spec, spec, spec, _modules())
-    small = spec.filter(lambda r: len(pretty(r)) <= 200)
-    with_regular = st.builds(lambda r: Tri2Spec(r, r, ModuleRef("regular")), small)
+    if regular_depth == 0:
+        return with_named
+    operand = _finite_specs(regular_depth - 1)
+    with_regular = st.builds(lambda r: Tri2Spec(r, r, ModuleRef("regular")), operand)
     return st.one_of(with_named, with_regular)
 
 
-FINITE_SPECS = st.deferred(
-    lambda: st.one_of(
-        st.builds(ZnSpec, st.integers(1, 9)),
-        st.builds(MatrixSpec, st.integers(1, 2), st.builds(ZnSpec, st.integers(1, 4))),
-        st.builds(
-            ProductSpec,
-            st.lists(FINITE_SPECS, min_size=1, max_size=3).map(tuple),
-        ),
-        st.builds(SeriesSpec, st.builds(ZnSpec, st.integers(1, 6)), st.integers(1, 3)),
-        st.builds(
-            QuotientSpec,
-            FINITE_SPECS,
-            st.one_of(
-                st.just(IdealRef(None)),
-                st.builds(
-                    IdealRef,
-                    st.lists(st.integers(0, 8), min_size=1, max_size=2).map(tuple),
+def _finite_specs(regular_depth):
+    """Finite specs with regular tri2 forms nested at most regular_depth deep."""
+    specs = st.deferred(
+        lambda: st.one_of(
+            st.builds(ZnSpec, st.integers(1, 9)),
+            st.builds(MatrixSpec, st.integers(1, 2), st.builds(ZnSpec, st.integers(1, 4))),
+            st.builds(
+                ProductSpec,
+                st.lists(specs, min_size=1, max_size=3).map(tuple),
+            ),
+            st.builds(SeriesSpec, st.builds(ZnSpec, st.integers(1, 6)), st.integers(1, 3)),
+            st.builds(
+                QuotientSpec,
+                specs,
+                st.one_of(
+                    st.just(IdealRef(None)),
+                    st.builds(
+                        IdealRef,
+                        st.lists(st.integers(0, 8), min_size=1, max_size=2).map(tuple),
+                    ),
                 ),
             ),
-        ),
-        _tri2(FINITE_SPECS),
-        st.builds(CornerSpec, FINITE_SPECS, st.integers(0, 8)),
+            _tri2(specs, regular_depth),
+            st.builds(CornerSpec, specs, st.integers(0, 8)),
+        )
     )
-)
+    return specs
+
+
+FINITE_SPECS = _finite_specs(3)
 
 TOP_SPECS = st.one_of(
     FINITE_SPECS,

@@ -1,16 +1,19 @@
 """Record perfbench runs in a checked-in file, BENCH_<tag>.json.
 
-    python3 tools/bench_record.py --tag NAME --seeds 1 2 3
-                                  [--workloads W ...] [--seconds S] [--parent DIR]
+    python3 tools/bench_record.py --tag NAME --parent DIR --seeds 1 2 ... 10
+                                  [--workloads W ...]
 
 Run from the root of a cleanrings checkout. For every workload and seed it
-runs `perfbench/run.py --trace 0` in this checkout and, with --parent, in
-the checkout at DIR as well, alternating which of the two goes first from
-one seed to the next so that slow phases of the machine fall on both sides.
-The workloads W and the run length S default to BENCHMARK.json's. The file holds every result
-line with its side, workload and seed; the median of each end-to-end metric
-per side and workload; and the Python and numpy versions, CPU count, date
-and git revision of each side. Uses the standard library only.
+runs `perfbench/run.py --trace 0` in this checkout and in the checkout of
+the parent commit at DIR, alternating which of the two goes first from one
+seed to the next so that slow phases of the machine fall on both sides. The
+run length is BENCHMARK.json's `run_seconds`; the workloads W default to
+BENCHMARK.json's. The file holds every result line with its side, workload
+and seed; the median of each end-to-end metric per side and workload; per
+workload and metric, the parent's spread between quartiles and the number
+of seeds on which the change did better; and the Python and numpy versions,
+CPU count, date and git revision of each side. Uses the standard library
+only.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
 
 def revision(root: Path) -> dict:
     """The checkout's git commit and whether its tree differs from it."""
@@ -66,6 +70,26 @@ def medians(runs: list[dict]) -> dict:
     return out
 
 
+def pairs(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per workload and end-to-end metric: the parent's quartile spread and
+    on how many seeds the change did better than the parent."""
+    out: dict = {}
+    for workload in sorted({r["workload"] for r in runs}):
+        by_seed: dict = {}
+        for r in runs:
+            if r["workload"] == workload:
+                by_seed.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
+        for metric in end_to_end:
+            name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+            values = [(s["parent"][name]["value"], s["change"][name]["value"]) for s in by_seed.values()]
+            q1, _, q3 = statistics.quantiles([p for p, _ in values], n=4)
+            out.setdefault(workload, {})[name] = {
+                "parent_iqr": q3 - q1,
+                "change_better": f"{sum(sign * (c - p) < 0 for p, c in values)}/{len(values)}",
+            }
+    return out
+
+
 def main(argv=None) -> int:
     root = Path.cwd().resolve()
     benchmark = json.loads((root / "BENCHMARK.json").read_text())
@@ -74,19 +98,17 @@ def main(argv=None) -> int:
     parser.add_argument("--tag", required=True, help="the file is BENCH_<tag>.json")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--workloads", nargs="+", choices=workloads, default=workloads)
-    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
-    parser.add_argument("--parent", type=Path, help="a checkout of the parent commit to run in turn")
+    parser.add_argument("--parent", type=Path, required=True, help="a checkout of the parent commit")
     args = parser.parse_args(argv)
 
-    sides = {"change": root}
-    if args.parent is not None:
-        sides["parent"] = args.parent.resolve()
+    seconds = benchmark["run_seconds"]
+    sides = {"change": root, "parent": args.parent.resolve()}
     runs = []
     for workload in args.workloads:
         for i, seed in enumerate(args.seeds):
             order = list(sides) if i % 2 else list(sides)[::-1]
             for side in order:
-                result = run_once(sides[side], workload, seed, args.seconds)
+                result = run_once(sides[side], workload, seed, seconds)
                 runs.append({"side": side, "workload": workload, "seed": seed, "result": result})
                 print(json.dumps(runs[-1]), file=sys.stderr)
 
@@ -96,10 +118,11 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": importlib.metadata.version("numpy"),
         "cpus": os.cpu_count(),
-        "seconds": args.seconds,
+        "seconds": seconds,
         "revisions": {side: revision(path) for side, path in sides.items()},
         "runs": runs,
         "medians": medians(runs),
+        "pairs": pairs(runs, benchmark["end_to_end"]),
     }
     (root / f"BENCH_{args.tag}.json").write_text(json.dumps(record, indent=1) + "\n")
     return 0
