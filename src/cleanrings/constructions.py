@@ -16,11 +16,15 @@ Every composite construction goes through _composite: it supplies its parts
 as a function of the digit columns, and the digits of its one; addition is
 always componentwise. _digits and _index convert one element.
 
-Every constructor's output goes through the exhaustive validator, so an
-invalid bimodule or pairing cannot produce a live ring. Bimodule and pairing
-laws go through core's row kernel, each law over all rows before the next;
-both sides of a bimodule are checked as left actions (the right side of the
-opposite ring), by the function that checks a ring as a module over itself.
+Every constructor's output goes through the ring validator, so an invalid
+bimodule or pairing cannot produce a live ring. Bimodule and pairing laws go
+through core's law kernel: additivity is checked against one argument's
+additive generators, and the laws that are tri-additive once the maps are
+bi-additive (associativity, commuting actions, balance, linearity) on
+generator triples; tables that fail are scanned exhaustively, each law over
+all rows before the next, to name the first law broken. Both sides of a
+bimodule are checked as left actions (the right side of the opposite ring),
+by the function that checks a ring as a module over itself.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import FiniteRing, SizeCapError, size_cap, _abelian_group_violations, _action_breaks
-from .core import _as_table, _closure_break, _first_break, _int_table
+from .core import _as_table, _closure_break, _int_table, _law_breaks
 
 
 class BimoduleError(ValueError):
@@ -252,7 +256,8 @@ class Bimodule:
     carrier elements are indices 0..order-1 with 0 the zero element;
     left_action has shape (|L|, order), right_action (order, |R|). Validation
     checks the abelian carrier, unital associative additive actions on both
-    sides, and that the actions commute.
+    sides, and that the actions commute; additive_generators is then a greedy
+    additive generating set of the carrier.
     """
 
     def __init__(
@@ -276,9 +281,10 @@ class Bimodule:
         self._validate()
 
     def _validate(self) -> None:
-        violations, _ = _abelian_group_violations(self.add_table)
+        violations, _, gens = _abelian_group_violations(self.add_table)
         if violations:
             raise BimoduleError(f"carrier is not an abelian group: {violations[0].axiom}")
+        self.additive_generators = gens
         idx = np.arange(self.order)
         L, R = self.left_ring, self.right_ring
         la, ra, madd = self.left_action, self.right_action, self.add_table
@@ -289,13 +295,16 @@ class Bimodule:
         laws = ("associative over ring multiplication",
                 "additive in the module argument", "additive in the ring argument")
         # m s is the left action s m of the opposite ring, whose product is R's transposed
-        sides = {"left": (L.add_table, L.mul_table, la), "right": (R.add_table, R.mul_table.T, ra.T)}
-        for side, (ring_add, ring_mul, act) in sides.items():
-            for law, witness in zip(laws, _action_breaks(ring_add, ring_mul, act, madd)):
+        sides = {"left": (L, L.mul_table, la), "right": (R, R.mul_table.T, ra.T)}
+        for side, (ring, ring_mul, act) in sides.items():
+            breaks = _action_breaks(ring.add_table, ring_mul, act, madd, (ring.additive_generators, gens))
+            for law, witness in zip(laws, breaks):
                 if witness is not None:
                     raise BimoduleError(f"{side} action is not {law}")
-        # (r m) s = r (m s)
-        if _first_break(L.order, lambda r: ra[la[r, :], :], lambda r: la[r, ra]) is not None:
+        # (r m) s = r (m s), tri-additive now that both actions are bi-additive
+        commute = (lambda r, m, s: (ra[la[r, m], s], la[r, ra[m, s]]),
+                   (L.order, self.order, R.order), (L.additive_generators, gens, R.additive_generators))
+        if _law_breaks([commute]) != [None]:
             raise BimoduleError("left and right actions do not commute")
 
     def add(self, a: int, b: int) -> int:
@@ -391,21 +400,32 @@ def _validate_pairing(comp: PairingMap, m32: Bimodule, m21: Bimodule, m31: Bimod
     if t.size and (t.min() < 0 or t.max() >= m31.order):
         raise BimoduleError("pairing values out of range for the target bimodule")
     add31 = m31.add_table
-    laws = (  # (law, rows, lhs(row), rhs(row))
-        ("additive in its second argument", m32.order,  # comp(u, v + v') = comp(u, v) + comp(u, v')
-         lambda u: t[u, m21.add_table], lambda u: add31[np.ix_(t[u], t[u])]),
-        ("additive in its first argument", m21.order,  # comp(u + u', v) = comp(u, v) + comp(u', v)
-         lambda v: t[m32.add_table, v], lambda v: add31[np.ix_(t[:, v], t[:, v])]),
-        ("balanced over the middle ring", m32.right_ring.order,  # comp(u r, v) = comp(u, r v)
-         lambda r: t[m32.right_action[:, r], :], lambda r: t[:, m21.left_action[r, :]]),
-        ("linear over the left outer ring", m32.left_ring.order,  # comp(r u, v) = r comp(u, v)
-         lambda r: t[m32.left_action[r, :], :], lambda r: m31.left_action[r, t]),
-        ("linear over the right outer ring", m21.right_ring.order,  # comp(u, v r) = comp(u, v) r
-         lambda r: t[:, m21.right_action[:, r]], lambda r: m31.right_action[t, r]),
+    a1, a2, a3 = m21.right_ring, m32.right_ring, m32.left_ring
+    g32, g21 = m32.additive_generators, m21.additive_generators
+    all32, all21 = np.arange(m32.order), np.arange(m21.order)
+    # Once the pairing is additive in each argument, which is checked at one
+    # argument's generators, the other three laws are tri-additive.
+    laws = (  # (law, both sides at (i, j, k), shape, the indices a complete check needs)
+        ("additive in its second argument",  # comp(u, v + v') = comp(u, v) + comp(u, v')
+         lambda u, v, w: (t[u, m21.add_table[v, w]], add31[t[u, v], t[u, w]]),
+         (m32.order, m21.order, m21.order), (all32, all21, g21)),
+        ("additive in its first argument",  # comp(u + u', v) = comp(u, v) + comp(u', v)
+         lambda v, u, w: (t[m32.add_table[u, w], v], add31[t[u, v], t[w, v]]),
+         (m21.order, m32.order, m32.order), (all21, all32, g32)),
+        ("balanced over the middle ring",  # comp(u r, v) = comp(u, r v)
+         lambda r, u, v: (t[m32.right_action[u, r], v], t[u, m21.left_action[r, v]]),
+         (a2.order, m32.order, m21.order), (a2.additive_generators, g32, g21)),
+        ("linear over the left outer ring",  # comp(r u, v) = r comp(u, v)
+         lambda r, u, v: (t[m32.left_action[r, u], v], m31.left_action[r, t[u, v]]),
+         (a3.order, m32.order, m21.order), (a3.additive_generators, g32, g21)),
+        ("linear over the right outer ring",  # comp(u, v r) = comp(u, v) r
+         lambda r, u, v: (t[u, m21.right_action[v, r]], m31.right_action[t[u, v], r]),
+         (a1.order, m32.order, m21.order), (a1.additive_generators, g32, g21)),
     )
-    for law, rows, lhs, rhs in laws:
-        if _first_break(rows, lhs, rhs) is not None:
-            raise BimoduleError(f"pairing is not {law}")
+    breaks = _law_breaks([law for _, *law in laws])
+    for (name, *_), witness in zip(laws, breaks):
+        if witness is not None:
+            raise BimoduleError(f"pairing is not {name}")
 
 
 # ---------------------------------------------------------------------------

@@ -718,10 +718,18 @@ def _power(base: RingSpec, exponent: int) -> int:
 
 
 def _parts_order(spec: RingSpec) -> int:
-    """The product of the clamped orders of a spec's rings and bimodules."""
+    """The product of the clamped orders of a spec's rings and bimodules.
+
+    It stops once the product reaches the clamp: a part that can be built
+    has order at least 1, so the clamped estimate is then fixed, and a spec
+    built in Python that reuses one subtree for two parts is not walked
+    twice past the cap.
+    """
     orders: dict[str, int] = {}
     total = 1
     for name, kind, value in _parts(spec):
+        if total > size_cap(None):
+            break
         orders[name] = kind.order(value, orders)
         total *= orders[name]
     return total

@@ -4,6 +4,7 @@ under test)."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 
@@ -12,13 +13,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cleanrings import (
+    Bimodule,
+    BimoduleError,
     FiniteRing,
+    PairingMap,
     RingValidationError,
     SizeCapError,
     TableFormatError,
+    regular_bimodule,
+    tri3,
     validate_ring,
     zn,
+    zn_bimodule,
 )
+from cleanrings import constructions, core
+from cleanrings.catalog import build_catalog
 from cleanrings.core import size_cap
 
 
@@ -190,6 +199,160 @@ def test_any_single_cell_multiplication_tamper_is_caught(n, data):
     assert not report.ok
 
 
+# -- the generator check against the exhaustive scan --------------------------------
+
+_SMALL_RINGS = [entry.ring for entry in build_catalog() if entry.ring.order <= 16]
+
+
+@contextlib.contextmanager
+def _checked_against_the_scan():
+    """Within the block every law family is decided by the exhaustive scan,
+    core._scan_breaks, and wherever the generator check applies it must
+    accept exactly when the scan finds no break. Yields the number of
+    families on which the generator check ran."""
+    ran = []
+
+    def scan(laws):
+        exact = core._scan_breaks(laws)
+        if all(reduced is not None for *_, reduced in laws):
+            fast = all(core._holds(law, reduced) for law, _, reduced in laws)
+            assert fast == all(w is None for w in exact), exact
+            ran.append(fast)
+        return exact
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (core, constructions):
+            mp.setattr(module, "_law_breaks", scan)
+        yield ran
+
+
+def _tamper(data, tables: dict[str, np.ndarray], values: int) -> None:
+    """Overwrite one or two drawn cells of the named tables in place; an add
+    table may be tampered symmetrically, keeping it commutative."""
+    for _ in range(data.draw(st.integers(1, 2), label="cells")):
+        name = data.draw(st.sampled_from(sorted(tables)), label="table")
+        table = tables[name]
+        cell = tuple(data.draw(st.integers(0, size - 1)) for size in table.shape)
+        value = data.draw(st.integers(0, values - 1), label="value")
+        table[cell] = value
+        if name == "add" and data.draw(st.booleans(), label="symmetric"):
+            table[cell[::-1]] = value
+
+
+def _outcome(build):
+    try:
+        return build()
+    except BimoduleError as exc:
+        return str(exc)
+
+
+@given(st.sampled_from(_SMALL_RINGS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_generator_check_accepts_ring_tables_exactly_when_the_scan_does(ring, data):
+    tables = {"add": ring.add_table.copy(), "mul": ring.mul_table.copy(), "neg": ring.neg_table.copy()}
+    _tamper(data, tables, ring.order)
+    args = (ring.order, ring.one, tables["add"], tables["mul"], tables["neg"])
+    with _checked_against_the_scan() as ran:
+        exhaustive = validate_ring(*args)
+    if np.array_equal(tables["add"], ring.add_table):
+        assert ran  # an abelian group has generators, so the ring laws are reduced
+    assert validate_ring(*args) == exhaustive
+
+
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_generator_check_decides_random_bilinear_products(k, data):
+    """A product on Z_2^k drawn as a bilinear map, c[i][j] on basis vectors,
+    is distributive, so associativity alone decides it, over basis triples.
+    A drawn term d * a_l * b_i * b_j (or its mirror image) is additive in a
+    and breaks additivity in b only at the generators e_i and e_j."""
+    n = 2**k
+    c = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=k, max_size=k), min_size=k, max_size=k))
+    if data.draw(st.booleans(), label="no bilinear part"):
+        c = [[0] * k] * k
+    idx = np.arange(n)
+    bits = [(idx >> (k - 1 - i)) & 1 for i in range(k)]
+    mul = np.zeros((n, n), dtype=np.int64)
+    for i in range(k):
+        for j in range(k):
+            mul ^= np.outer(bits[i], bits[j]) * c[i][j]
+    if data.draw(st.booleans(), label="quadratic term"):
+        i, j = sorted(data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))) if k > 1 else (0, 0)
+        l, d = data.draw(st.integers(0, k - 1)), data.draw(st.integers(1, n - 1))
+        term = np.outer(bits[l], bits[i] & bits[j]) * d
+        mul ^= term if data.draw(st.booleans(), label="quadratic in b") else term.T
+    args = (n, 1, idx[:, None] ^ idx[None, :], mul)
+    with _checked_against_the_scan() as ran:
+        exhaustive = validate_ring(*args)
+    assert ran
+    assert validate_ring(*args) == exhaustive
+
+
+_BIMODULES = [
+    ("regular Z_6", lambda: regular_bimodule(zn(6))),
+    ("regular M_2(Z_2)", lambda: regular_bimodule(next(r for r in _SMALL_RINGS if r.label == "M2(Z_2)"))),
+    ("regular T_2(Z_2)", lambda: regular_bimodule(next(r for r in _SMALL_RINGS if r.label.startswith("T2")))),
+    ("Z_4 over (Z_8, Z_12)", lambda: zn_bimodule(zn(8), zn(12), 4)),
+    ("Z_2 over (Z_4, Z_2)", lambda: zn_bimodule(zn(4), zn(2), 2)),
+]
+
+
+@given(st.sampled_from(_BIMODULES), st.data())
+@settings(max_examples=300, deadline=None)
+def test_generator_check_accepts_action_tables_exactly_when_the_scan_does(named, data):
+    base = named[1]()
+    tables = {"add": base.add_table.copy(), "left": base.left_action.copy(), "right": base.right_action.copy()}
+    _tamper(data, tables, base.order)
+
+    def build():
+        bimodule = Bimodule(base.left_ring, base.right_ring, tables["add"], tables["left"], tables["right"])
+        return "ok", bimodule.additive_generators.tolist()
+
+    with _checked_against_the_scan():
+        exhaustive = _outcome(build)
+    assert _outcome(build) == exhaustive
+
+
+@given(st.sampled_from([2, 4, 6]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_generator_check_accepts_pairings_exactly_when_the_scan_does(n, data):
+    z = zn(n)
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    d21, d31, d32 = (data.draw(st.sampled_from(divisors)) for _ in range(3))
+    m21, m31, m32 = (zn_bimodule(z, z, d) for d in (d21, d31, d32))
+    t = {"pairing": np.zeros((d32, d21), dtype=np.int64)}
+    if d21 == d31 == d32 == n and data.draw(st.booleans(), label="product pairing"):
+        t["pairing"] = np.array([[u * v % n for v in range(n)] for u in range(n)])
+    _tamper(data, t, d31)
+
+    def build():
+        try:
+            # cap=1: a pairing that passes stops at the size cap, before any ring is built
+            tri3(z, z, z, m21, m31, m32, PairingMap(t["pairing"]), cap=1)
+        except SizeCapError:
+            return "ok"
+
+    with _checked_against_the_scan() as ran:
+        exhaustive = _outcome(build)
+    assert ran
+    assert _outcome(build) == exhaustive
+
+
+def test_generators_are_few_and_generate():
+    """The greedy set of an abelian group of order n has at most log2 n
+    elements, and its closure under addition is the whole group."""
+    for ring in [*_SMALL_RINGS, zn(256)]:
+        gens = ring.additive_generators
+        assert len(gens) <= max(1, math.log2(ring.order))
+        reached = {0}
+        while True:
+            more = reached | {ring.add(x, int(g)) for x in reached for g in gens}
+            if more == reached:
+                break
+            reached = more
+        assert reached == set(ring.elements)
+
+
 # -- size cap ---------------------------------------------------------------------
 
 
@@ -269,6 +432,27 @@ def test_bool_table_entries_are_refused(table, entry):
     record[table][row][0] = entry  # the entry there is 0 in add and mul
     with pytest.raises(TableFormatError, match=table.split("_")[0] + " table"):
         FiniteRing.from_json_dict(record)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("label", 5), ("label", None), ("construction", "x"), ("construction", [1]), ("construction", None)],
+    ids=["label-int", "label-null", "construction-string", "construction-list", "construction-null"],
+)
+def test_label_and_construction_of_the_wrong_type_are_refused(key, value):
+    """label must be a string and construction an object (or absent): a string
+    construction would fail later, inside the ideal constructions."""
+    record = json.loads(zn(2).to_json())
+    record[key] = value
+    with pytest.raises(TableFormatError, match=key):
+        FiniteRing.from_json_dict(record)
+
+
+def test_record_without_label_or_construction_is_read():
+    record = json.loads(zn(2).to_json())
+    del record["label"], record["construction"]
+    ring = FiniteRing.from_json_dict(record)
+    assert (ring.label, ring.provenance) == ("ring2", None)
 
 
 def test_size_cap_names_a_malformed_environment_value(monkeypatch):

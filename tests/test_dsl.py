@@ -315,6 +315,27 @@ def test_size_estimate_is_clamped_just_above_the_cap():
     assert size_estimate(SeriesSpec(ZnSpec(2), 10**6)) == 257
 
 
+def test_size_estimate_walks_a_shared_chain_once_per_level_past_the_cap(monkeypatch):
+    """A chain of regular tri2 forms built in Python, each reusing one
+    operand for both rings, has 2^depth unshared nodes; past the cap the
+    estimate visits one node per level."""
+    from cleanrings import dsl
+
+    visited = []
+    estimate = dsl.size_estimate
+    monkeypatch.setattr(dsl, "size_estimate", lambda spec: visited.append(spec) or estimate(spec))
+    counts = {}
+    for depth in (0, 1, 2, 6, 12, 18):
+        spec = ZnSpec(2)
+        for _ in range(depth):
+            spec = Tri2Spec(spec, spec, ModuleRef("regular"))
+        visited.clear()
+        counts[depth] = (dsl.size_estimate(spec), len(visited))
+    assert [order for order, _ in counts.values()] == [2, 8, 257, 257, 257, 257]
+    # from depth 2, where the order first reaches the clamp, one more visit per level
+    assert len({n - depth for depth, (_, n) in counts.items() if depth >= 2}) == 1
+
+
 def test_quotient_and_corner_estimates_bound_the_built_order():
     for text in ["(quotient (zn 12) (ideal 4))", "(corner (zn 6) 3)"]:
         spec = parse(text)

@@ -12,7 +12,9 @@ BENCHMARK.json's. The file holds every result line with its side, workload
 and seed; the median of each end-to-end metric per side and workload; per
 workload and metric, the parent's spread between quartiles and the number
 of seeds on which the change did better; and the Python and numpy versions,
-CPU count, date and git revision of each side. Uses the standard library
+CPU count, date and git revision of each side. After the untraced runs it
+makes one `--trace 1` run per workload and side, with the first seed, and
+stores its per-layer metrics under "traced". Uses the standard library
 only.
 """
 
@@ -41,10 +43,10 @@ def revision(root: Path) -> dict:
     return {"commit": head.stdout.strip(), "dirty": bool(git("status", "--porcelain").stdout.strip())}
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one untraced perfbench run in the checkout at root."""
+def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """The result line of one perfbench run in the checkout at root."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(argv)} in {root} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
@@ -111,6 +113,11 @@ def main(argv=None) -> int:
                 result = run_once(sides[side], workload, seed, seconds)
                 runs.append({"side": side, "workload": workload, "seed": seed, "result": result})
                 print(json.dumps(runs[-1]), file=sys.stderr)
+    traced: dict = {}
+    for workload in args.workloads:
+        for side, path in sides.items():
+            traced.setdefault(side, {})[workload] = run_once(path, workload, args.seeds[0], seconds, trace=1)
+            print(json.dumps({"side": side, "workload": workload, "traced": traced[side][workload]}), file=sys.stderr)
 
     record = {
         "tag": args.tag,
@@ -123,6 +130,7 @@ def main(argv=None) -> int:
         "runs": runs,
         "medians": medians(runs),
         "pairs": pairs(runs, benchmark["end_to_end"]),
+        "traced": traced,
     }
     (root / f"BENCH_{args.tag}.json").write_text(json.dumps(record, indent=1) + "\n")
     return 0
