@@ -149,8 +149,19 @@ def _law_breaks(laws) -> list[tuple[int, int, int] | None]:
 
 
 def _holds(law: Callable, reduced) -> bool:
-    """Whether the two sides of law agree at every triple of reduced indices."""
-    return np.array_equal(*np.broadcast_arrays(*law(*np.ix_(*reduced))))
+    """Whether the two sides of law agree at every triple of reduced indices.
+
+    It takes one index of the shortest position at a time, usually a
+    generator, so no array is larger than a row of the exhaustive scan.
+    """
+    axis = min(range(3), key=lambda p: len(reduced[p]))
+    others = np.ix_(*(r for p, r in enumerate(reduced) if p != axis))
+    for v in reduced[axis]:
+        at = [*others]
+        at.insert(axis, v)
+        if not np.array_equal(*np.broadcast_arrays(*law(*at))):
+            return False
+    return True
 
 
 def _scan_breaks(laws) -> list[tuple[int, int, int] | None]:
@@ -174,8 +185,9 @@ def _generators(add: np.ndarray) -> np.ndarray:
         gens.append(int(frontier[0]))
         while frontier.size:
             inside[frontier] = True
-            sums = np.unique(add[np.ix_(frontier, np.flatnonzero(inside))])
-            frontier = sums[~inside[sums]]
+            reached = np.zeros_like(inside)
+            reached[add[np.ix_(frontier, np.flatnonzero(inside))]] = True
+            frontier = np.flatnonzero(reached & ~inside)
     return np.array(gens or [0], dtype=np.int64)
 
 
@@ -218,7 +230,7 @@ def _abelian_group_violations(add: np.ndarray):
     return out, neg, None if out else gens
 
 
-def _action_breaks(ring_add: np.ndarray, ring_mul: np.ndarray, act: np.ndarray, mod_add: np.ndarray, gens=None):
+def _action_breaks(ring_add: np.ndarray, ring_mul: np.ndarray, act: np.ndarray, mod_add: np.ndarray, gens):
     """First witnesses, or None, of the three laws of a left action act[r, m] of
     the ring (ring_add, ring_mul) on the group mod_add: (r r') m = r (r' m) as
     (r, r', m); r (m + m') = r m + r m' as (r, m, m'); and (r + r') m = r m + r' m
