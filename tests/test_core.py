@@ -20,6 +20,7 @@ from cleanrings import (
     RingValidationError,
     SizeCapError,
     TableFormatError,
+    direct_product,
     regular_bimodule,
     tri3,
     validate_ring,
@@ -208,8 +209,8 @@ _SMALL_RINGS = [entry.ring for entry in build_catalog() if entry.ring.order <= 1
 def _checked_against_the_scan():
     """Within the block every law family is decided by the exhaustive scan,
     core._scan_breaks, and wherever the generator check applies it must
-    accept exactly when the scan finds no break. Yields the number of
-    families on which the generator check ran."""
+    accept exactly when the scan finds no break. Yields the generator
+    check's verdicts, one for each family it ran on."""
     ran = []
 
     def scan(laws):
@@ -276,12 +277,32 @@ def test_generator_check_decides_random_bilinear_products(k, data):
     for i in range(k):
         for j in range(k):
             mul ^= np.outer(bits[i], bits[j]) * c[i][j]
-    if data.draw(st.booleans(), label="quadratic term"):
-        i, j = sorted(data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))) if k > 1 else (0, 0)
+    if k > 1 and data.draw(st.booleans(), label="quadratic term"):
+        i, j = data.draw(st.permutations(range(k)))[:2]
         l, d = data.draw(st.integers(0, k - 1)), data.draw(st.integers(1, n - 1))
         term = np.outer(bits[l], bits[i] & bits[j]) * d
         mul ^= term if data.draw(st.booleans(), label="quadratic in b") else term.T
     args = (n, 1, idx[:, None] ^ idx[None, :], mul)
+    with _checked_against_the_scan() as ran:
+        exhaustive = validate_ring(*args)
+    assert ran
+    assert validate_ring(*args) == exhaustive
+
+
+@given(st.integers(3, 4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_generator_check_decides_twisted_additions(k, data):
+    """x + y = x ^ y ^ d * (x_i x_j y_l + y_i y_j x_l) on indices 0..2^k - 1
+    has identity 0, is commutative and has x + x = 0, but it need not be
+    associative; Light's test passes at every basis vector off bits i, j, l."""
+    n = 2**k
+    i, j, l = data.draw(st.permutations(range(k)))[:3]
+    d = data.draw(st.integers(0, n - 1))
+    idx = np.arange(n)
+    bits = [(idx >> (k - 1 - b)) & 1 for b in range(k)]
+    twist = np.outer(bits[i] & bits[j], bits[l])
+    add = idx[:, None] ^ idx[None, :] ^ (twist ^ twist.T) * d
+    args = (n, 0, add, np.zeros((n, n), dtype=np.int64))
     with _checked_against_the_scan() as ran:
         exhaustive = validate_ring(*args)
     assert ran
@@ -305,8 +326,8 @@ def test_generator_check_accepts_action_tables_exactly_when_the_scan_does(named,
     _tamper(data, tables, base.order)
 
     def build():
-        bimodule = Bimodule(base.left_ring, base.right_ring, tables["add"], tables["left"], tables["right"])
-        return "ok", bimodule.additive_generators.tolist()
+        Bimodule(base.left_ring, base.right_ring, tables["add"], tables["left"], tables["right"])
+        return "ok"
 
     with _checked_against_the_scan():
         exhaustive = _outcome(build)
@@ -336,6 +357,183 @@ def test_generator_check_accepts_pairings_exactly_when_the_scan_does(n, data):
         exhaustive = _outcome(build)
     assert ran
     assert _outcome(build) == exhaustive
+
+
+# Modules Z_2^k over products of Z_2, given by k x k matrices over F_2.
+
+
+def _f2_vectors(k: int) -> np.ndarray:
+    """Row x is the bit vector of index x, first bit most significant, as
+    in the encoding of a product of Z_2."""
+    idx = np.arange(2**k)
+    return np.stack([(idx >> (k - 1 - b)) & 1 for b in range(k)], axis=1)
+
+
+def _f2_action(mats: np.ndarray, k: int) -> np.ndarray:
+    """table[r, m]: the index of (sum over i of r_i mats[i]) m."""
+    r, m = _f2_vectors(len(mats)), _f2_vectors(k)
+    acting = np.einsum("ri,ikl->rkl", r, mats) % 2
+    return (np.einsum("rkl,ml->rmk", acting, m) % 2) @ (1 << np.arange(k - 1, -1, -1))
+
+
+def _f2_projections(data, p: int, k: int, owner: int | None = None) -> np.ndarray:
+    """p diagonal orthogonal idempotents summing to the identity, from a
+    drawn owner for each coordinate, or the given owner for all of them."""
+    owners = [data.draw(st.integers(0, p - 1)) if owner is None else owner for _ in range(k)]
+    return np.array([np.diag([int(o == i) for o in owners]) for i in range(p)])
+
+
+def _f2_module(ring: FiniteRing, k: int, left: np.ndarray, right: np.ndarray) -> Bimodule:
+    xor = np.bitwise_xor.outer(np.arange(2**k), np.arange(2**k))
+    return Bimodule(ring, ring, xor, _f2_action(left, k), _f2_action(right, k).T)
+
+
+def _f2_matrix(data, k: int) -> np.ndarray:
+    return np.array(data.draw(st.lists(st.integers(0, 1), min_size=k * k, max_size=k * k))).reshape(k, k)
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_generator_check_decides_drawn_f2_bimodules(p, q, k, data):
+    """Z_2^k over Z_2^p and Z_2^q, acting by idempotent matrices that sum to
+    the identity. A matrix E added to two left ones keeps the action unital
+    and additive but breaks associativity at those two generators only;
+    conjugating the right ones by an invertible P keeps a right module that
+    commutes with the left one only at some generators."""
+    left, right = _f2_projections(data, p, k), _f2_projections(data, q, k)
+    if p > 1 and data.draw(st.booleans(), label="move two left idempotents"):
+        e = _f2_matrix(data, k)
+        left[0], left[1] = (left[0] + e) % 2, (left[1] + e) % 2
+    conj, inverse = np.eye(k, dtype=np.int64), np.eye(k, dtype=np.int64)
+    for a, b in data.draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=4)):
+        if a != b:  # I + E_ab is its own inverse over F_2
+            step = np.eye(k, dtype=np.int64)
+            step[a, b] = 1
+            conj, inverse = conj @ step % 2, step @ inverse % 2
+    right = np.array([conj @ d @ inverse % 2 for d in right])
+    ring_l, ring_r = (direct_product([zn(2)] * c) for c in (p, q))
+    xor = np.bitwise_xor.outer(np.arange(2**k), np.arange(2**k))
+
+    def build():
+        Bimodule(ring_l, ring_r, xor, _f2_action(left, k), _f2_action(right, k).T)
+        return "ok"
+
+    with _checked_against_the_scan():
+        exhaustive = _outcome(build)
+    assert _outcome(build) == exhaustive
+
+
+@given(st.integers(1, 2), st.data())
+@settings(max_examples=200, deadline=None)
+def test_generator_check_decides_drawn_f2_pairings(p, data):
+    """A pairing Z_2^k32 x Z_2^k21 -> Z_2^k31 drawn as a bilinear map, with an
+    optional term d u_a u_b v_c or d u_a v_c v_e that is additive in one
+    argument and breaks additivity in the other only at two generators,
+    between modules over Z_2^p acting by diagonal idempotents."""
+    ring = direct_product([zn(2)] * p)
+    k21, k31, k32 = (data.draw(st.integers(1, 3)) for _ in range(3))
+    # A1, A2 or A3 may act through one component only, as scalars, so that
+    # the law over that ring holds and the others can break alone
+    o1, o2, o3 = (data.draw(st.none() | st.integers(0, p - 1), label=f"A{i} owner") for i in (1, 2, 3))
+
+    def module(k, left_owner, right_owner):
+        return _f2_module(ring, k, _f2_projections(data, p, k, left_owner), _f2_projections(data, p, k, right_owner))
+
+    m21, m31, m32 = module(k21, o2, o1), module(k31, o3, o1), module(k32, o3, o2)
+    u, v = _f2_vectors(k32), _f2_vectors(k21)
+    table = np.zeros((2**k32, 2**k21), dtype=np.int64)
+    if data.draw(st.booleans(), label="bilinear part"):
+        for a in range(k32):
+            for b in range(k21):
+                table ^= np.outer(u[:, a], v[:, b]) * data.draw(st.just(0) | st.integers(1, 2**k31 - 1))
+    if data.draw(st.booleans(), label="quadratic term"):
+        d = data.draw(st.integers(1, 2**k31 - 1))
+        a, b = (data.draw(st.permutations(range(k32))) * 2)[:2]  # distinct unless k32 == 1
+        c, e = (data.draw(st.permutations(range(k21))) * 2)[:2]
+        if data.draw(st.booleans(), label="quadratic in u"):
+            table ^= np.outer(u[:, a] & u[:, b], v[:, c]) * d
+        else:
+            table ^= np.outer(u[:, a], v[:, c] & v[:, e]) * d
+
+    def build():
+        try:
+            # cap=1: a pairing that passes stops at the size cap, before any ring is built
+            tri3(ring, ring, ring, m21, m31, m32, PairingMap(table), cap=1)
+        except SizeCapError:
+            return "ok"
+
+    with _checked_against_the_scan() as ran:
+        exhaustive = _outcome(build)
+    assert ran
+    assert _outcome(build) == exhaustive
+
+
+def _off_the_first_generator():
+    """Tables that break one law only away from the first generator (index
+    1, the last bit), keyed by the axiom or message that names the law; and
+    a pairing of trivial groups, whose one generator is 0."""
+    x = _f2_vectors(3)
+    xor8 = np.bitwise_xor.outer(np.arange(8), np.arange(8))
+    quadratic = np.outer(x[:, 2], x[:, 0] & x[:, 1])  # a_2 b_0 b_1: not additive in b at e_0, e_1
+    y = _f2_vectors(4)
+    twist = np.outer(y[:, 0] & y[:, 1], y[:, 2])
+    twisted = np.bitwise_xor.outer(np.arange(16), np.arange(16)) ^ twist ^ twist.T
+    z2, z2z2 = zn(2), direct_product([zn(2), zn(2)])
+    u0v = np.outer(_f2_vectors(2)[:, 0], [0, 1])
+
+    def scalars(p, k, owner):
+        return np.array([np.eye(k, dtype=np.int64) * (i == owner) for i in range(p)])
+
+    def bimodule(left, right):
+        def build():
+            _f2_module(z2z2, 2, np.array(left), np.array(right))
+            return "ok"
+        return build
+
+    def pairing(ring, p, k21, k31, k32, table, owners=(0, 0, 0, 0, 0, 0)):
+        o = iter(owners)  # left and right owners of m21, m31, m32
+        m21, m31, m32 = (_f2_module(ring, k, scalars(p, k, next(o)), scalars(p, k, next(o))) for k in (k21, k31, k32))
+
+        def build():
+            try:
+                tri3(ring, ring, ring, m21, m31, m32, PairingMap(table), cap=1)
+            except SizeCapError:
+                return "ok"
+        return build
+
+    # e_0 e_0 = e_1 and e_1 e_0 = e_2 on Z_2^3, every other basis product 0
+    product = np.outer(x[:, 0], x[:, 0]) * 2 ^ np.outer(x[:, 1], x[:, 0])
+    diagonal = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
+    return {
+        "mul-associative": lambda: sorted(validate_ring(8, 1, xor8, product).axioms()),
+        "left-distributive": lambda: sorted(validate_ring(8, 1, xor8, quadratic).axioms()),
+        "right-distributive": lambda: sorted(validate_ring(8, 1, xor8, quadratic.T).axioms()),
+        "add-associative": lambda: sorted(validate_ring(16, 0, twisted, np.zeros((16, 16), dtype=np.int64)).axioms()),
+        # e_1 acts by a square-zero matrix that kills the first module generator
+        "associative over ring multiplication": bimodule([[[1, 0], [1, 1]], [[0, 0], [1, 0]]], diagonal),
+        # the right idempotents are the diagonal ones conjugated by I + E_10
+        "do not commute": bimodule(diagonal, [[[1, 0], [1, 0]], [[0, 0], [1, 1]]]),
+        "additive in its second argument": pairing(z2, 1, 3, 1, 1, np.outer([0, 1], x[:, 0] & x[:, 1])),
+        "additive in its first argument": pairing(z2, 1, 1, 1, 3, np.outer(x[:, 0] & x[:, 1], [0, 1])),
+        # one ring acts through r_1 on one side of a law and r_0 on the other,
+        # and comp(u, v) = u_0 v vanishes at the first u
+        "balanced over the middle ring": pairing(z2z2, 2, 1, 1, 2, u0v, (1, 0, 0, 0, 0, 0)),
+        "linear over the left outer ring": pairing(z2z2, 2, 1, 1, 2, u0v, (0, 0, 1, 0, 0, 0)),
+        "linear over the right outer ring": pairing(z2z2, 2, 1, 1, 2, u0v, (0, 0, 0, 1, 0, 0)),
+        "pairing is not additive": lambda: _outcome(
+            lambda: tri3(z2, z2, z2, zn_bimodule(z2, z2, 1), zn_bimodule(z2, z2, 2), zn_bimodule(z2, z2, 1),
+                         PairingMap([[1]]), cap=1)
+        ),
+    }
+
+
+@pytest.mark.parametrize("law", list(_off_the_first_generator()))
+def test_generator_check_sees_a_break_off_the_first_generator(law):
+    build = _off_the_first_generator()[law]
+    with _checked_against_the_scan() as ran:
+        exhaustive = _outcome(build)
+    assert ran and not ran[-1]
+    assert law in str(exhaustive) and _outcome(build) == exhaustive
 
 
 def test_generators_are_few_and_generate():
