@@ -42,6 +42,7 @@ those declarations.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -700,15 +701,32 @@ _ORDERS = {
 }
 
 
+# The estimates of the nodes of the spec being estimated, by node identity,
+# per thread: a spec built in Python may reuse one subtree many times, and
+# hashing a frozen spec walks it in full, so keys by value would cost what
+# the memo saves.
+_estimating = threading.local()
+
+
 def size_estimate(spec: RingSpec) -> int | None:
     """Order of the ring the spec describes, or None for infinite rings.
 
     Every level is clamped at one above the size cap, so the estimate is
     exact at or below the cap and above it exactly when the true order is,
-    however deeply the spec nests.
+    however deeply the spec nests. Each node is estimated once per call.
     """
-    order = _ORDERS.get(type(spec), _parts_order)(spec)
-    return None if order is None else min(order, size_cap(None) + 1)
+    memo = getattr(_estimating, "memo", None)
+    outermost = memo is None
+    if outermost:
+        memo = _estimating.memo = {}
+    try:
+        if id(spec) not in memo:
+            order = _ORDERS.get(type(spec), _parts_order)(spec)
+            memo[id(spec)] = None if order is None else min(order, size_cap(None) + 1)
+        return memo[id(spec)]
+    finally:
+        if outermost:
+            _estimating.memo = None
 
 
 def _power(base: RingSpec, exponent: int) -> int:

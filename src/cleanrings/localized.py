@@ -10,7 +10,10 @@ principal with a canonical integer generator d = prod(p^e_p), which makes
 ideal-level properties decidable by a finite case analysis on the valuation
 vector (e_p). That case table is derived here and kept honest by a bounded
 witness-search oracle; the test suite replays the two against each other
-across an envelope of prime sets and valuations.
+across an envelope of prime sets and valuations. The search is exact for
+every generator: with b coprime to M, whether d*a/b, d*a/b - 1 and
+d*a/b + 1 are units depends only on the residues of d*a and b mod each p
+in P, which it takes on Python integers.
 
 Derived case table, writing Z = {p in P : e_p = 0} for a nonzero ideal I
 with valuations (e_p):
@@ -248,20 +251,22 @@ class SignClasses:
 
     plus: x = u + e is solvable (x or x - 1 a unit);
     minus: x = u - e is solvable (x or x + 1 a unit).
+    The flags may also be numpy boolean grids over many candidates (element
+    None): every class is bitwise, and stays a bool for bool flags.
     """
 
-    element: Fraction
+    element: Fraction | None
     unit: bool
     shifted_down_unit: bool
     shifted_up_unit: bool
 
     @property
     def plus(self) -> bool:
-        return self.unit or self.shifted_down_unit
+        return self.unit | self.shifted_down_unit
 
     @property
     def minus(self) -> bool:
-        return self.unit or self.shifted_up_unit
+        return self.unit | self.shifted_up_unit
 
     @property
     def is_clean(self) -> bool:
@@ -269,24 +274,20 @@ class SignClasses:
 
     @property
     def is_weakly_clean(self) -> bool:
-        return self.plus or self.minus
+        return self.plus | self.minus
 
     @property
     def plus_only(self) -> bool:
-        return self.plus and not self.minus
+        return self.plus > self.minus
 
     @property
     def minus_only(self) -> bool:
-        return self.minus and not self.plus
-
-    @property
-    def idempotent_count(self) -> int:
-        """How many of the two idempotents support some decomposition."""
-        return int(self.unit) + int(self.shifted_down_unit or self.shifted_up_unit)
+        return self.minus > self.plus
 
     @property
     def is_uniquely_weakly_clean(self) -> bool:
-        return self.idempotent_count == 1
+        """Exactly one of the two idempotents supports a decomposition."""
+        return self.unit ^ (self.shifted_down_unit | self.shifted_up_unit)
 
     def to_json_dict(self) -> dict:
         return {
@@ -425,54 +426,51 @@ def ideal_is_weakly_exchange_analytic(ideal: LocalizedIdeal) -> AnalyticVerdict:
 # -- bounded witness search ---------------------------------------------------------
 
 
-def _a_order(bound: int) -> np.ndarray:
-    """0, 1, -1, 2, -2, ... out to the bound."""
-    seq = [0]
-    for k in range(1, bound + 1):
-        seq.append(k)
-        seq.append(-k)
-    return np.array(seq, dtype=np.int64)
+def _order(ring: LocalizedIntegers, bound: int) -> tuple[list[int], list[int]]:
+    """The canonical search order: numerator multipliers a over 0, 1, -1, 2,
+    -2, ... out to the bound, in each denominator b of 1..bound coprime to
+    the modulus, ascending."""
+    a_vals = [0] + [a for k in range(1, bound + 1) for a in (k, -k)]
+    b_vals = [b for b in range(1, bound + 1) if math.gcd(b, ring.modulus) == 1]
+    return a_vals, b_vals
 
 
 def candidate_stream(
     ring: LocalizedIntegers, ideal: LocalizedIdeal, bound: int
 ) -> Iterator[Fraction]:
-    """Members d*a/b in the canonical search order: denominators ascending
-    over 1..bound (coprime to the modulus), then numerator multiplier a over
-    0, 1, -1, 2, -2, ... Duplicates from unreduced pairs are not filtered."""
+    """Members d*a/b in the canonical search order (``_order``). Duplicates
+    from unreduced pairs are not filtered."""
     d = int(ideal.generator)
-    modulus = ring.modulus
-    for b in range(1, bound + 1):
-        if math.gcd(b, modulus) != 1:
-            continue
-        yield Fraction(0)
-        for k in range(1, bound + 1):
-            yield Fraction(d * k, b)
-            yield Fraction(-d * k, b)
+    a_vals, b_vals = _order(ring, bound)
+    for b in b_vals:
+        for a in a_vals:
+            yield Fraction(d * a, b)
 
 
 def _search_grid(
     ring: LocalizedIntegers, ideal: LocalizedIdeal, bound: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """gcd grids over candidates x = d*a/b in canonical order.
+    """Non-unit masks over candidates x = d*a/b in canonical order.
 
     Returns (a_values, b_values, x_non_unit, down_non_unit, up_non_unit)
     where the masks are indexed [b, a] and "down"/"up" refer to x - 1 and
-    x + 1. Because b stays coprime to the modulus, gcd tests on d*a and
-    d*a -/+ b decide unit-ness exactly.
+    x + 1. Because b stays coprime to the modulus, a prime p of the set makes
+    x, x - 1 or x + 1 a non-unit exactly when d*a is 0, b or -b mod p. The
+    residues are taken on Python integers, so the masks are exact for any d.
     """
-    modulus = ring.modulus
     d = int(ideal.generator)
-    a_vals = _a_order(bound)
-    b_vals = np.array(
-        [b for b in range(1, bound + 1) if math.gcd(b, modulus) == 1], dtype=np.int64
-    )
-    num = d * a_vals[None, :]
-    x_non_unit = np.gcd(num, modulus) > 1
-    x_non_unit = np.broadcast_to(x_non_unit, (b_vals.size, a_vals.size))
-    down_non_unit = np.gcd(num - b_vals[:, None], modulus) > 1
-    up_non_unit = np.gcd(num + b_vals[:, None], modulus) > 1
-    return a_vals, b_vals, x_non_unit, down_non_unit, up_non_unit
+    a_vals, b_vals = _order(ring, bound)
+    shape = (len(b_vals), len(a_vals))
+    x_non_unit = np.zeros(len(a_vals), dtype=bool)
+    down_non_unit = np.zeros(shape, dtype=bool)
+    up_non_unit = np.zeros(shape, dtype=bool)
+    for p in ring.primes:
+        da = np.array([d % p * a % p for a in a_vals], dtype=np.uint64)
+        x_non_unit |= da == 0
+        down_non_unit |= da == np.array([[b % p] for b in b_vals], dtype=np.uint64)
+        up_non_unit |= da == np.array([[-b % p] for b in b_vals], dtype=np.uint64)
+    a_arr, b_arr = (np.array(vals, dtype=np.int64) for vals in (a_vals, b_vals))
+    return a_arr, b_arr, np.broadcast_to(x_non_unit, shape), down_non_unit, up_non_unit
 
 
 def _first_hit(
@@ -486,6 +484,13 @@ def _first_hit(
     return None
 
 
+def _grid_classes(ring: LocalizedIntegers, ideal: LocalizedIdeal, bound: int):
+    """The sign classes of the whole search grid, and the (a_values,
+    b_values, d) that ``_first_hit`` reads a cell's member from."""
+    a_vals, b_vals, x_nu, down_nu, up_nu = _search_grid(ring, ideal, bound)
+    return SignClasses(None, ~x_nu, ~down_nu, ~up_nu), (a_vals, b_vals, int(ideal.generator))
+
+
 def witness_search(
     ring: LocalizedIntegers,
     ideal: LocalizedIdeal,
@@ -497,11 +502,9 @@ def witness_search(
     requested flavor, or None when every sampled member decomposes."""
     if ideal.is_zero:
         return None
-    a_vals, b_vals, x_nu, down_nu, up_nu = _search_grid(ring, ideal, bound)
-    bad = x_nu & down_nu
-    if flavor == "weakly-clean":
-        bad = bad & up_nu
-    return _first_hit(bad, a_vals, b_vals, int(ideal.generator))
+    classes, cell = _grid_classes(ring, ideal, bound)
+    good = classes.is_clean if flavor == "clean" else classes.is_weakly_clean
+    return _first_hit(~good, *cell)
 
 
 def uniqueness_witness_search(
@@ -513,10 +516,8 @@ def uniqueness_witness_search(
     """First member supported by zero or by both idempotents."""
     if ideal.is_zero:
         return None
-    a_vals, b_vals, x_nu, down_nu, up_nu = _search_grid(ring, ideal, bound)
-    shift_ok = ~down_nu | ~up_nu
-    count_not_one = (~x_nu & shift_ok) | (x_nu & ~shift_ok)
-    return _first_hit(count_not_one, a_vals, b_vals, int(ideal.generator))
+    classes, cell = _grid_classes(ring, ideal, bound)
+    return _first_hit(~classes.is_uniquely_weakly_clean, *cell)
 
 
 @dataclass(frozen=True)
@@ -537,15 +538,12 @@ def sign_class_survey(
 ) -> SignClassSurvey:
     if ideal.is_zero:
         return SignClassSurvey(None, None, None, 1)
-    a_vals, b_vals, x_nu, down_nu, up_nu = _search_grid(ring, ideal, bound)
-    plus = ~x_nu | ~down_nu
-    minus = ~x_nu | ~up_nu
-    d = int(ideal.generator)
+    classes, cell = _grid_classes(ring, ideal, bound)
     return SignClassSurvey(
-        first_plus_only=_first_hit(plus & ~minus, a_vals, b_vals, d),
-        first_minus_only=_first_hit(minus & ~plus, a_vals, b_vals, d),
-        first_neither=_first_hit(~plus & ~minus, a_vals, b_vals, d),
-        scanned=int(x_nu.size),
+        first_plus_only=_first_hit(classes.plus_only, *cell),
+        first_minus_only=_first_hit(classes.minus_only, *cell),
+        first_neither=_first_hit(~classes.is_weakly_clean, *cell),
+        scanned=int(classes.unit.size),
     )
 
 

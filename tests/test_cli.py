@@ -7,6 +7,8 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -778,3 +780,73 @@ def test_fuzzed_analyze_flags_end_in_a_verdict_or_a_diagnostic(ring, data):
         assert code == 0  # every element of a finite ring is clean
         for d in json.loads(out)["verdict"]["decompositions"] if as_json else ():
             assert bench.check_decomposition(model, {**d, "element": x}) == [], (text, x, d)
+
+
+# ---------------------------------------------------------------------------
+# the same for localizations Z_(P), with generators past 2^64; every verdict
+# that a witness backs is checked with perfbench's residue decider, which is
+# O(M), so M stays at most 3,000
+
+
+@pytest.mark.parametrize(
+    "primes, exponents, check, witness",
+    [
+        ((3, 5), (40, 0), "clean", 3**40),
+        ((3, 5, 7), (38, 0, 0), "weakly-clean", 11 * 3**38),
+    ],
+)
+def test_ideal_localized_generator_past_int64_gets_a_true_witness(capsys, primes, exponents, check, witness):
+    """perfbench's two fault commands: 3^40 once exited 3 with an
+    OverflowError, and 3^38 wrapped in int64 to a wrong witness."""
+    d = math.prod(p**e for p, e in zip(primes, exponents))
+    spec = "(localized " + " ".join(map(str, primes)) + ")"
+    code, out, err = run(capsys, "ideal", spec, "--gens", str(d), "--check", check)
+    assert code == 1
+    assert out.splitlines()[2] == f"  witness {witness}: no admissible decomposition"
+    assert bench.check_localized_ideal(primes, exponents, check, False, code, out, err) == []
+
+
+_LOCALIZED_PRIMES = (
+    st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=1, max_size=4, unique=True)
+    .filter(lambda ps: math.prod(ps) <= 3000)
+    .map(sorted)
+)
+
+
+def _localized_gen(primes):
+    """(text, value or None when the text names no member of Z_(P)), three
+    times in four a member. Only plain integers are negative: argparse reads
+    a text such as -7/2 as an option."""
+    modulus = math.prod(primes)
+    big = st.builds(
+        lambda exponents, cofactor: cofactor * math.prod(p**e for p, e in zip(primes, exponents)),
+        st.lists(st.integers(0, 70), min_size=len(primes), max_size=len(primes)),
+        st.integers(0, 2**70),
+    )
+    fractions = st.builds(Fraction, big, st.integers(1, 50).filter(lambda b: math.gcd(b, modulus) == 1))
+    valid = (fractions | st.integers(-(2**70), 2**70).map(Fraction)).map(lambda x: (str(x), x))
+    invalid = st.sampled_from(["x", "", "1/0", f"1/{primes[0]}", "1" * 5000]).map(lambda t: (t, None))
+    return st.one_of(valid, valid, valid, invalid)
+
+
+@given(_LOCALIZED_PRIMES, st.data())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_localized_ideal_flags_end_in_a_verdict_or_a_diagnostic(primes, data):
+    gens = data.draw(st.none() | st.lists(_localized_gen(primes), min_size=1, max_size=3))
+    check = data.draw(st.sampled_from(sorted(cli._CHECKS)))
+    as_json = data.draw(st.booleans())
+    bound = data.draw(st.sampled_from([None, None, "1", "5", "40", "0", "-3", "x"]))
+    argv = ["ideal", "(localized " + " ".join(map(str, primes)) + ")", "--check", check]
+    argv += [] if gens is None else ["--gens", *(g for g, _ in gens)]
+    argv += ["--json"] if as_json else []
+    argv += [] if bound is None else ["--bound", bound]
+    code, out, err = _run_main(argv)
+
+    values = [x for _, x in gens or ()]
+    if None in values or (gens and not any(values)) or check == "exchange" or bound in ("0", "-3", "x"):
+        return  # a diagnostic, the zero ideal, or a check the decider does not model
+    exponents = [min((bench.valuation(x.numerator, p) for x in values if x), default=0) for p in primes]
+    d = math.prod(p**e for p, e in zip(primes, exponents))
+    decided = bench.decide_ideal(math.prod(primes), d, check)
+    if decided or bench.grid_witness(primes, d, check, int(bound or 64)) is not None:
+        assert bench.check_localized_ideal(primes, exponents, check, as_json, code, out, err) == [], argv

@@ -336,6 +336,24 @@ def test_size_estimate_walks_a_shared_chain_once_per_level_past_the_cap(monkeypa
     assert len({n - depth for depth, (_, n) in counts.items() if depth >= 2}) == 1
 
 
+def test_size_estimate_visits_a_shared_chain_below_the_clamp_once_per_node(monkeypatch):
+    """A chain over (zn 1) has order 1 at every level, so the clamp never
+    stops the walk; each shared operand is estimated once, and its second
+    use is a memo hit, so the count is linear in the depth."""
+    from cleanrings import dsl
+
+    visited = []
+    estimate = dsl.size_estimate
+    monkeypatch.setattr(dsl, "size_estimate", lambda spec: visited.append(spec) or estimate(spec))
+    for depth in (0, 1, 2, 10, 18):
+        spec = ZnSpec(1)
+        for _ in range(depth):
+            spec = Tri2Spec(spec, spec, ModuleRef("regular"))
+        visited.clear()
+        assert dsl.size_estimate(spec) == 1
+        assert len(visited) == 2 * depth + 1, depth
+
+
 def test_quotient_and_corner_estimates_bound_the_built_order():
     for text in ["(quotient (zn 12) (ideal 4))", "(corner (zn 6) 3)"]:
         spec = parse(text)

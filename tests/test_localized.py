@@ -4,12 +4,14 @@ bounded witness-search oracle."""
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cleanrings.localized import (
@@ -336,6 +338,56 @@ def test_witnesses_replay_against_the_sign_flags():
             assert not flags.is_clean
         else:
             assert not flags.is_weakly_clean
+
+
+def _load_bench_checks():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# perfbench/checks.py shares no code with cleanrings; its grid_witness scans
+# the canonical order in plain Python with one gcd per unit test.
+bench = _load_bench_checks()
+
+_SEARCH_PRIMES = [p for p in range(2, 24) if _is_prime(p)]
+
+
+# (primes, exponents), with exponents up to 60 so that d passes 2^63
+_LARGE_IDEALS = st.lists(st.sampled_from(_SEARCH_PRIMES), min_size=1, max_size=4, unique=True).flatmap(
+    lambda ps: st.tuples(st.just(tuple(ps)), st.lists(st.integers(0, 60), min_size=len(ps), max_size=len(ps)))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(query=_LARGE_IDEALS, bound=st.integers(1, 40))
+@example(query=((3, 5), [40, 0]), bound=3)
+@example(query=((3, 5, 7), [38, 0, 0]), bound=12)
+def test_searches_match_a_pure_python_scan_for_any_generator(query, bound):
+    """The witness searches and the sign-class survey against an independent
+    scan, on generators far past int64."""
+    ring = LocalizedIntegers(query[0])
+    ideal = ring.ideal(query[1])
+    d = int(ideal.generator)
+    for flavor in ("clean", "weakly-clean"):
+        found = witness_search(ring, ideal, bound=bound, flavor=flavor)
+        assert found == bench.grid_witness(ring.primes, d, flavor, bound), (flavor, d, bound)
+    found = uniqueness_witness_search(ring, ideal, bound=bound)
+    assert found == bench.grid_witness(ring.primes, d, "uniquely", bound), (d, bound)
+
+    survey = sign_class_survey(ring, ideal, bound=bound)
+    rows = sum(math.gcd(b, ring.modulus) == 1 for b in range(1, bound + 1))
+    assert survey.scanned == rows * (2 * bound + 1)
+    assert survey.first_neither == witness_search(ring, ideal, bound=bound, flavor="weakly-clean")
+    for x, holds in (
+        (survey.first_plus_only, lambda f: f.plus_only),
+        (survey.first_minus_only, lambda f: f.minus_only),
+        (survey.first_neither, lambda f: not f.is_weakly_clean),
+    ):
+        if x is not None:
+            assert ideal.contains(x) and holds(clean_flags(ring, x)), (d, bound, x)
 
 
 def test_candidate_stream_order():

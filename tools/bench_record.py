@@ -14,8 +14,11 @@ workload and metric, the parent's spread between quartiles and the number
 of seeds on which the change did better; and the Python and numpy versions,
 CPU count, date and git revision of each side. After the untraced runs it
 makes one `--trace 1` run per workload and side, with the first seed, and
-stores its per-layer metrics under "traced". Uses the standard library
-only.
+stores its per-layer metrics under "traced". Last, it runs the Tier-1 suite
+(`python -m pytest -q --continue-on-collection-errors` with src on
+PYTHONPATH, as ROADMAP.md gives it) once per side and stores its wall time,
+exit code, outcome counts and summary line under "tier1". Uses the standard
+library only.
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ import importlib.metadata
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 
@@ -51,6 +56,20 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(argv)} in {root} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_tier1(root: Path) -> dict:
+    """Wall time and outcome of one run of the Tier-1 suite in the checkout at root."""
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    start = time.perf_counter()
+    proc = subprocess.run(argv, cwd=root, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    summary = lines[-1] if lines else ""
+    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed)", summary)}
+    return {"wall_s": wall, "returncode": proc.returncode, "passed": counts.get("passed", 0),
+            "counts": counts, "summary": summary}
 
 
 def medians(runs: list[dict]) -> dict:
@@ -118,6 +137,10 @@ def main(argv=None) -> int:
         for side, path in sides.items():
             traced.setdefault(side, {})[workload] = run_once(path, workload, args.seeds[0], seconds, trace=1)
             print(json.dumps({"side": side, "workload": workload, "traced": traced[side][workload]}), file=sys.stderr)
+    tier1 = {}
+    for side, path in sides.items():
+        tier1[side] = run_tier1(path)
+        print(json.dumps({"side": side, "tier1": tier1[side]}), file=sys.stderr)
 
     record = {
         "tag": args.tag,
@@ -131,6 +154,7 @@ def main(argv=None) -> int:
         "medians": medians(runs),
         "pairs": pairs(runs, benchmark["end_to_end"]),
         "traced": traced,
+        "tier1": tier1,
     }
     (root / f"BENCH_{args.tag}.json").write_text(json.dumps(record, indent=1) + "\n")
     return 0
