@@ -3,6 +3,7 @@ reports are deterministic, and the frozen shape of the run is stable."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from collections import defaultdict
 from fractions import Fraction
@@ -368,3 +369,248 @@ def test_every_law_function_is_registered():
     # A law_* function that is not declared as a law would never run.
     declared = {name for name in vars(laws) if name.startswith("law_")}
     assert declared == {fn.__name__ for _, fn in LAW_FUNCTIONS}
+
+
+# ---------------------------------------------------------------------------
+# fault injection: every catalog instance passes, so the failure branches of
+# the structural laws and the empty-hypothesis branch of the implications
+# never run on the catalog. Each fault rebinds a function that ``laws``
+# imports at module level (the bindings perfbench/traced.py wraps as well)
+# so that a law meets a verdict the catalog never gives it, and the test pins
+# the verdict, witness and scanned count that result.
+
+
+def _flip(monkeypatch, name: str, *kinds: str) -> None:
+    """Invert ``laws.<name>`` on rings built by the given constructions."""
+    real = getattr(laws, name)
+
+    def flipped(ring, arg, *rest, **kwargs):
+        v = real(ring, arg, *rest, **kwargs)
+        if ring.provenance.get("kind") not in kinds:
+            return v
+        if isinstance(v, bool):
+            return not v
+        return dataclasses.replace(v, ok=not v.ok, failing=arg.members[-1] if v.ok else None)
+
+    monkeypatch.setattr(laws, name, flipped)
+
+
+def _alter(monkeypatch, name: str, attr: str, value) -> None:
+    """Give each ring ``laws.<name>`` builds the attribute ``value(ring)``."""
+    real = getattr(laws, name)
+
+    def built(*args):
+        ring = real(*args)
+        monkeypatch.setattr(ring, attr, value(ring))
+        return ring
+
+    monkeypatch.setattr(laws, name, built)
+
+
+def _ring_reports(text: str, *law_ids: str):
+    spec = parse(text)
+    return [r for r in run_ring(build(spec), label=pretty(spec)) if r.law_id in law_ids]
+
+
+_FAULTS = {
+    "matrix-ideal, block verdict inverted": (
+        lambda mp: _flip(mp, "ideal_is_weakly_clean", "matrix"),
+        laws.law_matrix_ideal,
+    ),
+    "matrix-ideal, diagonal matrices not weakly clean": (
+        lambda mp: _flip(mp, "is_weakly_clean_element", "matrix"),
+        laws.law_matrix_ideal,
+    ),
+    "product-ideal, product verdict inverted": (
+        lambda mp: _flip(mp, "ideal_is_weakly_clean", "product"),
+        lambda: [r for r in laws.law_product_ideal() if not r.inputs.startswith("Z_(")],
+    ),
+    "morita-ideal, block verdict inverted": (
+        lambda mp: _flip(mp, "ideal_is_weakly_clean", "morita", "tri2"),
+        laws.law_morita_ideal,
+    ),
+    "morita-ideal, diagonal verdicts inverted": (
+        lambda mp: _flip(mp, "ideal_is_weakly_clean", "zn"),
+        laws.law_morita_ideal,
+    ),
+    "tri3-ideal, block verdict inverted": (
+        lambda mp: _flip(mp, "ideal_is_weakly_clean", "tri3"),
+        laws.law_tri3_ideal,
+    ),
+    "tri3-ideal, diagonal verdicts inverted": (
+        lambda mp: _flip(mp, "ideal_is_weakly_clean", "zn"),
+        laws.law_tri3_ideal,
+    ),
+    "tri3-converse, block verdict inverted": (
+        lambda mp: _flip(mp, "ideal_is_weakly_clean", "tri3"),
+        laws.law_tri3_converse,
+    ),
+    "tri3-converse, corner verdicts inverted": (
+        lambda mp: _flip(mp, "ideal_is_weakly_clean", "zn"),
+        laws.law_tri3_converse,
+    ),
+    "series-ideal, series verdict inverted": (
+        lambda mp: _flip(mp, "ideal_is_weakly_clean", "series"),
+        laws.law_series_ideal,
+    ),
+    "series-ideal, a nonconstant idempotent": (
+        lambda mp: _alter(
+            mp, "truncated_power_series", "idempotents", lambda r: (*r.idempotents, 1)
+        ),
+        laws.law_series_ideal,
+    ),
+    "series-ideal, element weak cleanness inverted": (
+        lambda mp: _flip(mp, "is_weakly_clean_element", "series"),
+        laws.law_series_ideal,
+    ),
+    "series-ideal, element cleanness inverted": (
+        lambda mp: _flip(mp, "is_clean_element", "series"),
+        laws.law_series_ideal,
+    ),
+    "idealization-ideal, every pair a unit": (
+        lambda mp: _alter(mp, "idealization", "is_unit", lambda r: lambda i: True),
+        laws.law_idealization_ideal,
+    ),
+    "idealization-ideal, no pair idempotent": (
+        lambda mp: _alter(mp, "idealization", "is_idempotent", lambda r: lambda i: False),
+        laws.law_idealization_ideal,
+    ),
+    "idealization-ideal, extension verdict inverted": (
+        lambda mp: _flip(mp, "ideal_is_weakly_clean", "idealization"),
+        laws.law_idealization_ideal,
+    ),
+    "implications, weak cleanness inverted": (
+        lambda mp: _flip(mp, "ideal_is_weakly_clean", "zn"),
+        lambda: _ring_reports("(zn 6)", "weakly-clean-implies-weakly-exchange", "reduced-rings"),
+    ),
+    "implications, weak exchange inverted": (
+        lambda mp: _flip(mp, "ideal_is_weakly_exchange", "zn"),
+        lambda: _ring_reports("(zn 6)", "weakly-clean-implies-weakly-exchange", "reduced-rings"),
+    ),
+    "radical-quotient, quotient verdict inverted": (
+        lambda mp: _flip(mp, "ideal_is_weakly_clean", "quotient"),
+        lambda: _ring_reports("(zn 12)", "radical-quotient"),
+    ),
+    "radical-quotient, lifts to zero": (
+        lambda mp: mp.setattr(laws, "lift_idempotent", lambda ring, proj, quot, e: ring.zero),
+        lambda: _ring_reports("(zn 12)", "radical-quotient"),
+    ),
+}
+
+# (inputs, verdict, witness, scanned) of each report; run_ring sorts by law id
+_FAULT_PINS = {
+    "idealization-ideal, every pair a unit": [
+        ("Z_4 with module Z_4 | <2>, N={0,2}", "fail", {"index": 0, "check": "unit"}, 1),
+        ("Z_6 with module Z_6 | <3>, N={0,3}", "fail", {"index": 0, "check": "unit"}, 1),
+        ("Z_4 with module Z_2 | <2>, N=all", "fail", {"index": 0, "check": "unit"}, 1),
+    ],
+    "idealization-ideal, extension verdict inverted": [
+        ("Z_4 with module Z_4 | <2>, N={0,2}", "fail", {"base": True, "extension": False}, 22),
+        ("Z_6 with module Z_6 | <3>, N={0,3}", "fail", {"base": True, "extension": False}, 42),
+        ("Z_4 with module Z_2 | <2>, N=all", "fail", {"base": True, "extension": False}, 14),
+    ],
+    "idealization-ideal, no pair idempotent": [
+        ("Z_4 with module Z_4 | <2>, N={0,2}", "fail", {"index": 0, "check": "idempotent"}, 1),
+        ("Z_6 with module Z_6 | <3>, N={0,3}", "fail", {"index": 0, "check": "idempotent"}, 1),
+        ("Z_4 with module Z_2 | <2>, N=all", "fail", {"index": 0, "check": "idempotent"}, 1),
+    ],
+    "implications, weak cleanness inverted": [
+        ("(zn 6)", "fail", {"ideal": "<0>", "element": 0}, 2),
+        ("(zn 6)", "pass", None, 12),
+    ],
+    "implications, weak exchange inverted": [
+        ("(zn 6)", "pass", None, 12),
+        ("(zn 6)", "fail", {"ideal": "<0>", "element": 0}, 2),
+    ],
+    "matrix-ideal, block verdict inverted": [
+        ("Z_4 | <2>, k=2", "fail", {"ideal_clean": True, "matrix_ideal_weakly_clean": False}, 18),
+        ("Z_2 | R, k=2", "fail", {"ideal_clean": True, "matrix_ideal_weakly_clean": False}, 18),
+        ("Z_3 | <0>, k=2", "fail", {"ideal_clean": True, "matrix_ideal_weakly_clean": False}, 2),
+        ("Z_6 | <3>, k=1", "fail", {"ideal_clean": True, "matrix_ideal_weakly_clean": False}, 4),
+        ("Z_2 | R, k=3", "fail", {"ideal_clean": True, "matrix_ideal_weakly_clean": False}, 514),
+    ],
+    "matrix-ideal, diagonal matrices not weakly clean": [
+        ("Z_4 | <2>, k=2", "fail", {"element": 0, "matrix_index": 0}, 19),
+        ("Z_2 | R, k=2", "fail", {"element": 0, "matrix_index": 0}, 19),
+        ("Z_3 | <0>, k=2", "fail", {"element": 0, "matrix_index": 0}, 3),
+        ("Z_6 | <3>, k=1", "pass", None, 4),
+        ("Z_2 | R, k=3", "fail", {"element": 0, "matrix_index": 0}, 515),
+    ],
+    "morita-ideal, block verdict inverted": [
+        ("morita-z2 | R x R", "fail", {"ideal": "R", "element": 15}, 24),
+        ("[[Z_4,Z_2],[Z_2,Z_6]] | <2>, <3>", "fail", {"ideal": "{0,3,6,9,12,15,18,21,...}", "element": 69}, 24),
+        ("[[Z_2,0],[0,Z_3]] | R, <0>", "fail", {"ideal": "{0,3}", "element": 3}, 8),
+        ("tri2-z2 | R x R", "fail", {"ideal": "R", "element": 7}, 16),
+        ("T2(Z_4;Z_2;Z_6) | <2>, <3>", "fail", {"ideal": "{0,3,6,9,24,27,30,33}", "element": 33}, 16),
+    ],
+    "morita-ideal, diagonal verdicts inverted": [
+        ("morita-z2 | R x R", "skipped", None, 8),
+        ("[[Z_4,Z_2],[Z_2,Z_6]] | <2>, <3>", "skipped", None, 8),
+        ("[[Z_2,0],[0,Z_3]] | R, <0>", "skipped", None, 6),
+        ("tri2-z2 | R x R", "skipped", None, 8),
+        ("T2(Z_4;Z_2;Z_6) | <2>, <3>", "skipped", None, 8),
+    ],
+    "product-ideal, product verdict inverted": [
+        ("Z_4 x Z_6 | <2> x <3>", "fail", {"product_weakly_clean": False, "component_rule": True}, 12),
+        ("Z_2 x Z_2 | R x <0>", "fail", {"product_weakly_clean": False, "component_rule": True}, 8),
+        ("Z_6 | <2> (singleton)", "fail", {"product_weakly_clean": False, "component_rule": True}, 9),
+    ],
+    "radical-quotient, lifts to zero": [
+        ("(zn 12)", "fail", {"ideal": "<6>", "element": 0, "lifted_idempotent": 0, "sign": 1}, 4),
+    ],
+    "radical-quotient, quotient verdict inverted": [
+        ("(zn 12)", "fail", {"ideal": "<6>", "upstairs": True, "downstairs": False}, 3),
+    ],
+    "series-ideal, a nonconstant idempotent": [
+        ("Z_2 | R, k=3", "fail", {"unexpected_idempotents": [1]}, 13),
+        ("Z_4 | <2>, k=2", "fail", {"unexpected_idempotents": [1]}, 9),
+        ("Z_4 | R, k=3", "fail", {"unexpected_idempotents": [1]}, 71),
+        ("Z_2 | R, k=1", "pass", None, 9),
+    ],
+    "series-ideal, element cleanness inverted": [
+        ("Z_2 | R, k=3", "fail", {"series_index": 0, "constant_term": 0, "check": "clean"}, 13),
+        ("Z_4 | <2>, k=2", "fail", {"series_index": 0, "constant_term": 0, "check": "clean"}, 9),
+        ("Z_4 | R, k=3", "fail", {"series_index": 0, "constant_term": 0, "check": "clean"}, 71),
+        ("Z_2 | R, k=1", "fail", {"series_index": 0, "constant_term": 0, "check": "clean"}, 7),
+    ],
+    "series-ideal, element weak cleanness inverted": [
+        ("Z_2 | R, k=3", "fail", {"series_index": 0, "constant_term": 0, "check": "weakly-clean"}, 13),
+        ("Z_4 | <2>, k=2", "fail", {"series_index": 0, "constant_term": 0, "check": "weakly-clean"}, 9),
+        ("Z_4 | R, k=3", "fail", {"series_index": 0, "constant_term": 0, "check": "weakly-clean"}, 71),
+        ("Z_2 | R, k=1", "fail", {"series_index": 0, "constant_term": 0, "check": "weakly-clean"}, 7),
+    ],
+    "series-ideal, series verdict inverted": [
+        ("Z_2 | R, k=3", "fail", {"base": True, "series": False}, 10),
+        ("Z_4 | <2>, k=2", "fail", {"base": True, "series": False}, 6),
+        ("Z_4 | R, k=3", "fail", {"base": True, "series": False}, 68),
+        ("Z_2 | R, k=1", "fail", {"base": True, "series": False}, 4),
+    ],
+    "tri3-converse, block verdict inverted": [
+        ("tri3-z2 | R, R, R", "skipped", None, 64),
+        ("tri3-z2 | <0>, R, <0>", "skipped", None, 16),
+        ("tri3-z2 (multiplicative pairing) | R, <0>, R", "skipped", None, 32),
+    ],
+    "tri3-converse, corner verdicts inverted": [
+        ("tri3-z2 | R, R, R", "fail", {"corner": 0, "ideal": "R", "element": 1}, 66),
+        ("tri3-z2 | <0>, R, <0>", "fail", {"corner": 0, "ideal": "<0>", "element": 0}, 17),
+        ("tri3-z2 (multiplicative pairing) | R, <0>, R", "fail", {"corner": 0, "ideal": "R", "element": 1}, 34),
+    ],
+    "tri3-ideal, block verdict inverted": [
+        ("tri3-z2 | R, R, R", "fail", {"ideal": "R", "element": 63}, 76),
+        ("tri3-z2 | <0>, R, <0>", "fail", {"ideal": "{0,2,4,6,8,10,12,14,...}", "element": 30}, 24),
+        ("tri3-z2 (multiplicative pairing) | R, <0>, R", "fail", {"ideal": "{0,1,2,3,4,5,6,7,...}", "element": 55}, 42),
+    ],
+    "tri3-ideal, diagonal verdicts inverted": [
+        ("tri3-z2 | R, R, R", "skipped", None, 12),
+        ("tri3-z2 | <0>, R, <0>", "skipped", None, 8),
+        ("tri3-z2 (multiplicative pairing) | R, <0>, R", "skipped", None, 10),
+    ],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_injected_faults_reach_the_failure_branches(monkeypatch, fault):
+    inject, run = _FAULTS[fault]
+    inject(monkeypatch)
+    got = [(r.inputs, r.verdict, r.witness, r.scanned) for r in run()]
+    assert got == _FAULT_PINS[fault]
