@@ -253,13 +253,12 @@ def ideal_is_weakly_exchange(
     *,
     mode: Literal["strict", "relaxed"] = "strict",
 ) -> IdealVerdict:
+    probed = ring.idempotents
+    if mode == "strict":
+        allowed = set(ideal.members)
+        probed = tuple(e for e in probed if e in allowed)
     for x in ideal.members:
-        if not is_weakly_exchange_element(ring, x, ideal=ideal, mode=mode):
-            probed = (
-                tuple(e for e in ring.idempotents if e in set(ideal.members))
-                if mode == "strict"
-                else ring.idempotents
-            )
+        if exchange_idempotents(ring, x, probed).size == 0:
             return IdealVerdict(
                 f"weakly-exchange-{mode}",
                 ideal.describe(),
@@ -334,24 +333,6 @@ def lift_idempotent(ring: FiniteRing, proj: np.ndarray, quot: FiniteRing, ebar: 
 # -- Peirce corner analysis ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PeirceReport:
-    """Corner decomposition of an ideal along a central idempotent."""
-
-    e: int
-    complement: int
-    corner_verdicts: tuple[IdealVerdict, IdealVerdict]
-    corner_clean: tuple[bool, bool]
-
-    @property
-    def both_weakly_clean(self) -> bool:
-        return all(v.ok for v in self.corner_verdicts)
-
-    @property
-    def at_most_one_not_clean(self) -> bool:
-        return sum(1 for c in self.corner_clean if not c) <= 1
-
-
 def _corner_verdicts(
     ring: FiniteRing, es: Sequence[int], ideal: IdealSet
 ) -> list[tuple[IdealVerdict, IdealVerdict]]:
@@ -363,17 +344,3 @@ def _corner_verdicts(
         verdicts.append((ideal_is_weakly_clean(corner.ring, sliced), ideal_is_clean(corner.ring, sliced)))
     return verdicts
 
-
-def peirce_analysis(ring: FiniteRing, e: int, ideal: IdealSet) -> PeirceReport:
-    """Split an ideal across the corners of a central idempotent.
-
-    Returns the weakly-clean verdicts of the two corner ideals e*I*e and
-    (1-e)*I*(1-e) inside their corner rings, plus their plain clean flags.
-    """
-    if not ring.is_idempotent(e) or not ring.is_central(e):
-        raise ValueError(f"{e} must be a central idempotent")
-    f = ring.sub(ring.one, e)
-    (wc_e, clean_e), (wc_f, clean_f) = _corner_verdicts(ring, (e, f), ideal)
-    return PeirceReport(
-        e=e, complement=f, corner_verdicts=(wc_e, wc_f), corner_clean=(clean_e.ok, clean_f.ok)
-    )

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -501,6 +502,10 @@ def _parser() -> argparse.ArgumentParser:
         "--bound", type=_positive_int, default=64, help="witness search bound"
     )
     examples.set_defaults(func=_cmd_examples)
+    # No option looks like a number, so -7/2, like -7 and -0.5, is a value.
+    negative_number = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+    for parser in (top, *commands.choices.values()):
+        parser._negative_number_matcher = negative_number
     return top
 
 

@@ -21,11 +21,13 @@ tagged ``discriminating``.
 
 A law is declared once, as a ``_Law`` holding its id, direction and
 description. The declaration decorates the law's public ``law_*`` function,
-whose body yields only the per-instance fields (``_verdict`` or
-``_skipped``); ``_Law.reports`` times each instance and builds its
-``LawReport``. The six laws that sweep a ring's ideal lattice are declared
-on their check of one ring (``_ring_law``), which both the catalog run and
-``run_ring`` use.
+whose body yields only the per-instance fields; ``_Law.reports`` times each
+instance and builds its ``LawReport``. An instance checked in stages yields
+``_steps(inputs, steps)``: each step is (witness or None, elements scanned),
+and the first witness fails the instance before any later step runs.
+``_agree`` is the step that compares two named verdicts. The six laws that
+sweep a ring's ideal lattice are declared on their check of one ring
+(``_ring_law``), which both the catalog run and ``run_ring`` use.
 
 ``run_catalog()`` executes every law and returns the reports sorted by
 ``(law, inputs)``; ``reports_to_json`` renders them as one JSON object per
@@ -245,16 +247,44 @@ def _skipped(inputs: str, reason: str, *, strength: str = "degenerate", scanned:
     return {**fields, "verdict": "skipped"}
 
 
+def _steps(inputs: str, steps: Iterable[tuple], *, scanned: int = 0, **fields) -> dict:
+    """The fields of an instance checked step by step, after ``scanned`` elements.
+
+    Each step is (witness or None, elements scanned). The instance fails with
+    the witness of the first step that has one, and no later step runs.
+    """
+    for witness, count in steps:
+        scanned += count
+        if witness is not None:
+            return _verdict(inputs, False, witness=witness, scanned=scanned, **fields)
+    return _verdict(inputs, True, scanned=scanned, **fields)
+
+
+def _agree(scanned: int, **sides: bool) -> tuple[dict | None, int]:
+    """A step: the two named verdicts agree, or else both are the witness."""
+    first, second = sides.values()
+    return (None if first == second else sides), scanned
+
+
+def _holds(ring: FiniteRing, ideal: IdealSet, test=None, **where) -> tuple[dict | None, int]:
+    """A step: ``ideal`` passes ``test`` (weak cleanness unless given), or else
+    its failing element is the witness."""
+    v = (test or ideal_is_weakly_clean)(ring, ideal)
+    return (None if v.ok else {**where, "ideal": ideal.describe(), "element": v.failing}), v.checked
+
+
 def _ideal(ring: FiniteRing, gens: tuple[int, ...] | None) -> IdealSet:
     """The ideal the generators span; no generators at all is the whole ring."""
     return full_ideal(ring) if gens is None else ideal_closure(ring, gens)
 
 
-def _components(pairs: list[tuple[FiniteRing, IdealSet]]) -> tuple[list[bool], list[bool], int]:
-    """Weak cleanness and cleanness of each (ring, ideal), and the elements scanned."""
+def _components(pairs: list[tuple[FiniteRing, IdealSet]]) -> tuple[bool, int]:
+    """Whether every (ring, ideal) is weakly clean and at most one of them is
+    not clean, and the elements scanned."""
     wc = [ideal_is_weakly_clean(r, i) for r, i in pairs]
     cl = [ideal_is_clean(r, i) for r, i in pairs]
-    return [v.ok for v in wc], [v.ok for v in cl], sum(v.checked for v in wc + cl)
+    rule = _at_most_one_not_clean([v.ok for v in wc], [v.ok for v in cl])
+    return rule, sum(v.checked for v in wc + cl)
 
 
 def _at_most_one_not_clean(wc: list[bool], cl: list[bool]) -> bool:
@@ -267,26 +297,22 @@ def _strictly_weakly_exchange(ring: FiniteRing, ideal: IdealSet):
 
 
 def _implication(ring: FiniteRing, ideals: Sequence[IdealSet], hypothesis, conclusion):
-    """(witness, scanned): the first ideal where ``hypothesis`` holds and
-    ``conclusion`` fails, with its failing element, or None."""
-    scanned = 0
+    """Steps: ``conclusion`` holds on every ideal where ``hypothesis`` does."""
     for ideal in ideals:
         v_hyp = hypothesis(ring, ideal)
-        scanned += v_hyp.checked
-        if not v_hyp.ok:
-            continue
-        v = conclusion(ring, ideal)
-        scanned += v.checked
-        if not v.ok:
-            return {"ideal": ideal.describe(), "element": v.failing}, scanned
-    return None, scanned
+        yield None, v_hyp.checked
+        if v_hyp.ok:
+            yield _holds(ring, ideal, conclusion)
 
 
-def _weakly_clean_block(inputs: str, ring: FiniteRing, block: IdealSet, scanned: int) -> dict:
-    """Fields of an instance whose conclusion is that ``block`` is weakly clean."""
-    v = ideal_is_weakly_clean(ring, block)
-    witness = None if v.ok else {"ideal": block.describe(), "element": v.failing}
-    return _verdict(inputs, v.ok, witness=witness, scanned=scanned + v.checked)
+def _diagonal(inputs: str, ambient: FiniteRing, builder, rings, gens) -> dict:
+    """Fields of a block-ring instance: diagonal ideals that are weakly clean, at
+    most one not clean, make the block ideal ``builder`` assembles weakly clean."""
+    ideals = [_ideal(r, g) for r, g in zip(rings, gens)]
+    hypothesis, scanned = _components(list(zip(rings, ideals)))
+    if not hypothesis:
+        return _skipped(inputs, "diagonal ideals do not satisfy the hypothesis", scanned=scanned)
+    return _steps(inputs, [_holds(ambient, builder(ambient, *ideals))], scanned=scanned)
 
 
 @lru_cache(maxsize=None)
@@ -376,8 +402,8 @@ def law_proper_ideals():
     "every weakly clean ideal is weakly exchange",
 )
 def _wc_implies_wex(ring, inputs, ideals, complete):
-    witness, scanned = _implication(ring, ideals, ideal_is_weakly_clean, _strictly_weakly_exchange)
-    return _verdict(inputs, witness is None, witness=witness, scanned=scanned)
+    steps = _implication(ring, ideals, ideal_is_weakly_clean, _strictly_weakly_exchange)
+    return _steps(inputs, steps)
 
 
 @_wc_implies_wex
@@ -472,8 +498,8 @@ def law_central_equivalence():
 def _reduced_rings(ring, inputs, ideals, complete):
     if ring.has_nonzero_nilpotents:
         return _skipped(inputs, "the ring has nonzero nilpotent elements")
-    witness, scanned = _implication(ring, ideals, _strictly_weakly_exchange, ideal_is_weakly_clean)
-    return _verdict(inputs, witness is None, witness=witness, scanned=scanned)
+    steps = _implication(ring, ideals, _strictly_weakly_exchange, ideal_is_weakly_clean)
+    return _steps(inputs, steps)
 
 
 @_reduced_rings
@@ -497,9 +523,8 @@ def law_reduced_rings():
 # determinant-cofactor
 
 
-def _det_cofactor_exhaustive(n: int, k: int) -> tuple[int, dict | None]:
+def _det_cofactor_exhaustive(n: int, k: int):
     base = zn(n)
-    checked = 0
     for flat in itertools.product(range(n), repeat=k * k):
         grid = [list(flat[r * k : (r + 1) * k]) for r in range(k)]
         d = det(base, grid)
@@ -511,9 +536,9 @@ def _det_cofactor_exhaustive(n: int, k: int) -> tuple[int, dict | None]:
                     bumped[i][j] = base.add(bumped[i][j], x)
                     lhs = det(base, bumped)
                     rhs = base.add(d, base.mul(x, cofs[i][j]))
-                    checked += 1
+                    yield None, 1
                     if lhs != rhs:
-                        return checked, {
+                        yield {
                             "modulus": n,
                             "entries": list(flat),
                             "row": i,
@@ -521,13 +546,13 @@ def _det_cofactor_exhaustive(n: int, k: int) -> tuple[int, dict | None]:
                             "bump": x,
                             "got": lhs,
                             "expected": rhs,
-                        }
-    return checked, None
+                        }, 0
 
 
-def _det_cofactor_sampled(n: int, k: int, samples: int) -> tuple[int, dict | None]:
+def _det_cofactor_sampled(n: int, k: int, samples: int):
     base = zn(n)
     rng = random.Random(f"determinant-cofactor-{n}-{k}")
+    yield None, samples
     for _ in range(samples):
         grid = [[rng.randrange(n) for _ in range(k)] for _ in range(k)]
         i = rng.randrange(k)
@@ -538,14 +563,13 @@ def _det_cofactor_sampled(n: int, k: int, samples: int) -> tuple[int, dict | Non
         bumped = [row[:] for row in grid]
         bumped[i][j] = base.add(bumped[i][j], x)
         if det(base, bumped) != base.add(d, base.mul(x, c)):
-            return samples, {
+            yield {
                 "modulus": n,
                 "entries": [v for row in grid for v in row],
                 "row": i,
                 "col": j,
                 "bump": x,
-            }
-    return samples, None
+            }, 0
 
 
 @_Law(
@@ -560,10 +584,7 @@ def law_determinant_cofactor():
         ("Z_5, k=3, 200 seeded samples", _det_cofactor_sampled, (5, 3, 200)),
         ("Z_6, k=3, 200 seeded samples", _det_cofactor_sampled, (6, 3, 200)),
     ):
-        checked, witness = search(*args)
-        yield _verdict(
-            inputs, witness is None, strength="discriminating", witness=witness, scanned=checked
-        )
+        yield _steps(inputs, search(*args), strength="discriminating")
 
 
 # ---------------------------------------------------------------------------
@@ -589,28 +610,25 @@ def law_matrix_ideal():
         (z6, matrix_ring(z6, 1), (3,), 1, "Z_6 | <3>, k=1"),
         (z2, _m3z2(), None, 3, "Z_2 | R, k=3"),
     ]
-    for base, ambient, gens, k, inputs in instances:
+
+    def steps(base, ambient, gens, k):
         ideal = _ideal(base, gens)
         block = matrix_ideal(ambient, ideal, k)
         v_clean = ideal_is_clean(base, ideal)
         v_block = ideal_is_weakly_clean(ambient, block)
         scanned = v_clean.checked + v_block.checked
-        ok = v_clean.ok == v_block.ok
-        witness = None
-        if ok and k >= 2:
-            for x in ideal:
-                grid = [[base.zero] * k for _ in range(k)]
-                grid[0][0] = x
-                grid[1][1] = base.neg(x)
-                a = matrix_element(ambient, grid)
-                scanned += 1
-                if not is_weakly_clean_element(ambient, a):
-                    ok = False
-                    witness = {"element": x, "matrix_index": a}
-                    break
-        elif not ok:
-            witness = {"ideal_clean": v_clean.ok, "matrix_ideal_weakly_clean": v_block.ok}
-        yield _verdict(inputs, ok, witness=witness, scanned=scanned)
+        yield _agree(scanned, ideal_clean=v_clean.ok, matrix_ideal_weakly_clean=v_block.ok)
+        for x in ideal if k >= 2 else ():
+            grid = [[base.zero] * k for _ in range(k)]
+            grid[0][0] = x
+            grid[1][1] = base.neg(x)
+            a = matrix_element(ambient, grid)
+            yield None, 1
+            if not is_weakly_clean_element(ambient, a):
+                yield {"element": x, "matrix_index": a}, 0
+
+    for *instance, inputs in instances:
+        yield _steps(inputs, steps(*instance))
 
 
 # ---------------------------------------------------------------------------
@@ -632,17 +650,10 @@ def law_product_ideal():
     for factors, gens, inputs in finite_instances:
         ambient = direct_product(factors)
         ideals = [_ideal(ring, g) for ring, g in zip(factors, gens)]
-        v_block = ideal_is_weakly_clean(ambient, product_ideal(ambient, ideals))
-        comp_wc, comp_clean, scanned = _components(list(zip(factors, ideals)))
-        rhs = _at_most_one_not_clean(comp_wc, comp_clean)
-        scanned += v_block.checked
-        ok = v_block.ok == rhs
-        yield _verdict(
-            inputs,
-            ok,
-            witness=None if ok else {"product_weakly_clean": v_block.ok, "component_rule": rhs},
-            scanned=scanned,
-        )
+        v = ideal_is_weakly_clean(ambient, product_ideal(ambient, ideals))
+        rule, scanned = _components(list(zip(factors, ideals)))
+        step = _agree(scanned + v.checked, product_weakly_clean=v.ok, component_rule=rule)
+        yield _steps(inputs, [step])
 
     # Localizations: two components that are weakly clean but not clean
     # force the product to fail, and the verdict comes with a member tuple
@@ -753,12 +764,7 @@ def law_morita_ideal():
         ),
     ]
     for ambient, r_ring, s_ring, i_gens, j_gens, builder, inputs in instances:
-        i_ideal, j_ideal = _ideal(r_ring, i_gens), _ideal(s_ring, j_gens)
-        wc, cl, scanned = _components([(r_ring, i_ideal), (s_ring, j_ideal)])
-        if not _at_most_one_not_clean(wc, cl):
-            yield _skipped(inputs, "diagonal ideals do not satisfy the hypothesis", scanned=scanned)
-            continue
-        yield _weakly_clean_block(inputs, ambient, builder(ambient, i_ideal, j_ideal), scanned)
+        yield _diagonal(inputs, ambient, builder, (r_ring, s_ring), (i_gens, j_gens))
 
 
 # ---------------------------------------------------------------------------
@@ -794,12 +800,7 @@ def _tri3_instances():
 )
 def law_tri3_ideal():
     for ambient, rings3, gens, inputs in _tri3_instances():
-        ideals = [_ideal(r, g) for r, g in zip(rings3, gens)]
-        wc, cl, scanned = _components(list(zip(rings3, ideals)))
-        if not _at_most_one_not_clean(wc, cl):
-            yield _skipped(inputs, "diagonal ideals do not satisfy the hypothesis", scanned=scanned)
-            continue
-        yield _weakly_clean_block(inputs, ambient, tri3_ideal(ambient, *ideals), scanned)
+        yield _diagonal(inputs, ambient, tri3_ideal, rings3, gens)
 
 
 @_Law(
@@ -809,29 +810,25 @@ def law_tri3_ideal():
     " ideal extracted from it is weakly clean in its own corner ring",
 )
 def law_tri3_converse():
+    def corners(ambient, rings3, block):
+        # Digits 0, 2 and 5 of an element's mixed-radix index are its diagonal.
+        digits = [_digits(idx, ambient.provenance["radices"]) for idx in block]
+        diagonals = [sorted({d[pos] for d in digits}) for pos in (0, 2, 5)]
+        for slot, (ring, members) in enumerate(zip(rings3, diagonals)):
+            extracted = ideal_from_members(ring, members)
+            yield _holds(ring, extracted, corner=slot)
+
     for ambient, rings3, gens, inputs in _tri3_instances():
         block = tri3_ideal(ambient, *(_ideal(r, g) for r, g in zip(rings3, gens)))
         v_block = ideal_is_weakly_clean(ambient, block)
-        scanned = v_block.checked
         if not v_block.ok:
             yield _skipped(
                 inputs,
                 "the triangular ideal is not weakly clean, so the hypothesis is empty",
-                scanned=scanned,
+                scanned=v_block.checked,
             )
             continue
-        # Digits 0, 2 and 5 of an element's mixed-radix index are its diagonal.
-        digits = [_digits(idx, ambient.provenance["radices"]) for idx in block]
-        diagonals = [sorted({d[pos] for d in digits}) for pos in (0, 2, 5)]
-        witness = None
-        for slot, (ring, members) in enumerate(zip(rings3, diagonals)):
-            extracted = ideal_from_members(ring, members)
-            v = ideal_is_weakly_clean(ring, extracted)
-            scanned += v.checked
-            if not v.ok:
-                witness = {"corner": slot, "ideal": extracted.describe(), "element": v.failing}
-                break
-        yield _verdict(inputs, witness is None, witness=witness, scanned=scanned)
+        yield _steps(inputs, corners(ambient, rings3, block), scanned=v_block.checked)
 
 
 # ---------------------------------------------------------------------------
@@ -867,13 +864,9 @@ def law_peirce_corners():
             yield _skipped(inputs, "corner slices do not satisfy the hypothesis", scanned=scanned)
             continue
         v = ideal_is_weakly_clean(ring, ideal)
-        yield _verdict(
-            inputs,
-            v.ok,
-            reason=f"corner weak cleanness {corner_wc}, cleanness {corner_clean}",
-            witness=None if v.ok else {"element": v.failing},
-            scanned=scanned + v.checked,
-        )
+        step = None if v.ok else {"element": v.failing}, v.checked
+        reason = f"corner weak cleanness {corner_wc}, cleanness {corner_clean}"
+        yield _steps(inputs, [step], scanned=scanned, reason=reason)
 
 
 # ---------------------------------------------------------------------------
@@ -895,42 +888,30 @@ def law_series_ideal():
         (zn(4), None, 3, "Z_4 | R, k=3"),
         (zn(2), None, 1, "Z_2 | R, k=1"),
     ]
-    for base, gens, k, inputs in instances:
+
+    def steps(base, gens, k):
         ideal = _ideal(base, gens)
         ambient = truncated_power_series(base, k)
         block = series_ideal(ambient, ideal, k)
         v_base = ideal_is_weakly_clean(base, ideal)
         v_block = ideal_is_weakly_clean(ambient, block)
-        scanned = v_base.checked + v_block.checked
-        ok = v_base.ok == v_block.ok
-        witness = None if ok else {"base": v_base.ok, "series": v_block.ok}
-
+        yield _agree(v_base.checked + v_block.checked, base=v_base.ok, series=v_block.ok)
         weight = base.order ** (k - 1)
-        if ok:
-            constant_idempotents = {e * weight for e in base.idempotents}
-            if set(ambient.idempotents) != constant_idempotents:
-                ok = False
-                witness = {
-                    "unexpected_idempotents": sorted(
-                        set(ambient.idempotents) - constant_idempotents
-                    )
-                }
-            scanned += len(ambient.idempotents)
+        idempotents = set(ambient.idempotents)
+        constant = {e * weight for e in base.idempotents}
+        yield None, len(ambient.idempotents)
+        if idempotents != constant:
+            yield {"unexpected_idempotents": sorted(idempotents - constant)}, 0
+        checks = (("weakly-clean", is_weakly_clean_element), ("clean", is_clean_element))
+        for f in range(ambient.order):
+            c = f // weight
+            yield None, 1
+            for check, test in checks:
+                if test(ambient, f) != test(base, c):
+                    yield {"series_index": f, "constant_term": c, "check": check}, 0
 
-        if ok:
-            for f in range(ambient.order):
-                c = f // weight
-                scanned += 1
-                if is_weakly_clean_element(ambient, f) != is_weakly_clean_element(base, c):
-                    ok = False
-                    witness = {"series_index": f, "constant_term": c, "check": "weakly-clean"}
-                    break
-                if is_clean_element(ambient, f) != is_clean_element(base, c):
-                    ok = False
-                    witness = {"series_index": f, "constant_term": c, "check": "clean"}
-                    break
-
-        yield _verdict(inputs, ok, witness=witness, scanned=scanned)
+    for *instance, inputs in instances:
+        yield _steps(inputs, steps(*instance))
 
 
 # ---------------------------------------------------------------------------
@@ -953,37 +934,25 @@ def law_idealization_ideal():
         (z6, regular_bimodule(z6), (3,), (0, 3), "Z_6 with module Z_6 | <3>, N={0,3}"),
         (z4, zn_bimodule(z4, z4, 2), (2,), (0, 1), "Z_4 with module Z_2 | <2>, N=all"),
     ]
-    for base, module, gens, submodule, inputs in instances:
+
+    def steps(base, module, gens, submodule):
         ambient = idealization(base, module)
         module_order = ambient.order // base.order
         ideal = ideal_closure(base, gens)
         block = idealization_ideal(ambient, ideal, submodule)
-
-        ok = True
-        witness = None
-        scanned = 0
         for idx in range(ambient.order):
             r, m = divmod(idx, module_order)
-            scanned += 1
+            yield None, 1
             if ambient.is_unit(idx) != base.is_unit(r):
-                ok = False
-                witness = {"index": idx, "check": "unit"}
-                break
-            expected_idem = base.is_idempotent(r) and m == 0
-            if ambient.is_idempotent(idx) != expected_idem:
-                ok = False
-                witness = {"index": idx, "check": "idempotent"}
-                break
+                yield {"index": idx, "check": "unit"}, 0
+            if ambient.is_idempotent(idx) != (base.is_idempotent(r) and m == 0):
+                yield {"index": idx, "check": "idempotent"}, 0
+        v_base = ideal_is_weakly_clean(base, ideal)
+        v_block = ideal_is_weakly_clean(ambient, block)
+        yield _agree(v_base.checked + v_block.checked, base=v_base.ok, extension=v_block.ok)
 
-        if ok:
-            v_base = ideal_is_weakly_clean(base, ideal)
-            v_block = ideal_is_weakly_clean(ambient, block)
-            scanned += v_base.checked + v_block.checked
-            if v_base.ok != v_block.ok:
-                ok = False
-                witness = {"base": v_base.ok, "extension": v_block.ok}
-
-        yield _verdict(inputs, ok, witness=witness, scanned=scanned)
+    for *instance, inputs in instances:
+        yield _steps(inputs, steps(*instance))
 
 
 # ---------------------------------------------------------------------------
@@ -1003,38 +972,25 @@ def _radical_quotient(ring, inputs, ideals, complete):
         return _skipped(inputs, "the radical is zero, so the projection changes nothing")
     qring, proj = quotient(ring, sorted(radical))
     containing = [i for i in ideals if radical <= set(i.members)]
-    scanned = 0
-    witness = None
-    for ideal in containing:
-        image = ideal_from_members(qring, sorted({int(proj[x]) for x in ideal}))
-        v_up = ideal_is_weakly_clean(ring, ideal)
-        v_down = ideal_is_weakly_clean(qring, image)
-        scanned += v_up.checked + v_down.checked
-        if v_up.ok != v_down.ok:
-            witness = {"ideal": ideal.describe(), "upstairs": v_up.ok, "downstairs": v_down.ok}
-            break
-        for x in ideal:
-            first = decompositions(qring, int(proj[x]))[0]
-            e = lift_idempotent(ring, proj, qring, first.idempotent)
-            shifted = ring.add(x, ring.neg(e)) if first.sign == 1 else ring.add(x, e)
-            scanned += 1
-            if not ring.is_unit(shifted):
-                witness = {
-                    "ideal": ideal.describe(),
-                    "element": x,
-                    "lifted_idempotent": e,
-                    "sign": first.sign,
-                }
-                break
-        if witness is not None:
-            break
-    return _verdict(
-        inputs,
-        witness is None,
-        reason=f"{len(containing)} ideal(s) contain the radical",
-        witness=witness,
-        scanned=scanned,
-    )
+
+    def steps():
+        for ideal in containing:
+            image = ideal_from_members(qring, sorted({int(proj[x]) for x in ideal}))
+            v_up = ideal_is_weakly_clean(ring, ideal)
+            v_down = ideal_is_weakly_clean(qring, image)
+            yield None, v_up.checked + v_down.checked
+            if v_up.ok != v_down.ok:
+                yield {"ideal": ideal.describe(), "upstairs": v_up.ok, "downstairs": v_down.ok}, 0
+            for x in ideal:
+                first = decompositions(qring, int(proj[x]))[0]
+                e = lift_idempotent(ring, proj, qring, first.idempotent)
+                shifted = ring.add(x, ring.neg(e)) if first.sign == 1 else ring.add(x, e)
+                yield None, 1
+                if not ring.is_unit(shifted):
+                    lift = {"element": x, "lifted_idempotent": e, "sign": first.sign}
+                    yield {"ideal": ideal.describe(), **lift}, 0
+
+    return _steps(inputs, steps(), reason=f"{len(containing)} ideal(s) contain the radical")
 
 
 @_radical_quotient
@@ -1080,7 +1036,7 @@ def law_radical_sum():
                 scanned=v_i.checked,
             )
             continue
-        yield _weakly_clean_block(inputs, ring, ideal_sum(ideal, extra), v_i.checked)
+        yield _steps(inputs, [_holds(ring, ideal_sum(ideal, extra))], scanned=v_i.checked)
 
 
 # ---------------------------------------------------------------------------
@@ -1095,36 +1051,29 @@ def law_radical_sum():
     " and uniquely weakly clean",
 )
 def law_localized_agreement():
-    checked = 0
+    envelope = list(envelope_ideals())
     disagreements: list[dict] = []
-    for ring, ideal in envelope_ideals():
-        analytic_clean = ideal_is_clean_analytic(ideal).value
-        analytic_wc = ideal_is_weakly_clean_analytic(ideal).value
-        analytic_uwc = ideal_is_uniquely_weakly_clean_analytic(ideal).value
-        search_clean = witness_search(ring, ideal, flavor="clean") is None
-        search_wc = witness_search(ring, ideal, flavor="weakly-clean") is None
-        search_uwc = uniqueness_witness_search(ring, ideal) is None
-        checked += 1
-        if (analytic_clean, analytic_wc, analytic_uwc) != (
-            search_clean,
-            search_wc,
-            search_uwc,
-        ):
-            disagreements.append(
-                {
-                    "ring": ring.label,
-                    "ideal": ideal.describe(),
-                    "analytic": [analytic_clean, analytic_wc, analytic_uwc],
-                    "search": [search_clean, search_wc, search_uwc],
-                }
-            )
+    for ring, ideal in envelope:
+        analytic = [
+            ideal_is_clean_analytic(ideal).value,
+            ideal_is_weakly_clean_analytic(ideal).value,
+            ideal_is_uniquely_weakly_clean_analytic(ideal).value,
+        ]
+        search = [
+            witness_search(ring, ideal, flavor="clean") is None,
+            witness_search(ring, ideal, flavor="weakly-clean") is None,
+            uniqueness_witness_search(ring, ideal) is None,
+        ]
+        if analytic != search:
+            where = {"ring": ring.label, "ideal": ideal.describe()}
+            disagreements.append({**where, "analytic": analytic, "search": search})
     yield _verdict(
-        f"{checked} ideals, primes up to {VALIDATED_MAX_PRIME},"
+        f"{len(envelope)} ideals, primes up to {VALIDATED_MAX_PRIME},"
         f" exponents up to {VALIDATED_MAX_EXPONENT}",
         not disagreements,
         strength="discriminating",
         witness=None if not disagreements else {"disagreements": disagreements[:3]},
-        scanned=3 * checked,
+        scanned=3 * len(envelope),
     )
 
 

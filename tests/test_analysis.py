@@ -1,6 +1,6 @@
 """Element and ideal classification: decompositions into unit plus/minus
-idempotent, uniqueness counting, the exchange-style membership test, radical
-lifting, and corner splitting."""
+idempotent, uniqueness counting, the exchange-style membership test, and
+radical lifting."""
 
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ from cleanrings import (
     is_weakly_exchange_element,
     lift_idempotent,
     matrix_ring,
-    peirce_analysis,
     principal_ideals,
     quotient,
     ring_is_clean,
@@ -332,30 +331,3 @@ def test_lift_idempotent_reports_missing_lift():
     proj = np.zeros(4, dtype=np.int32)
     with pytest.raises(RuntimeError):
         lift_idempotent(ring, proj, quot, 1)
-
-
-# -- corner splitting -------------------------------------------------------------
-
-
-def test_peirce_split_of_z6_along_three():
-    ideal = ideal_closure(Z6, [2])
-    report = peirce_analysis(Z6, 3, ideal)
-    assert (report.e, report.complement) == (3, 4)
-    assert [v.ok for v in report.corner_verdicts] == [True, True]
-    assert [v.checked for v in report.corner_verdicts] == [1, 3]
-    assert report.corner_clean == (True, True)
-    assert report.both_weakly_clean and report.at_most_one_not_clean
-
-
-def test_peirce_requires_central_idempotent():
-    with pytest.raises(ValueError):
-        peirce_analysis(Z6, 2, ideal_closure(Z6, [2]))
-    with pytest.raises(ValueError):
-        peirce_analysis(M2Z2, 8, full_ideal(M2Z2))  # idempotent but not central
-
-
-def test_peirce_trivial_split_along_one():
-    report = peirce_analysis(Z6, 1, full_ideal(Z6))
-    assert report.corner_verdicts[0].checked == 6
-    assert report.corner_verdicts[1].checked == 1
-    assert report.both_weakly_clean

@@ -806,6 +806,23 @@ def test_ideal_localized_generator_past_int64_gets_a_true_witness(capsys, primes
     assert bench.check_localized_ideal(primes, exponents, check, False, code, out, err) == []
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["ideal", "(localized 3 5)", "--gens", "-7/2", "--check", "clean"], 1),
+        (["analyze", "(localized 3 5)", "--element", "-7/2"], 0),
+        (["ideal", "(localized 3 5)", "--gens", "-7/2", "--check", "weakly-clean", "--json"], 0),
+    ],
+)
+def test_a_negative_fraction_is_read_as_a_value(capsys, argv, code):
+    """-7/2 after a flag is that flag's value, as -7 is, and not an unknown option."""
+    flag = next(i for i, a in enumerate(argv) if a in ("--gens", "--element"))
+    joined = [*argv[:flag], f"{argv[flag]}={argv[flag + 1]}", *argv[flag + 2 :]]
+    got = run(capsys, *argv)
+    assert got[0] == code
+    assert got == run(capsys, *joined)
+
+
 _LOCALIZED_PRIMES = (
     st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=1, max_size=4, unique=True)
     .filter(lambda ps: math.prod(ps) <= 3000)
@@ -815,13 +832,12 @@ _LOCALIZED_PRIMES = (
 
 def _localized_gen(primes):
     """(text, value or None when the text names no member of Z_(P)), three
-    times in four a member. Only plain integers are negative: argparse reads
-    a text such as -7/2 as an option."""
+    times in four a member, of either sign."""
     modulus = math.prod(primes)
     big = st.builds(
         lambda exponents, cofactor: cofactor * math.prod(p**e for p, e in zip(primes, exponents)),
         st.lists(st.integers(0, 70), min_size=len(primes), max_size=len(primes)),
-        st.integers(0, 2**70),
+        st.integers(-(2**70), 2**70),
     )
     fractions = st.builds(Fraction, big, st.integers(1, 50).filter(lambda b: math.gcd(b, modulus) == 1))
     valid = (fractions | st.integers(-(2**70), 2**70).map(Fraction)).map(lambda x: (str(x), x))

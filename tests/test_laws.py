@@ -3,10 +3,13 @@ reports are deterministic, and the frozen shape of the run is stable."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
+import importlib
 from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -331,6 +334,41 @@ def test_law_functions_are_module_attributes_that_report_their_own_id():
         reports = fn()
         assert isinstance(reports, list)
         assert {r.law_id for r in reports} == {law_id}
+
+
+def _traced_names() -> set[str]:
+    """The "<module>.<attr>" names perfbench/traced.py wraps, counts or sums:
+    PRIVATE, the keys of COUNTERS, and every literal span name that
+    layer_figures passes to incl, own or calls, directly or in a tuple."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "traced.py").read_text())
+    top = {t.id: node.value for node in tree.body if isinstance(node, ast.Assign) for t in node.targets}
+    names = set(ast.literal_eval(top["PRIVATE"])) | {ast.literal_eval(k) for k in top["COUNTERS"].keys}
+    figures = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "layer_figures")
+    tuples = {
+        t.id: node.value
+        for node in ast.walk(figures)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
+        for t in node.targets
+    }
+    for node in ast.walk(figures):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("incl", "own", "calls"):
+            for arg in node.args:
+                if isinstance(arg, ast.Starred) and isinstance(arg.value, ast.Name):
+                    names |= set(ast.literal_eval(tuples[arg.value.id]))
+                elif isinstance(arg, ast.Constant):
+                    names.add(arg.value)
+    return names
+
+
+def test_every_name_the_tracer_measures_is_a_callable_of_the_package():
+    # traced.py finds its targets by name, so a renamed or deleted function
+    # would silently read as zero time instead of failing.
+    names = _traced_names()
+    assert {"analysis._scan_masks", "localized._search_grid", "cli.main", "laws.run_ring"} <= names
+    for name in sorted(names):
+        module, attr = name.split(".")
+        target = getattr(importlib.import_module(f"cleanrings.{module}"), attr, None)
+        assert callable(target), name
 
 
 def test_law_ids_are_pinned_in_declaration_order():
