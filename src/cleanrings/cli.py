@@ -30,20 +30,9 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .analysis import (
-    clean_class,
-    decompositions,
-    exchange_idempotents,
-    ideal_is_clean,
-    ideal_is_uniquely_weakly_clean,
-    ideal_is_weakly_clean,
-    ideal_is_weakly_exchange,
-)
-from .core import FiniteRing
 from .dsl import LocalizedSpec, SpecError, build, parse, pretty
-from .ideals import IdealSet, full_ideal, ideal_closure
-from .laws import LAW_IDS, RING_LAW_IDS, reports_to_json, run_catalog, run_law, run_ring, summarize
 from .localized import (
     LocalizedIdeal,
     LocalizedIntegers,
@@ -56,6 +45,12 @@ from .localized import (
     uniqueness_witness_search,
     witness_search,
 )
+
+# The finite-ring modules (and numpy with them) are imported by the commands
+# that need them, so a localization command starts light.
+if TYPE_CHECKING:
+    from .core import FiniteRing
+    from .ideals import IdealSet
 
 __all__ = ["main"]
 
@@ -145,6 +140,8 @@ def _parse_element(ring, text: str):
 
 
 def _finite_ideal(ring: FiniteRing, gens: list[str] | None) -> IdealSet:
+    from .ideals import full_ideal, ideal_closure
+
     if gens is None:
         return full_ideal(ring)
     indices = [_parse_element(ring, g) for g in gens]
@@ -181,6 +178,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if not verdict.is_weakly_clean:
             lines.append(f"  none of {x}, {x - 1}, {x + 1} is a unit: no decomposition")
     else:
+        from .analysis import clean_class
+
         verdict = clean_class(ring, x)
         shown = verdict.decompositions[:12]
         lines = [f"  {x} = {d.unit} {'+' if d.sign == 1 else '-'} {d.idempotent}" for d in shown]
@@ -207,17 +206,20 @@ def _yn(flag: bool) -> str:
 # ideal
 
 
-# each --check value: (its finite-ring verdict, its localization verdict)
+# each --check value: (the name of its finite-ring verdict in analysis, its
+# localization verdict)
 _CHECKS = {
-    "clean": (ideal_is_clean, ideal_is_clean_analytic),
-    "weakly-clean": (ideal_is_weakly_clean, ideal_is_weakly_clean_analytic),
-    "uniquely": (ideal_is_uniquely_weakly_clean, ideal_is_uniquely_weakly_clean_analytic),
-    "exchange": (ideal_is_weakly_exchange, ideal_is_weakly_exchange_analytic),
+    "clean": ("ideal_is_clean", ideal_is_clean_analytic),
+    "weakly-clean": ("ideal_is_weakly_clean", ideal_is_weakly_clean_analytic),
+    "uniquely": ("ideal_is_uniquely_weakly_clean", ideal_is_uniquely_weakly_clean_analytic),
+    "exchange": ("ideal_is_weakly_exchange", ideal_is_weakly_exchange_analytic),
 }
 
 
 def _finite_witness(ring: FiniteRing, x: int, check: str) -> dict:
     """One audited decomposition (or exchange idempotent) for a passing element."""
+    from .analysis import decompositions, exchange_idempotents
+
     if check == "exchange":
         found = exchange_idempotents(ring, x)
         return {"element": x, "idempotent": int(found[0])} if found.size else {"element": x}
@@ -259,8 +261,10 @@ def _cmd_ideal(args: argparse.Namespace) -> int:
         elif not ok:
             lines.append(f"  no witness within the search bound {args.bound} (raise --bound)")
     else:
+        from . import analysis
+
         ideal = _finite_ideal(ring, args.gens)
-        verdict = finite_check(ring, ideal)
+        verdict = getattr(analysis, finite_check)(ring, ideal)
         ok = verdict.ok
         verdict_json = verdict.to_json_dict()
         witnesses = (
@@ -347,6 +351,8 @@ def _cmd_units(args: argparse.Namespace) -> int:
 
 
 def _cmd_laws(args: argparse.Namespace) -> int:
+    from .laws import LAW_IDS, RING_LAW_IDS, reports_to_json, run_catalog, run_law, run_ring, summarize
+
     if args.law is not None and args.law not in LAW_IDS:
         raise _UsageError(f"unknown law {args.law!r}; known: {', '.join(LAW_IDS)}")
     if args.catalog:

@@ -31,15 +31,14 @@ display label.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-DEFAULT_SIZE_CAP = 256
-SIZE_CAP_ENV = "CLEANRINGS_SIZE_CAP"
+# The size cap lives in ``limits``, which reading a spec imports without numpy.
+from .limits import DEFAULT_SIZE_CAP, SIZE_CAP_ENV, size_cap
 
 
 class TableFormatError(ValueError):
@@ -57,17 +56,6 @@ class RingValidationError(ValueError):
         self.report = report
         axioms = ", ".join(sorted({v.axiom for v in report.violations}))
         super().__init__(f"ring axioms violated: {axioms}")
-
-
-def size_cap(override: int | None = None) -> int:
-    """Effective validation cap: explicit override, else env var, else default."""
-    if override is not None:
-        return int(override)
-    env = os.environ.get(SIZE_CAP_ENV)
-    try:
-        return int(env) if env else DEFAULT_SIZE_CAP
-    except ValueError:
-        raise ValueError(f"{SIZE_CAP_ENV} must be an integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)

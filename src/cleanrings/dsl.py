@@ -44,27 +44,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, fields
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-from .constructions import (
-    Bimodule,
-    corner_ring,
-    direct_product,
-    idealization,
-    matrix_ring,
-    morita_zero,
-    quotient,
-    regular_bimodule,
-    tri2,
-    tri3,
-    truncated_power_series,
-    zero_bimodule,
-    zn,
-    zn_bimodule,
-)
-from .core import FiniteRing, size_cap
-from .ideals import full_ideal, ideal_closure
+from .limits import size_cap
 from .localized import LocalizedIntegers
+
+if TYPE_CHECKING:
+    from .core import FiniteRing
 
 __all__ = [
     "CornerSpec",
@@ -557,17 +543,18 @@ class _Module(_Kind):
         return orders[self.left]
 
     def build(self, ref: ModuleRef, built: dict, go):
+        c = _constructions()
         left, right = built[self.left], built[self.right]
         if ref.kind == "zero":
-            return zero_bimodule(left, right)
+            return c.zero_bimodule(left, right)
         if ref.kind == "znmod":
-            return zn_bimodule(left, right, ref.m or 1)
+            return c.zn_bimodule(left, right, ref.m or 1)
         if ref.kind == "table" and ref.tables is not None:
             add, la, ra = ref.tables
-            return Bimodule(left, right, add, la, ra, label="table")
+            return c.Bimodule(left, right, add, la, ra, label="table")
         if left is not right:  # unreachable after analysis
             raise SpecArityError("regular module over two different rings", 1, 1)
-        return regular_bimodule(left)
+        return c.regular_bimodule(left)
 
 
 _RING = _Ring()
@@ -757,27 +744,37 @@ def _parts_order(spec: RingSpec) -> int:
 # building
 
 
+def _constructions():
+    """The finite-ring constructions, imported when a finite ring is built, so
+    that reading a spec or building a localization imports no numpy."""
+    from . import constructions
+
+    return constructions
+
+
 def _ideal(ring: FiniteRing, ref: IdealRef):
+    from .ideals import full_ideal, ideal_closure
+
     if ref.generators is None:
         return full_ideal(ring)
     return ideal_closure(ring, ref.generators)
 
 
 # Each construction's call, given its built arguments in field order. Every
-# entry looks its function up by name when called, so rebinding a module
-# attribute (as perfbench/traced.py does) reaches the call.
+# entry looks its function up on its module when called, so rebinding a
+# module attribute (as perfbench/traced.py does) reaches the call.
 _BUILDERS = {
-    ZnSpec: lambda n: zn(n),
-    ProductSpec: lambda *factors: direct_product(list(factors)),
-    MatrixSpec: lambda k, base: matrix_ring(base, k),
-    Tri2Spec: lambda r, s, lower: tri2(r, s, lower),
-    Tri3Spec: lambda *parts: tri3(*parts),
-    MoritaSpec: lambda r, s, upper, lower: morita_zero(r, s, upper, lower),
-    IdealizeSpec: lambda base, module: idealization(base, module),
-    QuotientSpec: lambda base, ideal: quotient(base, _ideal(base, ideal))[0],
-    SeriesSpec: lambda base, k: truncated_power_series(base, k),
+    ZnSpec: lambda n: _constructions().zn(n),
+    ProductSpec: lambda *factors: _constructions().direct_product(list(factors)),
+    MatrixSpec: lambda k, base: _constructions().matrix_ring(base, k),
+    Tri2Spec: lambda r, s, lower: _constructions().tri2(r, s, lower),
+    Tri3Spec: lambda *parts: _constructions().tri3(*parts),
+    MoritaSpec: lambda r, s, upper, lower: _constructions().morita_zero(r, s, upper, lower),
+    IdealizeSpec: lambda base, module: _constructions().idealization(base, module),
+    QuotientSpec: lambda base, ideal: _constructions().quotient(base, _ideal(base, ideal))[0],
+    SeriesSpec: lambda base, k: _constructions().truncated_power_series(base, k),
     LocalizedSpec: lambda *primes: LocalizedIntegers(primes),
-    CornerSpec: lambda base, e: corner_ring(base, e).ring,
+    CornerSpec: lambda base, e: _constructions().corner_ring(base, e).ring,
 }
 
 

@@ -452,7 +452,6 @@ def _central_equivalence(ring, inputs, ideals, complete):
     noncentral = {e for e in ring.idempotents if not ring.is_central(e)}
     scanned = 0
     skipped_ideals = 0
-    witness = None
     for ideal in ideals:
         if noncentral & set(ideal.members):
             skipped_ideals += 1
@@ -466,11 +465,15 @@ def _central_equivalence(ring, inputs, ideals, complete):
                 "weakly_clean": v_wc.ok,
                 "weakly_exchange": v_wex.ok,
             }
-            break
+            reason = (
+                f"{witness['ideal']} holds only central idempotents, and its weakly clean"
+                " and weakly exchange verdicts differ"
+            )
+            return _verdict(inputs, False, reason=reason, witness=witness, scanned=scanned)
     reason = ""
     if skipped_ideals:
         reason = f"{skipped_ideals} ideal(s) hold a noncentral idempotent and fall outside the hypothesis"
-    return _verdict(inputs, witness is None, reason=reason, witness=witness, scanned=scanned)
+    return _verdict(inputs, True, reason=reason, scanned=scanned)
 
 
 @_central_equivalence
@@ -698,7 +701,6 @@ def law_product_ideal():
 def _uniqueness_forces_central(ring, inputs, ideals, complete):
     noncentral = {e for e in ring.idempotents if not ring.is_central(e)}
     scanned = 0
-    witness = None
     bite = 0
     for ideal in ideals:
         v = ideal_is_uniquely_weakly_clean(ring, ideal)
@@ -708,7 +710,10 @@ def _uniqueness_forces_central(ring, inputs, ideals, complete):
             bite += 1
             if v.ok:
                 witness = {"ideal": ideal.describe(), "noncentral_idempotents": sorted(held)}
-                break
+                reason = f"{witness['ideal']} holds a noncentral idempotent and is uniquely weakly clean"
+                return _verdict(
+                    inputs, False, strength="discriminating", reason=reason, witness=witness, scanned=scanned
+                )
     reason = ""
     if bite:
         reason = (
@@ -716,12 +721,7 @@ def _uniqueness_forces_central(ring, inputs, ideals, complete):
             " on each of them, as the law requires"
         )
     return _verdict(
-        inputs,
-        witness is None,
-        strength="discriminating" if bite else "degenerate",
-        reason=reason,
-        witness=witness,
-        scanned=scanned,
+        inputs, True, strength="discriminating" if bite else "degenerate", reason=reason, scanned=scanned
     )
 
 

@@ -10,10 +10,21 @@ principal with a canonical integer generator d = prod(p^e_p), which makes
 ideal-level properties decidable by a finite case analysis on the valuation
 vector (e_p). That case table is derived here and kept honest by a bounded
 witness-search oracle; the test suite replays the two against each other
-across an envelope of prime sets and valuations. The search is exact for
-every generator: with b coprime to M, whether d*a/b, d*a/b - 1 and
-d*a/b + 1 are units depends only on the residues of d*a and b mod each p
-in P, which it takes on Python integers.
+across an envelope of prime sets and valuations.
+
+The search visits the members d*a/b with |a| <= bound and b <= bound coprime
+to M, row by row: for each denominator b in ascending order, the multipliers
+a = 0, 1, -1, 2, -2, ... With b coprime to M, whether d*a/b, d*a/b - 1 and
+d*a/b + 1 are units depends only on the residues of d*a and b mod each p in
+P, so "p divides d*a - c" is one residue class of a mod p. A row holds each
+test as a bitset over its positions, a Python integer: a class repeats with
+period 2p positions, so its bitset is one period times a comb of teeth. The
+sign classes of the row are bitwise in those bitsets, the lowest set bit is
+the first member, and the search stops at the first row that holds one. The
+residues are taken on Python integers, so the search is exact for every
+generator, and it keeps one row at a time, so its memory grows with the
+bound and not with the grid. The whole grid is built only by the tests'
+oracle, ``_search_grid``.
 
 Derived case table, writing Z = {p in P : e_p = 0} for a nonzero ideal I
 with valuations (e_p):
@@ -37,13 +48,12 @@ with valuations (e_p):
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Literal, Sequence
-
-import numpy as np
 
 __all__ = [
     "LocalizedIntegers",
@@ -251,8 +261,10 @@ class SignClasses:
 
     plus: x = u + e is solvable (x or x - 1 a unit);
     minus: x = u - e is solvable (x or x + 1 a unit).
-    The flags may also be numpy boolean grids over many candidates (element
-    None): every class is bitwise, and stays a bool for bool flags.
+    The flags may also stand for many candidates (element None), as integer
+    bitsets or numpy boolean grids: every class is bitwise, and stays a bool
+    for bool flags. "a and not b" is written a & (a ^ b), which means the
+    same on all three.
     """
 
     element: Fraction | None
@@ -278,11 +290,11 @@ class SignClasses:
 
     @property
     def plus_only(self) -> bool:
-        return self.plus > self.minus
+        return self.plus & (self.plus ^ self.minus)
 
     @property
     def minus_only(self) -> bool:
-        return self.minus > self.plus
+        return self.minus & (self.minus ^ self.plus)
 
     @property
     def is_uniquely_weakly_clean(self) -> bool:
@@ -426,13 +438,21 @@ def ideal_is_weakly_exchange_analytic(ideal: LocalizedIdeal) -> AnalyticVerdict:
 # -- bounded witness search ---------------------------------------------------------
 
 
+def _multiplier(k: int) -> int:
+    """The numerator multiplier at canonical position k: 0, 1, -1, 2, -2, ..."""
+    return (k + 1) // 2 if k % 2 else -(k // 2)
+
+
+def _rows(ring: LocalizedIntegers, bound: int) -> Iterator[int]:
+    """The denominators b of 1..bound coprime to the modulus, ascending."""
+    modulus = ring.modulus
+    return (b for b in range(1, bound + 1) if math.gcd(b, modulus) == 1)
+
+
 def _order(ring: LocalizedIntegers, bound: int) -> tuple[list[int], list[int]]:
-    """The canonical search order: numerator multipliers a over 0, 1, -1, 2,
-    -2, ... out to the bound, in each denominator b of 1..bound coprime to
-    the modulus, ascending."""
-    a_vals = [0] + [a for k in range(1, bound + 1) for a in (k, -k)]
-    b_vals = [b for b in range(1, bound + 1) if math.gcd(b, ring.modulus) == 1]
-    return a_vals, b_vals
+    """The canonical search order: the multipliers a at positions 0..2*bound
+    (``_multiplier``) in each row b (``_rows``)."""
+    return [_multiplier(k) for k in range(2 * bound + 1)], list(_rows(ring, bound))
 
 
 def candidate_stream(
@@ -447,48 +467,83 @@ def candidate_stream(
             yield Fraction(d * a, b)
 
 
-def _search_grid(
-    ring: LocalizedIntegers, ideal: LocalizedIdeal, bound: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Non-unit masks over candidates x = d*a/b in canonical order.
+def _teeth(period: int, n: int) -> int:
+    """The bitset of the positions 0, period, 2*period, ... (and perhaps more
+    beyond n)."""
+    teeth, width = 1, period
+    while width < n:
+        teeth |= teeth << width
+        width *= 2
+    return teeth
 
-    Returns (a_values, b_values, x_non_unit, down_non_unit, up_non_unit)
-    where the masks are indexed [b, a] and "down"/"up" refer to x - 1 and
-    x + 1. Because b stays coprime to the modulus, a prime p of the set makes
-    x, x - 1 or x + 1 a non-unit exactly when d*a is 0, b or -b mod p. The
-    residues are taken on Python integers, so the masks are exact for any d.
+
+# Residue-class bitsets kept per search; a long search over large primes
+# meets a new class in almost every row, so the cache is bounded.
+_CACHED_CLASSES = 64
+
+
+def _first_members(
+    ring: LocalizedIntegers, ideal: LocalizedIdeal, bound: int, *classes
+) -> list[Fraction | None]:
+    """The first member d*a/b, in canonical order, of each class, or None.
+
+    A row b holds bitsets over its positions 0..2*bound, bit k standing for
+    the multiplier ``_multiplier(k)``. Each class maps the row's SignClasses,
+    whose flags are such bitsets, and the bitset of the whole row to the
+    bitset of the row's members in the class; its lowest bit is its first
+    member. Rows are visited in order until every class has a member.
+
+    With b coprime to the modulus, a prime p that divides d makes every x a
+    non-unit and every x - 1 and x + 1 a unit. For any other p, with r = d
+    mod p, x, x - 1 and x + 1 are non-units at p exactly when a is 0, b/r or
+    -b/r mod p. The residues are taken on Python integers, so the search is
+    exact for any d. A row whose residues mod the primes that do not divide d
+    repeat an earlier row's has that row's bitsets, so it is skipped.
     """
     d = int(ideal.generator)
-    a_vals, b_vals = _order(ring, bound)
-    shape = (len(b_vals), len(a_vals))
-    x_non_unit = np.zeros(len(a_vals), dtype=bool)
-    down_non_unit = np.zeros(shape, dtype=bool)
-    up_non_unit = np.zeros(shape, dtype=bool)
-    for p in ring.primes:
-        da = np.array([d % p * a % p for a in a_vals], dtype=np.uint64)
-        x_non_unit |= da == 0
-        down_non_unit |= da == np.array([[b % p] for b in b_vals], dtype=np.uint64)
-        up_non_unit |= da == np.array([[-b % p] for b in b_vals], dtype=np.uint64)
-    a_arr, b_arr = (np.array(vals, dtype=np.int64) for vals in (a_vals, b_vals))
-    return a_arr, b_arr, np.broadcast_to(x_non_unit, shape), down_non_unit, up_non_unit
+    n = 2 * bound + 1
+    full = (1 << n) - 1
+    live = [p for p in ring.primes if d % p]
+    inverses = {p: pow(d, -1, p) for p in live}
+    teeth = {p: _teeth(2 * p, n) for p in live}
+
+    @functools.lru_cache(maxsize=_CACHED_CLASSES)
+    def residue_class(p: int, t: int) -> int:
+        """The positions whose multiplier is t mod p: the bits of one period
+        of 2p positions, times the teeth that repeat it."""
+        pattern = sum(1 << k for k in (2 * (t or p) - 1, 2 * (-t % p)) if k < n)
+        return pattern * teeth[p] & full
+
+    x_non_unit = 0 if len(live) == len(ring.primes) else full
+    for p in live:
+        x_non_unit |= residue_class(p, 0)
+    unit = full ^ x_non_unit
+    period = math.prod(live)
+    seen = bytearray(period) if period <= bound else None
+    found = [None] * len(classes)
+    for b in _rows(ring, bound):
+        if seen is not None:
+            if seen[b % period]:
+                continue
+            seen[b % period] = 1
+        down_non_unit = up_non_unit = 0
+        for p, inverse in inverses.items():
+            t = b * inverse % p
+            down_non_unit |= residue_class(p, t)
+            up_non_unit |= residue_class(p, -t % p)
+        flags = SignClasses(None, unit, full ^ down_non_unit, full ^ up_non_unit)
+        for i, members_of in enumerate(classes):
+            hits = 0 if found[i] is not None else members_of(flags, full)
+            if hits:
+                found[i] = Fraction(d * _multiplier((hits & -hits).bit_length() - 1), b)
+        if None not in found:
+            break
+    return found
 
 
-def _first_hit(
-    mask: np.ndarray, a_vals: np.ndarray, b_vals: np.ndarray, d: int
-) -> Fraction | None:
-    for row in range(mask.shape[0]):
-        hits = np.flatnonzero(mask[row])
-        if hits.size:
-            a = int(a_vals[hits[0]])
-            return Fraction(d * a, int(b_vals[row]))
-    return None
-
-
-def _grid_classes(ring: LocalizedIntegers, ideal: LocalizedIdeal, bound: int):
-    """The sign classes of the whole search grid, and the (a_values,
-    b_values, d) that ``_first_hit`` reads a cell's member from."""
-    a_vals, b_vals, x_nu, down_nu, up_nu = _search_grid(ring, ideal, bound)
-    return SignClasses(None, ~x_nu, ~down_nu, ~up_nu), (a_vals, b_vals, int(ideal.generator))
+def _lacking(name: str):
+    """The class of the members whose sign classes lack the property ``name``."""
+    return lambda classes, full: full ^ getattr(classes, name)
 
 
 def witness_search(
@@ -502,9 +557,8 @@ def witness_search(
     requested flavor, or None when every sampled member decomposes."""
     if ideal.is_zero:
         return None
-    classes, cell = _grid_classes(ring, ideal, bound)
-    good = classes.is_clean if flavor == "clean" else classes.is_weakly_clean
-    return _first_hit(~good, *cell)
+    good = "is_clean" if flavor == "clean" else "is_weakly_clean"
+    return _first_members(ring, ideal, bound, _lacking(good))[0]
 
 
 def uniqueness_witness_search(
@@ -516,8 +570,7 @@ def uniqueness_witness_search(
     """First member supported by zero or by both idempotents."""
     if ideal.is_zero:
         return None
-    classes, cell = _grid_classes(ring, ideal, bound)
-    return _first_hit(~classes.is_uniquely_weakly_clean, *cell)
+    return _first_members(ring, ideal, bound, _lacking("is_uniquely_weakly_clean"))[0]
 
 
 @dataclass(frozen=True)
@@ -536,15 +589,63 @@ def sign_class_survey(
     *,
     bound: int = DEFAULT_SEARCH_BOUND,
 ) -> SignClassSurvey:
+    """The first plus-only, minus-only and neither members; ``scanned`` is
+    the size of the whole search grid, however early the search stops."""
     if ideal.is_zero:
         return SignClassSurvey(None, None, None, 1)
-    classes, cell = _grid_classes(ring, ideal, bound)
-    return SignClassSurvey(
-        first_plus_only=_first_hit(classes.plus_only, *cell),
-        first_minus_only=_first_hit(classes.minus_only, *cell),
-        first_neither=_first_hit(~classes.is_weakly_clean, *cell),
-        scanned=int(classes.unit.size),
+    plus_only, minus_only, neither = _first_members(
+        ring,
+        ideal,
+        bound,
+        lambda classes, full: classes.plus_only,
+        lambda classes, full: classes.minus_only,
+        _lacking("is_weakly_clean"),
     )
+    rows = sum(1 for _ in _rows(ring, bound))
+    return SignClassSurvey(plus_only, minus_only, neither, rows * (2 * bound + 1))
+
+
+# -- the exhaustive grid, the oracle of the row search ---------------------------------
+
+
+def _search_grid(ring: LocalizedIntegers, ideal: LocalizedIdeal, bound: int):
+    """Non-unit masks over candidates x = d*a/b in canonical order.
+
+    Returns (a_values, b_values, x_non_unit, down_non_unit, up_non_unit)
+    where the masks are numpy boolean grids indexed [b, a] and "down"/"up"
+    refer to x - 1 and x + 1. Because b stays coprime to the modulus, a prime
+    p of the set makes x, x - 1 or x + 1 a non-unit exactly when d*a is 0, b
+    or -b mod p. The residues are taken on Python integers, so the masks are
+    exact for any d. The searches above never build this grid; the tests
+    compare them with it.
+    """
+    import numpy as np
+
+    d = int(ideal.generator)
+    a_vals, b_vals = _order(ring, bound)
+    shape = (len(b_vals), len(a_vals))
+    x_non_unit = np.zeros(len(a_vals), dtype=bool)
+    down_non_unit = np.zeros(shape, dtype=bool)
+    up_non_unit = np.zeros(shape, dtype=bool)
+    for p in ring.primes:
+        da = np.array([d % p * a % p for a in a_vals], dtype=np.uint64)
+        x_non_unit |= da == 0
+        down_non_unit |= da == np.array([[b % p] for b in b_vals], dtype=np.uint64)
+        up_non_unit |= da == np.array([[-b % p] for b in b_vals], dtype=np.uint64)
+    a_arr, b_arr = (np.array(vals, dtype=np.int64) for vals in (a_vals, b_vals))
+    return a_arr, b_arr, np.broadcast_to(x_non_unit, shape), down_non_unit, up_non_unit
+
+
+def _first_hit(mask, a_vals, b_vals, d: int) -> Fraction | None:
+    """The member at the first set cell of a grid mask, row by row."""
+    import numpy as np
+
+    for row in range(mask.shape[0]):
+        hits = np.flatnonzero(mask[row])
+        if hits.size:
+            a = int(a_vals[hits[0]])
+            return Fraction(d * a, int(b_vals[row]))
+    return None
 
 
 # -- products --------------------------------------------------------------------

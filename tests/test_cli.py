@@ -8,6 +8,11 @@ import importlib.util
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -804,6 +809,45 @@ def test_ideal_localized_generator_past_int64_gets_a_true_witness(capsys, primes
     assert code == 1
     assert out.splitlines()[2] == f"  witness {witness}: no admissible decomposition"
     assert bench.check_localized_ideal(primes, exponents, check, False, code, out, err) == []
+
+
+def _run_capped(argv: list[str], limit: int = 1 << 30):
+    """(exit code, stdout, stderr, wall seconds) of the command line in a child
+    whose address space is capped, so that a search that allocates by its
+    bound fails at once instead of exhausting the machine's memory."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cleanrings.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=cap,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["ideal", "(localized 3 5)", "--gens", "3", "--check", "clean", "--bound", "1000000"], 1),
+        (["examples", "--bound", "200000"], 0),
+    ],
+)
+def test_a_large_bound_ends_as_a_small_one_does(capsys, argv, code):
+    """The search grid of these bounds would take 993 GiB and 39.7 GiB; the
+    row search finds the same first members in a few seconds."""
+    got, out, err, seconds = _run_capped(argv)
+    assert (got, err) == (code, "")
+    assert (got, out, err) == run(capsys, *argv[:-1], "64")
+    assert seconds < 10
+    if code:
+        assert "  witness 6: no admissible decomposition" in out
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,17 @@
-"""The package's public names."""
+"""The package's public names, and what a localization command imports."""
 
 from __future__ import annotations
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import cleanrings
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Every public name of the package, by the submodule that defines it.
 _EXPORTS = {
@@ -45,3 +52,49 @@ def test_public_names_are_pinned_and_come_from_their_submodules():
         for name in exported.split():
             assert getattr(cleanrings, name) is getattr(home, name), name
     assert set(cleanrings.__all__) <= set(dir(cleanrings))
+
+
+# Each localization command, run in one fresh interpreter; afterwards none of
+# the finite-ring modules, and not numpy, may have been imported.
+_LOCALIZED_COMMANDS = [
+    ["analyze", "(localized 3 5)", "--element", "2/11"],
+    ["ideal", "(localized 3 5 7)", "--gens", "3", "--check", "weakly-clean"],
+    ["ideal", "(localized 3 5)", "--check", "clean", "--json"],
+    ["units", "(localized 2 3)"],
+    ["radical", "(localized 2 3)"],
+    ["examples"],
+]
+
+_FINITE_MODULES = [
+    "numpy",
+    "cleanrings.core",
+    "cleanrings.ideals",
+    "cleanrings.constructions",
+    "cleanrings.analysis",
+    "cleanrings.laws",
+]
+
+_PROBE = """
+import contextlib, io, json, sys
+from cleanrings import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_localized_commands_import_no_finite_ring_module():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(_LOCALIZED_COMMANDS)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [0, 1, 1, 0, 0, 0]
+    assert [m for m in _FINITE_MODULES if m in report["modules"]] == []

@@ -652,3 +652,51 @@ def test_injected_faults_reach_the_failure_branches(monkeypatch, fault):
     inject(monkeypatch)
     got = [(r.inputs, r.verdict, r.witness, r.scanned) for r in run()]
     assert got == _FAULT_PINS[fault]
+
+
+def _flip_larger_than(monkeypatch, name: str, size: int) -> None:
+    """Invert the ``ok`` of ``laws.<name>`` on ideals of more than ``size`` members."""
+    real = getattr(laws, name)
+
+    def flipped(ring, ideal, *rest, **kwargs):
+        v = real(ring, ideal, *rest, **kwargs)
+        return dataclasses.replace(v, ok=not v.ok) if len(ideal.members) > size else v
+
+    monkeypatch.setattr(laws, name, flipped)
+
+
+# The two ring laws that keep their own counters: a failing report's reason
+# must describe its witness, not the counts taken up to the failure.
+_REASON_FAULTS = {
+    "uniqueness-forces-central, uniqueness forced on a simple ring": (
+        lambda mp: _flip(mp, "ideal_is_uniquely_weakly_clean", "matrix"),
+        "(matrix 2 (zn 2))",
+        "uniqueness-forces-central",
+        (
+            "fail",
+            "R holds a noncentral idempotent and is uniquely weakly clean",
+            {"ideal": "R", "noncentral_idempotents": [1, 3, 5, 8, 10, 12]},
+            17,
+        ),
+    ),
+    "central-equivalence, weak exchange inverted past the skipped ideals": (
+        lambda mp: _flip_larger_than(mp, "ideal_is_weakly_exchange", 4),
+        "(product (tri2 (zn 2) (zn 2) regular) (zn 3))",
+        "central-equivalence",
+        (
+            "fail",
+            "<7> holds only central idempotents, and its weakly clean and weakly"
+            " exchange verdicts differ",
+            {"ideal": "<7>", "weakly_clean": True, "weakly_exchange": False},
+            24,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_REASON_FAULTS))
+def test_a_failing_ring_law_gives_the_reason_of_its_witness(monkeypatch, fault):
+    inject, spec, law_id, pin = _REASON_FAULTS[fault]
+    inject(monkeypatch)
+    (report,) = _ring_reports(spec, law_id)
+    assert (report.verdict, report.reason, report.witness, report.scanned) == pin

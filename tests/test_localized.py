@@ -31,7 +31,7 @@ from cleanrings.localized import (
     uniqueness_witness_search,
     witness_search,
 )
-from cleanrings.localized import _is_prime
+from cleanrings.localized import SignClasses, _first_hit, _is_prime, _search_grid
 
 R35 = LocalizedIntegers((3, 5))
 R23 = LocalizedIntegers((2, 3))
@@ -388,6 +388,65 @@ def test_searches_match_a_pure_python_scan_for_any_generator(query, bound):
     ):
         if x is not None:
             assert ideal.contains(x) and holds(clean_flags(ring, x)), (d, bound, x)
+
+
+def _grid_answers(ring, ideal, bound):
+    """Both witness flavors, the uniqueness witness, the survey's three
+    representatives and its size, read off the exhaustive grid."""
+    a_vals, b_vals, x_non_unit, down_non_unit, up_non_unit = _search_grid(ring, ideal, bound)
+    grid = SignClasses(None, ~x_non_unit, ~down_non_unit, ~up_non_unit)
+    d = int(ideal.generator)
+    return [
+        *(_first_hit(~mask, a_vals, b_vals, d) for mask in (
+            grid.is_clean, grid.is_weakly_clean, grid.is_uniquely_weakly_clean
+        )),
+        _first_hit(grid.plus_only, a_vals, b_vals, d),
+        _first_hit(grid.minus_only, a_vals, b_vals, d),
+        _first_hit(~grid.is_weakly_clean, a_vals, b_vals, d),
+        int(x_non_unit.size),
+    ]
+
+
+def _row_answers(ring, ideal, bound):
+    survey = sign_class_survey(ring, ideal, bound=bound)
+    return [
+        witness_search(ring, ideal, bound=bound, flavor="clean"),
+        witness_search(ring, ideal, bound=bound, flavor="weakly-clean"),
+        uniqueness_witness_search(ring, ideal, bound=bound),
+        survey.first_plus_only,
+        survey.first_minus_only,
+        survey.first_neither,
+        survey.scanned,
+    ]
+
+
+# (primes, exponents, bound) with d*(bound + 1) < 2^62; primes past the bound
+# often leave a class without a member inside it
+_GRID_QUERIES = (
+    st.lists(st.sampled_from([p for p in range(2, 100) if _is_prime(p)]), min_size=1, max_size=5, unique=True)
+    .flatmap(
+        lambda ps: st.tuples(
+            st.just(tuple(sorted(ps))),
+            st.lists(st.integers(0, 4), min_size=len(ps), max_size=len(ps)),
+            st.integers(1, 40),
+        )
+    )
+    .filter(lambda q: math.prod(p**e for p, e in zip(q[0], q[1])) * (q[2] + 1) < 2**62)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(query=_GRID_QUERIES)
+@example(query=((3, 5), [0, 0], 1))  # no clean witness inside the bound
+@example(query=((3, 5, 7), [0, 0, 0], 1))  # no weakly clean witness inside the bound
+@example(query=((3, 5), [0, 0], 3))  # the first clean witness, -3/2, lies in row 2
+@example(query=((3, 5), [0, 0], 40))  # rows repeat with period 15; no neither member
+@example(query=((2, 3), [1, 0], 30))  # 2 divides d, so every x is a non-unit
+def test_row_search_matches_the_grid_oracle(query):
+    primes, exponents, bound = query
+    ring = LocalizedIntegers(primes)
+    ideal = ring.ideal(exponents)
+    assert _row_answers(ring, ideal, bound) == _grid_answers(ring, ideal, bound), query
 
 
 def test_candidate_stream_order():
