@@ -53,7 +53,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "LocalizedIntegers",
@@ -467,6 +470,50 @@ def candidate_stream(
             yield Fraction(d * a, b)
 
 
+def _search_grid(
+    ring: LocalizedIntegers, ideal: LocalizedIdeal, bound: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Non-unit masks over candidates x = d*a/b in canonical order.
+
+    Returns (a_values, b_values, x_non_unit, down_non_unit, up_non_unit)
+    where the masks are indexed [b, a] and "down"/"up" refer to x - 1 and
+    x + 1. Because b stays coprime to the modulus, a prime p of the set makes
+    x, x - 1 or x + 1 a non-unit exactly when d*a is 0, b or -b mod p. The
+    residues are taken on Python integers, so the masks are exact for any d.
+    The searches never build this grid: it is the tests' oracle for the row
+    search, ``_first_members``.
+    """
+    import numpy as np
+
+    d = int(ideal.generator)
+    a_vals, b_vals = _order(ring, bound)
+    shape = (len(b_vals), len(a_vals))
+    x_non_unit = np.zeros(len(a_vals), dtype=bool)
+    down_non_unit = np.zeros(shape, dtype=bool)
+    up_non_unit = np.zeros(shape, dtype=bool)
+    for p in ring.primes:
+        da = np.array([d % p * a % p for a in a_vals], dtype=np.uint64)
+        x_non_unit |= da == 0
+        down_non_unit |= da == np.array([[b % p] for b in b_vals], dtype=np.uint64)
+        up_non_unit |= da == np.array([[-b % p] for b in b_vals], dtype=np.uint64)
+    a_arr, b_arr = (np.array(vals, dtype=np.int64) for vals in (a_vals, b_vals))
+    return a_arr, b_arr, np.broadcast_to(x_non_unit, shape), down_non_unit, up_non_unit
+
+
+def _first_hit(
+    mask: np.ndarray, a_vals: np.ndarray, b_vals: np.ndarray, d: int
+) -> Fraction | None:
+    """The member at the first set cell of a grid mask, row by row."""
+    import numpy as np
+
+    for row in range(mask.shape[0]):
+        hits = np.flatnonzero(mask[row])
+        if hits.size:
+            a = int(a_vals[hits[0]])
+            return Fraction(d * a, int(b_vals[row]))
+    return None
+
+
 def _teeth(period: int, n: int) -> int:
     """The bitset of the positions 0, period, 2*period, ... (and perhaps more
     beyond n)."""
@@ -603,49 +650,6 @@ def sign_class_survey(
     )
     rows = sum(1 for _ in _rows(ring, bound))
     return SignClassSurvey(plus_only, minus_only, neither, rows * (2 * bound + 1))
-
-
-# -- the exhaustive grid, the oracle of the row search ---------------------------------
-
-
-def _search_grid(ring: LocalizedIntegers, ideal: LocalizedIdeal, bound: int):
-    """Non-unit masks over candidates x = d*a/b in canonical order.
-
-    Returns (a_values, b_values, x_non_unit, down_non_unit, up_non_unit)
-    where the masks are numpy boolean grids indexed [b, a] and "down"/"up"
-    refer to x - 1 and x + 1. Because b stays coprime to the modulus, a prime
-    p of the set makes x, x - 1 or x + 1 a non-unit exactly when d*a is 0, b
-    or -b mod p. The residues are taken on Python integers, so the masks are
-    exact for any d. The searches above never build this grid; the tests
-    compare them with it.
-    """
-    import numpy as np
-
-    d = int(ideal.generator)
-    a_vals, b_vals = _order(ring, bound)
-    shape = (len(b_vals), len(a_vals))
-    x_non_unit = np.zeros(len(a_vals), dtype=bool)
-    down_non_unit = np.zeros(shape, dtype=bool)
-    up_non_unit = np.zeros(shape, dtype=bool)
-    for p in ring.primes:
-        da = np.array([d % p * a % p for a in a_vals], dtype=np.uint64)
-        x_non_unit |= da == 0
-        down_non_unit |= da == np.array([[b % p] for b in b_vals], dtype=np.uint64)
-        up_non_unit |= da == np.array([[-b % p] for b in b_vals], dtype=np.uint64)
-    a_arr, b_arr = (np.array(vals, dtype=np.int64) for vals in (a_vals, b_vals))
-    return a_arr, b_arr, np.broadcast_to(x_non_unit, shape), down_non_unit, up_non_unit
-
-
-def _first_hit(mask, a_vals, b_vals, d: int) -> Fraction | None:
-    """The member at the first set cell of a grid mask, row by row."""
-    import numpy as np
-
-    for row in range(mask.shape[0]):
-        hits = np.flatnonzero(mask[row])
-        if hits.size:
-            a = int(a_vals[hits[0]])
-            return Fraction(d * a, int(b_vals[row]))
-    return None
 
 
 # -- products --------------------------------------------------------------------

@@ -62,6 +62,7 @@ _LOCALIZED_COMMANDS = [
     ["ideal", "(localized 3 5)", "--check", "clean", "--json"],
     ["units", "(localized 2 3)"],
     ["radical", "(localized 2 3)"],
+    ["idempotents", "(localized 5)"],
     ["examples"],
 ]
 
@@ -96,5 +97,5 @@ def test_localized_commands_import_no_finite_ring_module():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["codes"] == [0, 1, 1, 0, 0, 0]
+    assert report["codes"] == [0, 1, 1, 0, 0, 0, 0]
     assert [m for m in _FINITE_MODULES if m in report["modules"]] == []

@@ -395,16 +395,16 @@ def _grid_answers(ring, ideal, bound):
     representatives and its size, read off the exhaustive grid."""
     a_vals, b_vals, x_non_unit, down_non_unit, up_non_unit = _search_grid(ring, ideal, bound)
     grid = SignClasses(None, ~x_non_unit, ~down_non_unit, ~up_non_unit)
+    masks = (
+        ~grid.is_clean,
+        ~grid.is_weakly_clean,
+        ~grid.is_uniquely_weakly_clean,
+        grid.plus_only,
+        grid.minus_only,
+        ~grid.is_weakly_clean,
+    )
     d = int(ideal.generator)
-    return [
-        *(_first_hit(~mask, a_vals, b_vals, d) for mask in (
-            grid.is_clean, grid.is_weakly_clean, grid.is_uniquely_weakly_clean
-        )),
-        _first_hit(grid.plus_only, a_vals, b_vals, d),
-        _first_hit(grid.minus_only, a_vals, b_vals, d),
-        _first_hit(~grid.is_weakly_clean, a_vals, b_vals, d),
-        int(x_non_unit.size),
-    ]
+    return [*(_first_hit(mask, a_vals, b_vals, d) for mask in masks), int(x_non_unit.size)]
 
 
 def _row_answers(ring, ideal, bound):
