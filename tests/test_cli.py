@@ -837,11 +837,14 @@ def _run_capped(argv: list[str], limit: int = 1 << 30):
     [
         (["ideal", "(localized 3 5)", "--gens", "3", "--check", "clean", "--bound", "1000000"], 1),
         (["examples", "--bound", "200000"], 0),
+        (["ideal", "(localized 3 5)", "--gens", "3", "--check", "clean", "--bound", "1000000000"], 1),
+        (["examples", "--bound", "100000000"], 0),
     ],
 )
 def test_a_large_bound_ends_as_a_small_one_does(capsys, argv, code):
-    """The search grid of these bounds would take 993 GiB and 39.7 GiB; the
-    row search finds the same first members in a few seconds."""
+    """The search grid of the first two bounds would take 993 GiB and 39.7
+    GiB, and a row of the last two as wide as the bound would take 250 MB and
+    25 MB; the row search finds the same first members in a few seconds."""
     got, out, err, seconds = _run_capped(argv)
     assert (got, err) == (code, "")
     assert (got, out, err) == run(capsys, *argv[:-1], "64")

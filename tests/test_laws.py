@@ -525,6 +525,10 @@ _FAULTS = {
         lambda mp: _flip(mp, "ideal_is_weakly_exchange", "zn"),
         lambda: _ring_reports("(zn 6)", "weakly-clean-implies-weakly-exchange", "reduced-rings"),
     ),
+    "proper-ideals, weak cleanness inverted on the largest proper ideal": (
+        lambda mp: _flip_larger_than(mp, "ideal_is_weakly_clean", 4),
+        lambda: _ring_reports("(zn 12)", "proper-ideals"),
+    ),
     "radical-quotient, quotient verdict inverted": (
         lambda mp: _flip(mp, "ideal_is_weakly_clean", "quotient"),
         lambda: _ring_reports("(zn 12)", "radical-quotient"),
@@ -592,6 +596,9 @@ _FAULT_PINS = {
         ("Z_4 x Z_6 | <2> x <3>", "fail", {"product_weakly_clean": False, "component_rule": True}, 12),
         ("Z_2 x Z_2 | R x <0>", "fail", {"product_weakly_clean": False, "component_rule": True}, 8),
         ("Z_6 | <2> (singleton)", "fail", {"product_weakly_clean": False, "component_rule": True}, 9),
+    ],
+    "proper-ideals, weak cleanness inverted on the largest proper ideal": [
+        ("(zn 12)", "fail", {"ideal": "<2>", "element": None}, 44),
     ],
     "radical-quotient, lifts to zero": [
         ("(zn 12)", "fail", {"ideal": "<6>", "element": 0, "lifted_idempotent": 0, "sign": 1}, 4),

@@ -31,7 +31,7 @@ from cleanrings.localized import (
     uniqueness_witness_search,
     witness_search,
 )
-from cleanrings.localized import SignClasses, _first_hit, _is_prime, _search_grid
+from cleanrings.localized import SignClasses, _first_hit, _is_prime, _rows, _search_grid
 
 R35 = LocalizedIntegers((3, 5))
 R23 = LocalizedIntegers((2, 3))
@@ -442,11 +442,24 @@ _GRID_QUERIES = (
 @example(query=((3, 5), [0, 0], 3))  # the first clean witness, -3/2, lies in row 2
 @example(query=((3, 5), [0, 0], 40))  # rows repeat with period 15; no neither member
 @example(query=((2, 3), [1, 0], 30))  # 2 divides d, so every x is a non-unit
+@example(query=((2, 3, 5, 7), [1, 1, 0, 0], 40))  # a row holds 2*35 of its 81 positions
+@example(query=((2, 3, 5), [1, 1, 0], 40))  # all 4 row classes mod 5 by b = 19; no neither member
+@example(query=((3, 5), [1, 0], 40))  # all 4 row classes mod 5 by b = 8; no uniqueness witness
 def test_row_search_matches_the_grid_oracle(query):
     primes, exponents, bound = query
     ring = LocalizedIntegers(primes)
     ideal = ring.ideal(exponents)
     assert _row_answers(ring, ideal, bound) == _grid_answers(ring, ideal, bound), query
+
+
+@pytest.mark.parametrize("primes", [(3, 5), (2, 3, 5, 7)])
+def test_survey_scans_the_grid_around_multiples_of_the_modulus(primes):
+    ring = LocalizedIntegers(primes)
+    m = ring.modulus
+    for bound in (0, 1, m - 1, m, m + 1, 2 * m - 1, 2 * m, 2 * m + 1):
+        for ideal in (ring.full_ideal(), ring.principal_ideal(primes[0])):
+            survey = sign_class_survey(ring, ideal, bound=bound)
+            assert survey.scanned == len(list(_rows(ring, bound))) * (2 * bound + 1), (bound, ideal)
 
 
 def test_candidate_stream_order():
