@@ -247,15 +247,18 @@ def _skipped(inputs: str, reason: str, *, strength: str = "degenerate", scanned:
     return {**fields, "verdict": "skipped"}
 
 
-def _steps(inputs: str, steps: Iterable[tuple], *, scanned: int = 0, **fields) -> dict:
+def _steps(inputs: str, steps: Iterable[tuple], *, scanned: int = 0, failure=None, **fields) -> dict:
     """The fields of an instance checked step by step, after ``scanned`` elements.
 
     Each step is (witness or None, elements scanned). The instance fails with
-    the witness of the first step that has one, and no later step runs.
+    the witness of the first step that has one, and no later step runs;
+    ``failure``, if given, gives the reason of that witness.
     """
     for witness, count in steps:
         scanned += count
         if witness is not None:
+            if failure:
+                fields["reason"] = failure(witness)
             return _verdict(inputs, False, witness=witness, scanned=scanned, **fields)
     return _verdict(inputs, True, scanned=scanned, **fields)
 
@@ -290,10 +293,6 @@ def _components(pairs: list[tuple[FiniteRing, IdealSet]]) -> tuple[bool, int]:
 def _at_most_one_not_clean(wc: list[bool], cl: list[bool]) -> bool:
     """Every component is weakly clean and at most one of them is not clean."""
     return all(wc) and sum(1 for c in cl if not c) <= 1
-
-
-def _strictly_weakly_exchange(ring: FiniteRing, ideal: IdealSet):
-    return ideal_is_weakly_exchange(ring, ideal, mode="strict")
 
 
 def _implication(ring: FiniteRing, ideals: Sequence[IdealSet], hypothesis, conclusion):
@@ -364,26 +363,24 @@ def _m3z2() -> FiniteRing:
     " conjunction over all of its proper ideals",
 )
 def _proper_ideals(ring, inputs, ideals, complete):
-    ring_clean = ring_is_clean(ring)
-    ring_wc = ring_is_weakly_clean(ring)
-    scanned = ring.order
-    all_clean = True
-    all_wc = True
-    witness = None
-    for ideal in (i for i in ideals if i.is_proper):
-        v_clean = ideal_is_clean(ring, ideal)
-        v_wc = ideal_is_weakly_clean(ring, ideal)
-        scanned += v_clean.checked + v_wc.checked
-        all_clean &= v_clean.ok
-        all_wc &= v_wc.ok
-        for v in (v_clean, v_wc):
-            if not v.ok and witness is None:
-                witness = {"ideal": ideal.describe(), "element": v.failing}
-    ok = (ring_clean == all_clean) and (ring_wc == all_wc)
+    rings = ring_is_clean(ring), ring_is_weakly_clean(ring)
+    swept = [True, True]
+
+    def steps():
+        for ideal in (i for i in ideals if i.is_proper):
+            verdicts = ideal_is_clean(ring, ideal), ideal_is_weakly_clean(ring, ideal)
+            failing = [v.failing for v, held in zip(verdicts, rings) if held and not v.ok]
+            swept[:] = [all_ok and v.ok for all_ok, v in zip(swept, verdicts)]
+            witness = {"ideal": ideal.describe(), "element": failing[0]} if failing else None
+            yield witness, sum(v.checked for v in verdicts)
+        # a ring that lacks a property has a proper ideal that lacks it too
+        yield _agree(0, ring_clean=rings[0], proper_ideals_clean=swept[0])
+        yield _agree(0, ring_weakly_clean=rings[1], proper_ideals_weakly_clean=swept[1])
+
     reason = ""
     if not complete:
         reason = "ideal enumeration hit the size cap; the sweep covers the enumerated ideals"
-    return _verdict(inputs, ok, reason=reason, witness=witness, scanned=scanned)
+    return _steps(inputs, steps(), scanned=ring.order, reason=reason)
 
 
 @_proper_ideals
@@ -402,7 +399,7 @@ def law_proper_ideals():
     "every weakly clean ideal is weakly exchange",
 )
 def _wc_implies_wex(ring, inputs, ideals, complete):
-    steps = _implication(ring, ideals, ideal_is_weakly_clean, _strictly_weakly_exchange)
+    steps = _implication(ring, ideals, ideal_is_weakly_clean, ideal_is_weakly_exchange)
     return _steps(inputs, steps)
 
 
@@ -450,30 +447,25 @@ def law_weakly_clean_implies_weakly_exchange():
 )
 def _central_equivalence(ring, inputs, ideals, complete):
     noncentral = {e for e in ring.idempotents if not ring.is_central(e)}
-    scanned = 0
-    skipped_ideals = 0
-    for ideal in ideals:
-        if noncentral & set(ideal.members):
-            skipped_ideals += 1
-            continue
-        v_wc = ideal_is_weakly_clean(ring, ideal)
-        v_wex = _strictly_weakly_exchange(ring, ideal)
-        scanned += v_wc.checked + v_wex.checked
-        if v_wc.ok != v_wex.ok:
-            witness = {
-                "ideal": ideal.describe(),
-                "weakly_clean": v_wc.ok,
-                "weakly_exchange": v_wex.ok,
-            }
-            reason = (
-                f"{witness['ideal']} holds only central idempotents, and its weakly clean"
-                " and weakly exchange verdicts differ"
-            )
-            return _verdict(inputs, False, reason=reason, witness=witness, scanned=scanned)
+    central = [ideal for ideal in ideals if not noncentral & set(ideal.members)]
+
+    def steps():
+        for ideal in central:
+            v_wc, v_wex = ideal_is_weakly_clean(ring, ideal), ideal_is_weakly_exchange(ring, ideal)
+            witness = {"ideal": ideal.describe(), "weakly_clean": v_wc.ok, "weakly_exchange": v_wex.ok}
+            yield None if v_wc.ok == v_wex.ok else witness, v_wc.checked + v_wex.checked
+
+    skipped = len(ideals) - len(central)
     reason = ""
-    if skipped_ideals:
-        reason = f"{skipped_ideals} ideal(s) hold a noncentral idempotent and fall outside the hypothesis"
-    return _verdict(inputs, True, reason=reason, scanned=scanned)
+    if skipped:
+        reason = f"{skipped} ideal(s) hold a noncentral idempotent and fall outside the hypothesis"
+    return _steps(
+        inputs,
+        steps(),
+        reason=reason,
+        failure=lambda w: f"{w['ideal']} holds only central idempotents, and its weakly clean"
+        " and weakly exchange verdicts differ",
+    )
 
 
 @_central_equivalence
@@ -501,7 +493,7 @@ def law_central_equivalence():
 def _reduced_rings(ring, inputs, ideals, complete):
     if ring.has_nonzero_nilpotents:
         return _skipped(inputs, "the ring has nonzero nilpotent elements")
-    steps = _implication(ring, ideals, _strictly_weakly_exchange, ideal_is_weakly_clean)
+    steps = _implication(ring, ideals, ideal_is_weakly_exchange, ideal_is_weakly_clean)
     return _steps(inputs, steps)
 
 
@@ -670,8 +662,7 @@ def law_product_ideal():
         ring = LocalizedIntegers(primes)
         components = [(ring, _localized_ideal(ring, g)) for g in gens]
         verdict = product_weakly_clean(components)
-        comp_wc = [bool(ideal_is_weakly_clean_analytic(i)) for _, i in components]
-        comp_clean = [bool(ideal_is_clean_analytic(i)) for _, i in components]
+        comp_wc, comp_clean = list(verdict.component_weakly_clean), list(verdict.component_clean)
         rhs = _at_most_one_not_clean(comp_wc, comp_clean)
         witness = None
         if verdict.witness is not None:
@@ -700,28 +691,27 @@ def law_product_ideal():
 )
 def _uniqueness_forces_central(ring, inputs, ideals, complete):
     noncentral = {e for e in ring.idempotents if not ring.is_central(e)}
-    scanned = 0
-    bite = 0
-    for ideal in ideals:
-        v = ideal_is_uniquely_weakly_clean(ring, ideal)
-        scanned += v.checked
-        held = noncentral & set(ideal.members)
-        if held:
-            bite += 1
-            if v.ok:
-                witness = {"ideal": ideal.describe(), "noncentral_idempotents": sorted(held)}
-                reason = f"{witness['ideal']} holds a noncentral idempotent and is uniquely weakly clean"
-                return _verdict(
-                    inputs, False, strength="discriminating", reason=reason, witness=witness, scanned=scanned
-                )
+    held = [noncentral & set(ideal.members) for ideal in ideals]
+
+    def steps():
+        for ideal, idempotents in zip(ideals, held):
+            v = ideal_is_uniquely_weakly_clean(ring, ideal)
+            witness = {"ideal": ideal.describe(), "noncentral_idempotents": sorted(idempotents)}
+            yield witness if idempotents and v.ok else None, v.checked
+
+    bite = sum(1 for idempotents in held if idempotents)
     reason = ""
     if bite:
         reason = (
             f"{bite} ideal(s) hold a noncentral idempotent; uniqueness failed"
             " on each of them, as the law requires"
         )
-    return _verdict(
-        inputs, True, strength="discriminating" if bite else "degenerate", reason=reason, scanned=scanned
+    return _steps(
+        inputs,
+        steps(),
+        strength="discriminating" if bite else "degenerate",
+        reason=reason,
+        failure=lambda w: f"{w['ideal']} holds a noncentral idempotent and is uniquely weakly clean",
     )
 
 

@@ -20,11 +20,14 @@ P, so "p divides d*a - c" is one residue class of a mod p. A row holds each
 test as a bitset over its positions, a Python integer: a class repeats with
 period 2p positions, so its bitset is one period times a comb of teeth. The
 sign classes of the row are bitwise in those bitsets, the lowest set bit is
-the first member, and the search stops at the first row that holds one. The
-residues are taken on Python integers, so the search is exact for every
-generator, and it keeps one row at a time, so its memory grows with the
-bound and not with the grid. The whole grid is built only by the tests'
-oracle, ``_search_grid``.
+the first member, and the search stops at the first row that holds one. With
+L the product of the primes that do not divide d, every class of a row
+repeats after 2L positions and every row repeats the earlier row with the
+same b mod L, so a row holds at most 2L positions and at most phi(L) distinct
+rows are visited. The residues are taken on Python integers, so the search
+is exact for every generator, and it keeps one row at a time, so its memory
+grows with the smaller of the bound and L, not with the grid. The whole grid
+is built only by the tests' oracle, ``_search_grid``.
 
 Derived case table, writing Z = {p in P : e_p = 0} for a nonzero ideal I
 with valuations (e_p):
@@ -48,7 +51,6 @@ with valuations (e_p):
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -524,17 +526,12 @@ def _teeth(period: int, n: int) -> int:
     return teeth
 
 
-# Residue-class bitsets kept per search; a long search over large primes
-# meets a new class in almost every row, so the cache is bounded.
-_CACHED_CLASSES = 64
-
-
 def _first_members(
     ring: LocalizedIntegers, ideal: LocalizedIdeal, bound: int, *classes
 ) -> list[Fraction | None]:
     """The first member d*a/b, in canonical order, of each class, or None.
 
-    A row b holds bitsets over its positions 0..2*bound, bit k standing for
+    A row b holds bitsets over its positions 0..n - 1, bit k standing for
     the multiplier ``_multiplier(k)``. Each class maps the row's SignClasses,
     whose flags are such bitsets, and the bitset of the whole row to the
     bitset of the row's members in the class; its lowest bit is its first
@@ -544,17 +541,20 @@ def _first_members(
     non-unit and every x - 1 and x + 1 a unit. For any other p, with r = d
     mod p, x, x - 1 and x + 1 are non-units at p exactly when a is 0, b/r or
     -b/r mod p. The residues are taken on Python integers, so the search is
-    exact for any d. A row whose residues mod the primes that do not divide d
-    repeat an earlier row's has that row's bitsets, so it is skipped.
+    exact for any d. With L the product of the primes that do not divide d,
+    every class repeats after 2L positions, so a row holds n = min(2*bound +
+    1, 2L) of them; and a row whose b mod L repeats an earlier row's has that
+    row's bitsets, so it is skipped, and the search ends once all phi(L)
+    classes of b mod L have been visited.
     """
     d = int(ideal.generator)
-    n = 2 * bound + 1
-    full = (1 << n) - 1
     live = [p for p in ring.primes if d % p]
+    period = math.prod(live)
+    n = min(2 * bound + 1, 2 * period)
+    full = (1 << n) - 1
     inverses = {p: pow(d, -1, p) for p in live}
     teeth = {p: _teeth(2 * p, n) for p in live}
 
-    @functools.lru_cache(maxsize=_CACHED_CLASSES)
     def residue_class(p: int, t: int) -> int:
         """The positions whose multiplier is t mod p: the bits of one period
         of 2p positions, times the teeth that repeat it."""
@@ -565,14 +565,13 @@ def _first_members(
     for p in live:
         x_non_unit |= residue_class(p, 0)
     unit = full ^ x_non_unit
-    period = math.prod(live)
-    seen = bytearray(period) if period <= bound else None
+    row_classes = math.prod(p - 1 for p in live)
+    seen = set()
     found = [None] * len(classes)
     for b in _rows(ring, bound):
-        if seen is not None:
-            if seen[b % period]:
-                continue
-            seen[b % period] = 1
+        if b % period in seen:
+            continue
+        seen.add(b % period)
         down_non_unit = up_non_unit = 0
         for p, inverse in inverses.items():
             t = b * inverse % p
@@ -583,7 +582,7 @@ def _first_members(
             hits = 0 if found[i] is not None else members_of(flags, full)
             if hits:
                 found[i] = Fraction(d * _multiplier((hits & -hits).bit_length() - 1), b)
-        if None not in found:
+        if None not in found or len(seen) == row_classes:
             break
     return found
 
@@ -602,8 +601,6 @@ def witness_search(
 ) -> Fraction | None:
     """First ideal member (canonical order) with no decomposition of the
     requested flavor, or None when every sampled member decomposes."""
-    if ideal.is_zero:
-        return None
     good = "is_clean" if flavor == "clean" else "is_weakly_clean"
     return _first_members(ring, ideal, bound, _lacking(good))[0]
 
@@ -615,8 +612,6 @@ def uniqueness_witness_search(
     bound: int = DEFAULT_SEARCH_BOUND,
 ) -> Fraction | None:
     """First member supported by zero or by both idempotents."""
-    if ideal.is_zero:
-        return None
     return _first_members(ring, ideal, bound, _lacking("is_uniquely_weakly_clean"))[0]
 
 
@@ -648,7 +643,9 @@ def sign_class_survey(
         lambda classes, full: classes.minus_only,
         _lacking("is_weakly_clean"),
     )
-    rows = sum(1 for _ in _rows(ring, bound))
+    modulus = ring.modulus
+    rows = bound // modulus * math.prod(p - 1 for p in ring.primes)
+    rows += sum(1 for _ in _rows(ring, bound % modulus))
     return SignClassSurvey(plus_only, minus_only, neither, rows * (2 * bound + 1))
 
 
