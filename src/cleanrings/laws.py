@@ -370,9 +370,11 @@ def _proper_ideals(ring, inputs, ideals, complete):
         for ideal in (i for i in ideals if i.is_proper):
             verdicts = ideal_is_clean(ring, ideal), ideal_is_weakly_clean(ring, ideal)
             failing = [v.failing for v, held in zip(verdicts, rings) if held and not v.ok]
-            swept[:] = [all_ok and v.ok for all_ok, v in zip(swept, verdicts)]
-            witness = {"ideal": ideal.describe(), "element": failing[0]} if failing else None
-            yield witness, sum(v.checked for v in verdicts)
+            for k, v in enumerate(verdicts):
+                swept[k] &= v.ok
+            yield None, sum(v.checked for v in verdicts)
+            if failing:
+                yield {"ideal": ideal.describe(), "element": failing[0]}, 0
         # a ring that lacks a property has a proper ideal that lacks it too
         yield _agree(0, ring_clean=rings[0], proper_ideals_clean=swept[0])
         yield _agree(0, ring_weakly_clean=rings[1], proper_ideals_weakly_clean=swept[1])
@@ -452,8 +454,9 @@ def _central_equivalence(ring, inputs, ideals, complete):
     def steps():
         for ideal in central:
             v_wc, v_wex = ideal_is_weakly_clean(ring, ideal), ideal_is_weakly_exchange(ring, ideal)
-            witness = {"ideal": ideal.describe(), "weakly_clean": v_wc.ok, "weakly_exchange": v_wex.ok}
-            yield None if v_wc.ok == v_wex.ok else witness, v_wc.checked + v_wex.checked
+            yield None, v_wc.checked + v_wex.checked
+            if v_wc.ok != v_wex.ok:
+                yield {"ideal": ideal.describe(), "weakly_clean": v_wc.ok, "weakly_exchange": v_wex.ok}, 0
 
     skipped = len(ideals) - len(central)
     reason = ""
@@ -696,8 +699,9 @@ def _uniqueness_forces_central(ring, inputs, ideals, complete):
     def steps():
         for ideal, idempotents in zip(ideals, held):
             v = ideal_is_uniquely_weakly_clean(ring, ideal)
-            witness = {"ideal": ideal.describe(), "noncentral_idempotents": sorted(idempotents)}
-            yield witness if idempotents and v.ok else None, v.checked
+            yield None, v.checked
+            if idempotents and v.ok:
+                yield {"ideal": ideal.describe(), "noncentral_idempotents": sorted(idempotents)}, 0
 
     bite = sum(1 for idempotents in held if idempotents)
     reason = ""
