@@ -4,6 +4,7 @@ worklist closure that follows the definition of a two-sided ideal."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -177,6 +178,45 @@ def test_all_ideals_cap_and_inventory_fallback():
     assert {i.members for i in ideals} == {i.members for i in principal_ideals(ring)}
     full, ok = ideal_inventory(ring, cap=64)
     assert ok and len(full) == 64
+
+
+def _ideals_by_brute_force(ring) -> set[tuple[int, ...]]:
+    """Every additive subgroup spanned by at most 4 elements that is closed
+    under multiplication on both sides; a group of order at most 16 needs no
+    more than 4 generators, so on such rings these are all the ideals."""
+    add, mul = ring.add_table, ring.mul_table
+    found = set()
+    for size in range(5):
+        for gens in itertools.combinations(ring.elements, size):
+            span = {0}
+            for g in gens:
+                grown = span
+                while True:
+                    grown = {int(add[s, g]) for s in grown} - span
+                    if not grown:
+                        break
+                    span |= grown
+            members = np.array(sorted(span))
+            mask = np.zeros(ring.order, dtype=bool)
+            mask[members] = True
+            if mask[mul[:, members]].all() and mask[mul[members, :]].all():
+                found.add(tuple(members.tolist()))
+    return found
+
+
+@pytest.mark.parametrize(
+    "key, ideals, principal",
+    [("idealization-z4-z2", 6, 5), ("series-z4-k2", 7, 6), ("idealization-z4-z4", 7, 6)],
+)
+def test_all_ideals_matches_a_brute_force_enumeration(key, ideals, principal):
+    # Each of these rings has an ideal that is not principal, so the lattice
+    # is only complete if all_ideals joins principal ideals.
+    ring = next(e.ring for e in build_catalog() if e.key == key)
+    assert ring.order <= 16
+    found = [i.members for i in all_ideals(ring)]
+    assert len(found) == ideals
+    assert len(principal_ideals(ring)) == principal
+    assert set(found) == _ideals_by_brute_force(ring)
 
 
 def test_principal_ideals_are_sorted_and_deduplicated():
