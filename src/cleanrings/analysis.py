@@ -72,23 +72,36 @@ class CleanClass:
         }
 
 
+def _shifts(ring: FiniteRing, members: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(x - e, x + e) for each member x and idempotent e, indexed [member, idempotent].
+
+    x = u + e exactly when x - e is a unit u, and x = u - e when x + e is.
+    """
+    idem = np.array(ring.idempotents)
+    m = np.array(members)[:, None]
+    return ring.add_table[m, ring.neg_table[idem]], ring.add_table[m, idem]
+
+
+def _scan_masks(ring: FiniteRing, members: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(plus_ok, minus_ok) indexed [member, idempotent]: whether x = u + e and
+    x = u - e have a unit u, that is, whether x - e and x + e are units."""
+    units = ring.units_mask
+    minus_e, plus_e = _shifts(ring, members)
+    return units[minus_e], units[plus_e]
+
+
 def decompositions(ring: FiniteRing, x: int) -> tuple[Decomposition, ...]:
     """Every decomposition x = u + e and x = u - e, sign +1 first, e ascending.
 
     A pair that works with both signs (only possible when e + e = 0 forces
     u to coincide) is listed once per sign; ordering is deterministic.
     """
-    idem = np.array(ring.idempotents, dtype=np.int32)
     units = ring.units_mask
     out: list[Decomposition] = []
-    u_plus = ring.add_table[x, ring.neg_table[idem]]
-    for e, u in zip(idem, u_plus):
-        if units[u]:
-            out.append(Decomposition(1, int(e), int(u)))
-    u_minus = ring.add_table[x, idem]
-    for e, u in zip(idem, u_minus):
-        if units[u]:
-            out.append(Decomposition(-1, int(e), int(u)))
+    for sign, (row,) in zip((1, -1), _shifts(ring, [x])):
+        for e, u in zip(ring.idempotents, row.tolist()):
+            if units[u]:
+                out.append(Decomposition(sign, e, u))
     return tuple(out)
 
 
@@ -97,24 +110,18 @@ def clean_class(ring: FiniteRing, x: int) -> CleanClass:
 
 
 def is_clean_element(ring: FiniteRing, x: int) -> bool:
-    idem = np.array(ring.idempotents, dtype=np.int32)
-    return bool(ring.units_mask[ring.add_table[x, ring.neg_table[idem]]].any())
+    plus_ok, _ = _scan_masks(ring, [x])
+    return bool(plus_ok.any())
 
 
 def is_weakly_clean_element(ring: FiniteRing, x: int) -> bool:
-    idem = np.array(ring.idempotents, dtype=np.int32)
-    units = ring.units_mask
-    return bool(
-        units[ring.add_table[x, ring.neg_table[idem]]].any()
-        or units[ring.add_table[x, idem]].any()
-    )
+    plus_ok, minus_ok = _scan_masks(ring, [x])
+    return bool(plus_ok.any() or minus_ok.any())
 
 
 def is_uniquely_weakly_clean_element(ring: FiniteRing, x: int) -> bool:
-    idem = np.array(ring.idempotents, dtype=np.int32)
-    units = ring.units_mask
-    ok = units[ring.add_table[x, ring.neg_table[idem]]] | units[ring.add_table[x, idem]]
-    return int(ok.sum()) == 1
+    plus_ok, minus_ok = _scan_masks(ring, [x])
+    return int((plus_ok | minus_ok).sum()) == 1
 
 
 def exchange_idempotents(
@@ -191,16 +198,6 @@ class IdealVerdict:
         return record
 
 
-def _scan_masks(ring: FiniteRing, members: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(plus_ok, minus_ok) boolean matrices indexed [member, idempotent]."""
-    idem = np.array(ring.idempotents, dtype=np.int32)
-    m = np.array(members, dtype=np.int32)
-    units = ring.units_mask
-    plus_ok = units[ring.add_table[np.ix_(m, ring.neg_table[idem])]]
-    minus_ok = units[ring.add_table[np.ix_(m, idem)]]
-    return plus_ok, minus_ok
-
-
 def _scan_ideal(
     ring: FiniteRing, ideal: IdealSet, name: str, *, plus_only: bool = False, unique: bool = False
 ) -> IdealVerdict:
@@ -274,24 +271,14 @@ def ideal_is_weakly_exchange(
 def _failure_trace(ring: FiniteRing, x: int, limit: int = 16) -> tuple:
     """For a failing element: which (sign, e) candidates were tried and the
     non-unit each produced."""
+    units = ring.units_mask
+    minus_e, plus_e = (row[:limit].tolist() for (row,) in _shifts(ring, [x]))
     trace = []
-    for e in ring.idempotents[:limit]:
-        trace.append(
-            {
-                "sign": 1,
-                "idempotent": int(e),
-                "candidate_unit": ring.sub(x, e),
-                "is_unit": ring.is_unit(ring.sub(x, e)),
-            }
-        )
-        trace.append(
-            {
-                "sign": -1,
-                "idempotent": int(e),
-                "candidate_unit": ring.add(x, e),
-                "is_unit": ring.is_unit(ring.add(x, e)),
-            }
-        )
+    for e, *candidates in zip(ring.idempotents, minus_e, plus_e):
+        for sign, u in zip((1, -1), candidates):
+            trace.append(
+                {"sign": sign, "idempotent": e, "candidate_unit": u, "is_unit": bool(units[u])}
+            )
     return tuple(trace)
 
 

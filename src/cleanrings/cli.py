@@ -34,8 +34,8 @@ from typing import TYPE_CHECKING
 
 from .dsl import LocalizedSpec, SpecError, build, parse, pretty
 from .localized import (
-    LocalizedIdeal,
     LocalizedIntegers,
+    _localized_ideal,
     clean_flags,
     ideal_is_clean_analytic,
     ideal_is_uniquely_weakly_clean_analytic,
@@ -50,7 +50,6 @@ from .localized import (
 # that need them, so a localization command starts light.
 if TYPE_CHECKING:
     from .core import FiniteRing
-    from .ideals import IdealSet
 
 __all__ = ["main"]
 
@@ -139,26 +138,6 @@ def _parse_element(ring, text: str):
     return value
 
 
-def _finite_ideal(ring: FiniteRing, gens: list[str] | None) -> IdealSet:
-    from .ideals import full_ideal, ideal_closure
-
-    if gens is None:
-        return full_ideal(ring)
-    indices = [_parse_element(ring, g) for g in gens]
-    return ideal_closure(ring, indices)
-
-
-def _localized_ideal(ring: LocalizedIntegers, gens: list[str] | None) -> LocalizedIdeal:
-    if gens is None:
-        return ring.full_ideal()
-    elems = [_parse_element(ring, g) for g in gens]
-    nonzero = [q for q in elems if q != 0]
-    if not nonzero:
-        return ring.zero_ideal()
-    vectors = [ring.valuations(q.numerator) for q in nonzero]
-    return ring.ideal(tuple(min(col) for col in zip(*vectors)))
-
-
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -238,8 +217,9 @@ def _finite_witness(ring: FiniteRing, x: int, check: str) -> dict:
 def _cmd_ideal(args: argparse.Namespace) -> int:
     spec, ring = _built(args)
     finite_check, analytic_check = _CHECKS[args.check]
+    gens = None if args.gens is None else [_parse_element(ring, g) for g in args.gens]
     if isinstance(ring, LocalizedIntegers):
-        ideal = _localized_ideal(ring, args.gens)
+        ideal = _localized_ideal(ring, gens)
         verdict = analytic_check(ideal)
         ok = bool(verdict)
         witness = None
@@ -262,8 +242,9 @@ def _cmd_ideal(args: argparse.Namespace) -> int:
             lines.append(f"  no witness within the search bound {args.bound} (raise --bound)")
     else:
         from . import analysis
+        from .ideals import _finite_ideal
 
-        ideal = _finite_ideal(ring, args.gens)
+        ideal = _finite_ideal(ring, gens)
         verdict = getattr(analysis, finite_check)(ring, ideal)
         ok = verdict.ok
         verdict_json = verdict.to_json_dict()

@@ -753,11 +753,9 @@ def _constructions():
 
 
 def _ideal(ring: FiniteRing, ref: IdealRef):
-    from .ideals import full_ideal, ideal_closure
+    from .ideals import _finite_ideal
 
-    if ref.generators is None:
-        return full_ideal(ring)
-    return ideal_closure(ring, ref.generators)
+    return _finite_ideal(ring, ref.generators)
 
 
 # Each construction's call, given its built arguments in field order. Every

@@ -10,11 +10,13 @@ negatives and zero; that fact is asserted rather than assumed, and so is the
 two-sided ideal property of every result.
 
 principal_ideals closes one element of each two-sided unit orbit U*x*U only,
-since <u*x*v> = <x>. all_ideals enumerates the full ideal lattice by closing
-the set of principal ideals under pairwise ideal sums until a fixpoint. Every
-ideal of a finite ring is a finite sum of principal ideals, so the
-enumeration is complete. It refuses rings above a configurable cap (default
-64); callers are expected to fall back to principal ideals only.
+since <u*x*v> = <x>. all_ideals enumerates the full ideal lattice by walking
+a growing list that starts with the principal ideals and summing each ideal
+once with every ideal before it, appending each sum not yet listed. The list
+is then closed under sums, and every ideal of a finite ring is a finite sum
+of principal ideals, so the enumeration is complete. It refuses rings above
+a configurable cap (default 64); callers are expected to fall back to
+principal ideals only.
 """
 
 from __future__ import annotations
@@ -114,6 +116,11 @@ def ideal_closure(ring: FiniteRing, generators: Sequence[int]) -> IdealSet:
     return result
 
 
+def _finite_ideal(ring: FiniteRing, gens: Sequence[int] | None) -> IdealSet:
+    """The ideal the generators span; no generators at all is the whole ring."""
+    return full_ideal(ring) if gens is None else ideal_closure(ring, gens)
+
+
 def ideal_from_members(ring: FiniteRing, members: Iterable[int]) -> IdealSet:
     ms = tuple(sorted(dict.fromkeys(int(m) for m in members)))
     if not is_ideal(ring, ms):
@@ -183,21 +190,17 @@ def all_ideals(ring: FiniteRing, *, cap: int = DEFAULT_IDEAL_ENUM_CAP) -> list[I
             f"ideal enumeration refused for order {ring.order} > cap {cap}; "
             f"fall back to principal_ideals"
         )
-    seen: dict[tuple[int, ...], IdealSet] = {}
-    for ideal in principal_ideals(ring):
-        seen.setdefault(ideal.members, ideal)
-    while True:
-        items = list(seen.values())
-        grew = False
-        for i, a in enumerate(items):
-            for b in items[i + 1 :]:
-                s = ideal_sum(a, b)
-                if s.members not in seen:
-                    seen[s.members] = s
-                    grew = True
-        if not grew:
-            break
-    return sorted(seen.values(), key=lambda i: (len(i.members), i.members))
+    ideals = principal_ideals(ring)
+    seen = {ideal.members for ideal in ideals}
+    # The list grows while it is walked; each ideal is summed once with every
+    # ideal listed before it, so every pair of the final list is summed once.
+    for i, b in enumerate(ideals):
+        for a in ideals[:i]:
+            s = ideal_sum(a, b)
+            if s.members not in seen:
+                seen.add(s.members)
+                ideals.append(s)
+    return sorted(ideals, key=lambda i: (len(i.members), i.members))
 
 
 def ideal_inventory(ring: FiniteRing, *, cap: int = DEFAULT_IDEAL_ENUM_CAP) -> tuple[list[IdealSet], bool]:

@@ -83,6 +83,7 @@ from .constructions import (
 from .core import FiniteRing
 from .ideals import (
     IdealSet,
+    _finite_ideal,
     full_ideal,
     ideal_closure,
     ideal_from_members,
@@ -100,6 +101,7 @@ from .localized import (
     VALIDATED_MAX_EXPONENT,
     VALIDATED_MAX_PRIME,
     LocalizedIntegers,
+    _localized_ideal,
     candidate_stream,
     envelope_ideals,
     ideal_is_clean_analytic,
@@ -276,11 +278,6 @@ def _holds(ring: FiniteRing, ideal: IdealSet, test=None, **where) -> tuple[dict 
     return (None if v.ok else {**where, "ideal": ideal.describe(), "element": v.failing}), v.checked
 
 
-def _ideal(ring: FiniteRing, gens: tuple[int, ...] | None) -> IdealSet:
-    """The ideal the generators span; no generators at all is the whole ring."""
-    return full_ideal(ring) if gens is None else ideal_closure(ring, gens)
-
-
 def _components(pairs: list[tuple[FiniteRing, IdealSet]]) -> tuple[bool, int]:
     """Whether every (ring, ideal) is weakly clean and at most one of them is
     not clean, and the elements scanned."""
@@ -307,7 +304,7 @@ def _implication(ring: FiniteRing, ideals: Sequence[IdealSet], hypothesis, concl
 def _diagonal(inputs: str, ambient: FiniteRing, builder, rings, gens) -> dict:
     """Fields of a block-ring instance: diagonal ideals that are weakly clean, at
     most one not clean, make the block ideal ``builder`` assembles weakly clean."""
-    ideals = [_ideal(r, g) for r, g in zip(rings, gens)]
+    ideals = [_finite_ideal(r, g) for r, g in zip(rings, gens)]
     hypothesis, scanned = _components(list(zip(rings, ideals)))
     if not hypothesis:
         return _skipped(inputs, "diagonal ideals do not satisfy the hypothesis", scanned=scanned)
@@ -329,16 +326,11 @@ def _catalog(every_entry: bool = False) -> Iterator[tuple]:
             yield (entry.ring, entry.key, *_inventory(entry.key))
 
 
-def _localized_ideal(ring: LocalizedIntegers, gen: int | None):
-    """The principal ideal of ``gen``; no generator is the whole ring."""
-    return ring.full_ideal() if gen is None else ring.principal_ideal(gen)
-
-
-def _localized(*cases: tuple[tuple[int, ...], int | None]) -> Iterator[tuple]:
-    """(ring, ideal, inputs) for each (primes, generator)."""
-    for primes, gen in cases:
+def _localized(*cases: tuple[tuple[int, ...], tuple[int, ...] | None]) -> Iterator[tuple]:
+    """(ring, ideal, inputs) for each (primes, generators)."""
+    for primes, gens in cases:
         ring = LocalizedIntegers(primes)
-        ideal = _localized_ideal(ring, gen)
+        ideal = _localized_ideal(ring, gens)
         yield ring, ideal, f"{ring.label} | {ideal.describe()}"
 
 
@@ -412,7 +404,7 @@ def law_weakly_clean_implies_weakly_exchange():
     # is exercised away from the everything-is-clean regime. The analytic
     # verdicts are cross-checked on a member sample against the raw
     # divisibility definition of the exchange property.
-    for ring, ideal, inputs in _localized(((3, 5), None), ((3, 5), 3), ((2, 3), 3)):
+    for ring, ideal, inputs in _localized(((3, 5), None), ((3, 5), (3,)), ((2, 3), (3,))):
         if not ideal_is_weakly_clean_analytic(ideal).value:
             yield _skipped(
                 inputs,
@@ -476,7 +468,7 @@ def law_central_equivalence():
     yield from _central_equivalence.sweep(_catalog())
     # Localized instances: commutative, so the hypothesis always holds, and
     # the biconditional is checked where both sides can be false.
-    for _, ideal, inputs in _localized(((3, 5), None), ((2, 3), 3)):
+    for _, ideal, inputs in _localized(((3, 5), None), ((2, 3), (3,))):
         wc = ideal_is_weakly_clean_analytic(ideal).value
         wex = ideal_is_weakly_exchange_analytic(ideal).value
         yield _verdict(
@@ -505,7 +497,7 @@ def law_reduced_rings():
     yield from _reduced_rings.sweep(_catalog())
     # Localizations are integral domains (no nilpotents) where the exchange
     # property genuinely fails on some ideals, so the implication has teeth.
-    for _, ideal, inputs in _localized(((3, 5), None), ((2, 3), 6), ((2, 3), None)):
+    for _, ideal, inputs in _localized(((3, 5), None), ((2, 3), (6,)), ((2, 3), None)):
         if not ideal_is_weakly_exchange_analytic(ideal).value:
             yield _skipped(
                 inputs,
@@ -521,52 +513,50 @@ def law_reduced_rings():
 # determinant-cofactor
 
 
-def _det_cofactor_exhaustive(n: int, k: int):
-    base = zn(n)
-    for flat in itertools.product(range(n), repeat=k * k):
-        grid = [list(flat[r * k : (r + 1) * k]) for r in range(k)]
-        d = det(base, grid)
-        cofs = [[cofactor(base, grid, i, j) for j in range(k)] for i in range(k)]
-        for i in range(k):
-            for j in range(k):
-                for x in range(n):
-                    bumped = [row[:] for row in grid]
-                    bumped[i][j] = base.add(bumped[i][j], x)
-                    lhs = det(base, bumped)
-                    rhs = base.add(d, base.mul(x, cofs[i][j]))
-                    yield None, 1
-                    if lhs != rhs:
-                        yield {
-                            "modulus": n,
-                            "entries": list(flat),
-                            "row": i,
-                            "col": j,
-                            "bump": x,
-                            "got": lhs,
-                            "expected": rhs,
-                        }, 0
+def _every_case(n: int, k: int) -> Iterator[tuple]:
+    """Every k x k grid over Z_n in product order, times every (row, col, bump)."""
+    for entries in itertools.product(range(n), repeat=k * k):
+        for i, j, x in itertools.product(range(k), range(k), range(n)):
+            yield entries, i, j, x
 
 
-def _det_cofactor_sampled(n: int, k: int, samples: int):
-    base = zn(n)
+def _seeded_cases(n: int, k: int, samples: int) -> Iterator[tuple]:
+    """Seeded (grid, row, col, bump) draws, the grid drawn row-major first."""
     rng = random.Random(f"determinant-cofactor-{n}-{k}")
-    yield None, samples
     for _ in range(samples):
-        grid = [[rng.randrange(n) for _ in range(k)] for _ in range(k)]
-        i = rng.randrange(k)
-        j = rng.randrange(k)
-        x = rng.randrange(n)
-        d = det(base, grid)
-        c = cofactor(base, grid, i, j)
-        bumped = [row[:] for row in grid]
-        bumped[i][j] = base.add(bumped[i][j], x)
-        if det(base, bumped) != base.add(d, base.mul(x, c)):
+        entries = tuple(rng.randrange(n) for _ in range(k * k))
+        yield entries, rng.randrange(k), rng.randrange(k), rng.randrange(n)
+
+
+def _det_cofactor(n: int, k: int, cases: Iterable[tuple]):
+    """Steps: for each (grid, row, col, bump), adding the bump to that entry
+    adds bump times the entry's cofactor to the determinant.
+
+    Grids are flat row-major tuples. Each distinct grid's determinant and each
+    (grid, row, col) cofactor is computed once per call.
+    """
+    base = zn(n)
+
+    def grid(entries):
+        return [entries[r * k : (r + 1) * k] for r in range(k)]
+
+    determinant = functools.cache(lambda entries: det(base, grid(entries)))
+    signed_minor = functools.cache(lambda entries, i, j: cofactor(base, grid(entries), i, j))
+    for entries, i, j, x in cases:
+        bumped = list(entries)
+        bumped[i * k + j] = base.add(bumped[i * k + j], x)
+        lhs = determinant(tuple(bumped))
+        rhs = base.add(determinant(entries), base.mul(x, signed_minor(entries, i, j)))
+        yield None, 1
+        if lhs != rhs:
             yield {
                 "modulus": n,
-                "entries": [v for row in grid for v in row],
+                "entries": list(entries),
                 "row": i,
                 "col": j,
                 "bump": x,
+                "got": lhs,
+                "expected": rhs,
             }, 0
 
 
@@ -577,12 +567,12 @@ def _det_cofactor_sampled(n: int, k: int, samples: int):
     " perturbation times the signed cofactor of that entry",
 )
 def law_determinant_cofactor():
-    for inputs, search, args in (
-        ("Z_6, k=2, exhaustive", _det_cofactor_exhaustive, (6, 2)),
-        ("Z_5, k=3, 200 seeded samples", _det_cofactor_sampled, (5, 3, 200)),
-        ("Z_6, k=3, 200 seeded samples", _det_cofactor_sampled, (6, 3, 200)),
+    for inputs, n, k, cases in (
+        ("Z_6, k=2, exhaustive", 6, 2, _every_case(6, 2)),
+        ("Z_5, k=3, 200 seeded samples", 5, 3, _seeded_cases(5, 3, 200)),
+        ("Z_6, k=3, 200 seeded samples", 6, 3, _seeded_cases(6, 3, 200)),
     ):
-        yield _steps(inputs, search(*args), strength="discriminating")
+        yield _steps(inputs, _det_cofactor(n, k, cases), strength="discriminating")
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +600,7 @@ def law_matrix_ideal():
     ]
 
     def steps(base, ambient, gens, k):
-        ideal = _ideal(base, gens)
+        ideal = _finite_ideal(base, gens)
         block = matrix_ideal(ambient, ideal, k)
         v_clean = ideal_is_clean(base, ideal)
         v_block = ideal_is_weakly_clean(ambient, block)
@@ -647,7 +637,7 @@ def law_product_ideal():
     ]
     for factors, gens, inputs in finite_instances:
         ambient = direct_product(factors)
-        ideals = [_ideal(ring, g) for ring, g in zip(factors, gens)]
+        ideals = [_finite_ideal(ring, g) for ring, g in zip(factors, gens)]
         v = ideal_is_weakly_clean(ambient, product_ideal(ambient, ideals))
         rule, scanned = _components(list(zip(factors, ideals)))
         step = _agree(scanned + v.checked, product_weakly_clean=v.ok, component_rule=rule)
@@ -658,8 +648,8 @@ def law_product_ideal():
     # whose components admit no shared decomposition sign.
     localized_instances = [
         ((3, 5), (None, None), False, "Z_(3,5) x Z_(3,5) | R x R"),
-        ((3, 5), (None, 15), True, "Z_(3,5) x Z_(3,5) | R x <15>"),
-        ((2, 3), (3, None), False, "Z_(2,3) x Z_(2,3) | <3> x R"),
+        ((3, 5), (None, (15,)), True, "Z_(3,5) x Z_(3,5) | R x <15>"),
+        ((2, 3), ((3,), None), False, "Z_(2,3) x Z_(2,3) | <3> x R"),
     ]
     for primes, gens, expected, inputs in localized_instances:
         ring = LocalizedIntegers(primes)
@@ -813,7 +803,7 @@ def law_tri3_converse():
             yield _holds(ring, extracted, corner=slot)
 
     for ambient, rings3, gens, inputs in _tri3_instances():
-        block = tri3_ideal(ambient, *(_ideal(r, g) for r, g in zip(rings3, gens)))
+        block = tri3_ideal(ambient, *(_finite_ideal(r, g) for r, g in zip(rings3, gens)))
         v_block = ideal_is_weakly_clean(ambient, block)
         if not v_block.ok:
             yield _skipped(
@@ -884,7 +874,7 @@ def law_series_ideal():
     ]
 
     def steps(base, gens, k):
-        ideal = _ideal(base, gens)
+        ideal = _finite_ideal(base, gens)
         ambient = truncated_power_series(base, k)
         block = series_ideal(ambient, ideal, k)
         v_base = ideal_is_weakly_clean(base, ideal)

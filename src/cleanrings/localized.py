@@ -208,6 +208,19 @@ class LocalizedIntegers:
         return LocalizedIdeal(self, "principal", self.valuations(g.numerator))
 
 
+def _localized_ideal(
+    ring: LocalizedIntegers, gens: Sequence[Fraction | int] | None
+) -> "LocalizedIdeal":
+    """The ideal the member generators span, with the least exponent of each
+    prime over the nonzero ones; no generators at all is the whole ring."""
+    if gens is None:
+        return ring.full_ideal()
+    vectors = [ring.valuations(ring.element(q).numerator) for q in gens if q != 0]
+    if not vectors:
+        return ring.zero_ideal()
+    return ring.ideal(tuple(min(col) for col in zip(*vectors)))
+
+
 @dataclass(frozen=True)
 class LocalizedIdeal:
     """0 or the principal ideal generated by d = prod(p^e_p)."""

@@ -4,6 +4,8 @@ radical lifting."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,6 +294,8 @@ def test_failure_trace_pairs_signs_per_idempotent():
         )
         assert entry["candidate_unit"] == candidate
         assert entry["is_unit"] == Z6.is_unit(candidate)
+    # numpy scalars would not serialize
+    assert json.loads(json.dumps(trace)) == list(trace)
 
 
 # -- lifting ---------------------------------------------------------------------

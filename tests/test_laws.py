@@ -7,6 +7,7 @@ import ast
 import dataclasses
 import hashlib
 import importlib
+import random
 from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
@@ -127,6 +128,32 @@ def test_determinant_cofactor_counts_are_frozen():
         sampled = _one("determinant-cofactor", f"Z_{n}, k=3, 200 seeded samples")
         assert sampled.verdict == "pass"
         assert sampled.scanned == 200
+
+
+def _drawn_cases(n: int, k: int, samples: int):
+    """The seeded determinant-cofactor draws written out one by one: the grid
+    row by row, then the row, the column and the bump."""
+    rng = random.Random(f"determinant-cofactor-{n}-{k}")
+    for _ in range(samples):
+        grid = [[rng.randrange(n) for _ in range(k)] for _ in range(k)]
+        i = rng.randrange(k)
+        j = rng.randrange(k)
+        x = rng.randrange(n)
+        yield tuple(v for row in grid for v in row), i, j, x
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_determinant_cofactor_seeded_stream_keeps_its_draw_order(n):
+    # The counts above would not notice a reordered stream; the instances'
+    # verdicts and witnesses depend on the exact cases drawn.
+    assert list(laws._seeded_cases(n, 3, 200)) == list(_drawn_cases(n, 3, 200))
+
+
+def test_determinant_cofactor_exhaustive_stream_covers_every_case_once():
+    cases = list(laws._every_case(6, 2))
+    assert len(cases) == 31104 == len(set(cases))
+    assert cases[:7] == [((0, 0, 0, 0), 0, 0, x) for x in range(6)] + [((0, 0, 0, 0), 0, 1, 0)]
+    assert cases[-1] == ((5, 5, 5, 5), 1, 1, 5)
 
 
 def test_matrix_law_instances_are_frozen():
@@ -451,6 +478,10 @@ def _ring_reports(text: str, *law_ids: str):
 
 
 _FAULTS = {
+    "determinant-cofactor, every cofactor zero": (
+        lambda mp: mp.setattr(laws, "cofactor", lambda base, grid, i, j: 0),
+        laws.law_determinant_cofactor,
+    ),
     "matrix-ideal, block verdict inverted": (
         lambda mp: _flip(mp, "ideal_is_weakly_clean", "matrix"),
         laws.law_matrix_ideal,
@@ -541,6 +572,42 @@ _FAULTS = {
 
 # (inputs, verdict, witness, scanned) of each report; run_ring sorts by law id
 _FAULT_PINS = {
+    "determinant-cofactor, every cofactor zero": [
+        (
+            "Z_6, k=2, exhaustive",
+            "fail",
+            {"modulus": 6, "entries": [0, 0, 0, 1], "row": 0, "col": 0, "bump": 1, "got": 1, "expected": 0},
+            26,
+        ),
+        (
+            "Z_5, k=3, 200 seeded samples",
+            "fail",
+            {
+                "modulus": 5,
+                "entries": [2, 2, 2, 0, 4, 0, 3, 0, 2],
+                "row": 1,
+                "col": 2,
+                "bump": 4,
+                "got": 1,
+                "expected": 2,
+            },
+            1,
+        ),
+        (
+            "Z_6, k=3, 200 seeded samples",
+            "fail",
+            {
+                "modulus": 6,
+                "entries": [5, 3, 4, 5, 4, 2, 2, 3, 4],
+                "row": 0,
+                "col": 1,
+                "bump": 4,
+                "got": 2,
+                "expected": 0,
+            },
+            3,
+        ),
+    ],
     "idealization-ideal, every pair a unit": [
         ("Z_4 with module Z_4 | <2>, N={0,2}", "fail", {"index": 0, "check": "unit"}, 1),
         ("Z_6 with module Z_6 | <3>, N={0,3}", "fail", {"index": 0, "check": "unit"}, 1),
