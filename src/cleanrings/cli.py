@@ -195,23 +195,31 @@ _CHECKS = {
 }
 
 
-def _finite_witness(ring: FiniteRing, x: int, check: str) -> dict:
-    """One audited decomposition (or exchange idempotent) for a passing element."""
-    from .analysis import decompositions, exchange_idempotents
+def _finite_witness(ring: FiniteRing, members: tuple[int, ...], check: str) -> list[dict]:
+    """One audited decomposition (or exchange idempotent) per member of a
+    passing ideal: the first that ``analysis.decompositions`` lists, sign +1
+    first and e ascending, read off one gather of x - e and x + e."""
+    import numpy as np
+
+    from .analysis import _shifts, exchange_idempotents
 
     if check == "exchange":
-        found = exchange_idempotents(ring, x)
-        return {"element": x, "idempotent": int(found[0])} if found.size else {"element": x}
-    decs = decompositions(ring, x)
-    if check == "clean":
-        decs = tuple(d for d in decs if d.sign == 1)
-    first = decs[0]
-    return {
-        "element": x,
-        "sign": first.sign,
-        "idempotent": first.idempotent,
-        "unit": first.unit,
-    }
+        found = [exchange_idempotents(ring, x) for x in members]
+        return [
+            {"element": x, "idempotent": int(f[0])} if f.size else {"element": x}
+            for x, f in zip(members, found)
+        ]
+    # x = u + e takes the unit u = x - e, and x = u - e takes u = x + e
+    minus_e, plus_e = _shifts(ring, members)
+    shifted = minus_e if check == "clean" else np.hstack((minus_e, plus_e))
+    first = ring.units_mask[shifted].argmax(axis=1)
+    units = shifted[np.arange(len(members)), first].tolist()
+    idem = ring.idempotents
+    out = []
+    for x, j, u in zip(members, first.tolist(), units):
+        half, e = divmod(j, len(idem))
+        out.append({"element": x, "sign": (1, -1)[half], "idempotent": idem[e], "unit": u})
+    return out
 
 
 def _cmd_ideal(args: argparse.Namespace) -> int:
@@ -248,9 +256,7 @@ def _cmd_ideal(args: argparse.Namespace) -> int:
         verdict = getattr(analysis, finite_check)(ring, ideal)
         ok = verdict.ok
         verdict_json = verdict.to_json_dict()
-        witnesses = (
-            [_finite_witness(ring, x, args.check) for x in ideal.members] if ok else None
-        )
+        witnesses = _finite_witness(ring, ideal.members, args.check) if ok else None
         lines = [
             f"ideal {ideal.describe()} ({len(ideal.members)} elements):"
             f" {args.check} {_yn(ok)}"

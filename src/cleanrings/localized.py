@@ -6,11 +6,11 @@ For a prime set P with modulus M = prod(P), the ring holds the fractions a/b
 fractions with gcd(a, M) = 1 and whose only idempotents are 0 and 1, so the
 decomposition search of the finite-ring analysis collapses to three unit
 tests per element: x itself, x - 1, and x + 1. Every nonzero ideal is
-principal with a canonical integer generator d = prod(p^e_p), which makes
-ideal-level properties decidable by a finite case analysis on the valuation
-vector (e_p). That case table is derived here and kept honest by a bounded
-witness-search oracle; the test suite replays the two against each other
-across an envelope of prime sets and valuations.
+principal with a canonical integer generator d = prod(p^e_p), and the
+ideal-level properties are decided from the members' residues mod each p
+(below). A bounded witness search supplies the failing members; the test
+suite replays the two against each other across an envelope of prime sets
+and valuations.
 
 The search visits the members d*a/b with |a| <= bound and b <= bound coprime
 to M, row by row: for each denominator b in ascending order, the multipliers
@@ -29,24 +29,17 @@ is exact for every generator, and it keeps one row at a time, so its memory
 grows with the smaller of the bound and L, not with the grid. The whole grid
 is built only by the tests' oracle, ``_search_grid``.
 
-Derived case table, writing Z = {p in P : e_p = 0} for a nonzero ideal I
-with valuations (e_p):
-
-* zero ideal: clean (0 = -1 + 1).
-* clean(I): Z empty (then x in I has every p dividing x, so x - 1 is a
-  unit), or I = R over a single prime.
-* weakly clean, proper I (some e_p >= 1): fails exactly when two distinct
-  primes in Z can separately kill x - 1 and x + 1, or when 2 in Z kills
-  both at once; so it holds iff Z is empty or Z = {q} for a single odd q.
-* weakly clean, I = R: a failing x also needs a third prime to keep x
-  itself a non-unit; holds iff |P| = 1, or |P| = 2 with 2 not in P.
-* uniquely weakly clean: for proper nonzero I every member is a non-unit,
-  so at most the idempotent 1 can serve and uniqueness equals weak
-  cleanness; for I = R it holds iff P = {2} (in any other ring x = 1 is
-  served by both idempotents); the zero ideal always qualifies.
-* weakly exchange: coincides with weakly clean at every element — in a
-  domain e - x in R(x - x^2) forces x - 1 to be a unit or x in {0, e},
-  and likewise for the plus form.
+Deciding an ideal. The Jacobson radical of the ring is M*R, and an element
+is a unit exactly when it is one mod M*R, that is, mod every p in P. So the
+unit flags of x, x - 1 and x + 1 depend only on the residues of x mod the
+primes, and by the CRT the members of <d> take every combination of
+residues: 0 at each p that divides d (every p, for the zero ideal) and any
+residue at the others. Any residue other than 0, 1 and -1 makes all three
+units at p, so 0, 1, -1 and 2 stand for every residue. An ideal has a
+property exactly when every combination's flags have it in ``SignClasses``.
+Weakly exchange coincides with weakly clean at every element: in a domain
+e - x in R(x - x^2) forces x - 1 to be a unit or x in {0, e}, and likewise
+for the plus form.
 """
 
 from __future__ import annotations
@@ -84,7 +77,7 @@ __all__ = [
 
 DEFAULT_SEARCH_BOUND = 64
 
-# The validated envelope, where the case table is checked against the witness
+# The validated envelope, where the verdicts are checked against the witness
 # search on every ideal (``envelope_ideals``).
 VALIDATED_MAX_PRIMES = 3
 VALIDATED_MAX_PRIME = 11
@@ -93,6 +86,10 @@ VALIDATED_MAX_EXPONENT = 2
 
 # Miller-Rabin with these bases decides primality of every n < 2^64.
 _WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_int(n) -> bool:
+    return isinstance(n, int) and not isinstance(n, bool)
 
 
 def _is_prime(n: int) -> bool:
@@ -127,13 +124,15 @@ class LocalizedIntegers:
     primes: tuple[int, ...]
 
     def __init__(self, primes: Iterable[int]):
-        ps = tuple(sorted(set(int(p) for p in primes)))
+        ps = tuple(primes)
         if not ps:
             raise ValueError("at least one prime is required")
         for p in ps:
+            if not _is_int(p):
+                raise ValueError(f"a prime must be an integer, not {p!r}")
             if not _is_prime(p):
                 raise ValueError(f"{p} is not prime")
-        object.__setattr__(self, "primes", ps)
+        object.__setattr__(self, "primes", tuple(sorted(set(ps))))
 
     @property
     def modulus(self) -> int:
@@ -187,10 +186,7 @@ class LocalizedIntegers:
         return tuple(out)
 
     def ideal(self, valuations: Sequence[int]) -> "LocalizedIdeal":
-        vals = tuple(int(v) for v in valuations)
-        if len(vals) != len(self.primes) or any(v < 0 for v in vals):
-            raise ValueError("one non-negative exponent per prime is required")
-        return LocalizedIdeal(self, "principal", vals)
+        return LocalizedIdeal(self, "principal", tuple(valuations))
 
     def zero_ideal(self) -> "LocalizedIdeal":
         return LocalizedIdeal(self, "zero", tuple(0 for _ in self.primes))
@@ -230,6 +226,10 @@ class LocalizedIdeal:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
+        if len(self.exponents) != len(self.ring.primes) or not all(
+            _is_int(e) and e >= 0 for e in self.exponents
+        ):
+            raise ValueError("one non-negative integer exponent per prime is required")
         if self.kind not in ("zero", "principal"):
             raise ValueError(f"unknown ideal kind {self.kind!r}")
         if self.kind == "zero" and any(self.exponents):
@@ -376,7 +376,8 @@ def is_weakly_exchange_element_exact(
 
 @dataclass(frozen=True)
 class AnalyticVerdict:
-    """Boolean verdict plus how far the backing case table has been validated."""
+    """Boolean verdict plus whether the witness search cross-checks it (the
+    validated envelope)."""
 
     value: bool
     method: str
@@ -411,42 +412,38 @@ def envelope_ideals() -> Iterator[tuple[LocalizedIntegers, LocalizedIdeal]]:
                 yield ring, ring.ideal(exponents)
 
 
-def _zero_exponent_primes(ideal: LocalizedIdeal) -> list[int]:
-    return [p for p, e in zip(ideal.ring.primes, ideal.exponents) if e == 0]
+def _decide(ideal: LocalizedIdeal, name: str) -> AnalyticVerdict:
+    """Whether every member has the SignClasses property ``name``.
+
+    A member's (x, x - 1, x + 1) unit flags are the "and" of its flags at
+    each prime, and the members take every combination of residues: 0 at a
+    prime that divides the generator, and 0, 1, -1 and 2 (which stand for
+    all) at the others (module docstring). ``patterns`` holds the flag
+    triples of the primes seen so far.
+    """
+    patterns = {(True, True, True)}
+    for p, e in zip(ideal.ring.primes, ideal.exponents):
+        residues = {0} if e or ideal.is_zero else {r % p for r in (0, 1, -1, 2)}
+        local = {(r != 0, r != 1 % p, r != -1 % p) for r in residues}
+        patterns = {
+            (x & y, down & down_p, up & up_p)
+            for x, down, up in patterns
+            for y, down_p, up_p in local
+        }
+    value = all(getattr(SignClasses(None, *flags), name) for flags in patterns)
+    return AnalyticVerdict(value, _method_for(ideal))
 
 
 def ideal_is_clean_analytic(ideal: LocalizedIdeal) -> AnalyticVerdict:
-    method = _method_for(ideal)
-    if ideal.is_zero:
-        return AnalyticVerdict(True, method)
-    zero_part = _zero_exponent_primes(ideal)
-    if not zero_part:
-        return AnalyticVerdict(True, method)
-    if ideal.is_full and len(ideal.ring.primes) == 1:
-        return AnalyticVerdict(True, method)
-    return AnalyticVerdict(False, method)
+    return _decide(ideal, "is_clean")
 
 
 def ideal_is_weakly_clean_analytic(ideal: LocalizedIdeal) -> AnalyticVerdict:
-    method = _method_for(ideal)
-    if ideal.is_zero:
-        return AnalyticVerdict(True, method)
-    primes = ideal.ring.primes
-    zero_part = _zero_exponent_primes(ideal)
-    if ideal.is_full:
-        ok = len(primes) == 1 or (len(primes) == 2 and 2 not in primes)
-        return AnalyticVerdict(ok, method)
-    ok = not zero_part or (len(zero_part) == 1 and zero_part[0] != 2)
-    return AnalyticVerdict(ok, method)
+    return _decide(ideal, "is_weakly_clean")
 
 
 def ideal_is_uniquely_weakly_clean_analytic(ideal: LocalizedIdeal) -> AnalyticVerdict:
-    method = _method_for(ideal)
-    if ideal.is_zero:
-        return AnalyticVerdict(True, method)
-    if ideal.is_full:
-        return AnalyticVerdict(ideal.ring.primes == (2,), method)
-    return AnalyticVerdict(ideal_is_weakly_clean_analytic(ideal).value, method)
+    return _decide(ideal, "is_uniquely_weakly_clean")
 
 
 def ideal_is_weakly_exchange_analytic(ideal: LocalizedIdeal) -> AnalyticVerdict:
@@ -709,61 +706,35 @@ def product_weakly_clean(
         raise ValueError("at least one component is required")
     wc = [bool(ideal_is_weakly_clean_analytic(i)) for _, i in components]
     cl = [bool(ideal_is_clean_analytic(i)) for _, i in components]
-
-    def pad(slot: int, value: Fraction) -> tuple[Fraction, ...]:
-        return tuple(
-            value if k == slot else Fraction(0) for k in range(len(components))
-        )
-
-    if not all(wc):
-        slot = wc.index(False)
-        ring, ideal = components[slot]
-        x = witness_search(ring, ideal, bound=bound, flavor="weakly-clean")
-        classes = tuple(
-            "neither" if k == slot else "both" for k in range(len(components))
-        )
-        return ProductVerdict(
-            False,
-            None if x is None else pad(slot, x),
-            None if x is None else classes,
-            tuple(wc),
-            tuple(cl),
-            f"component {slot} is not weakly clean",
-        )
     not_clean = [k for k, flag in enumerate(cl) if not flag]
-    if len(not_clean) <= 1:
+    if all(wc) and len(not_clean) <= 1:
         return ProductVerdict(
             True, None, None, tuple(wc), tuple(cl), "at most one component is not clean"
         )
-    first, second = not_clean[0], not_clean[1]
-    ring1, ideal1 = components[first]
-    ring2, ideal2 = components[second]
-    plus_only = sign_class_survey(ring1, ideal1, bound=bound).first_plus_only
-    minus_only = sign_class_survey(ring2, ideal2, bound=bound).first_minus_only
-    witness = None
-    classes = None
-    if plus_only is not None and minus_only is not None:
-        witness = tuple(
-            plus_only if k == first else minus_only if k == second else Fraction(0)
-            for k in range(len(components))
+    # the (slot, sign class, member) picks of the failing witness
+    if not all(wc):
+        slot = wc.index(False)
+        member = witness_search(*components[slot], bound=bound, flavor="weakly-clean")
+        picks = [(slot, "neither", member)]
+        detail = f"component {slot} is not weakly clean"
+    else:
+        first, second = not_clean[:2]
+        plus, minus = (sign_class_survey(*components[k], bound=bound) for k in (first, second))
+        picks = [
+            (first, "plus-only", plus.first_plus_only),
+            (second, "minus-only", minus.first_minus_only),
+        ]
+        detail = (
+            f"components {first} and {second} are both weakly clean but not clean, "
+            "with opposite exclusive sign classes"
         )
-        classes = tuple(
-            "plus-only"
-            if k == first
-            else "minus-only"
-            if k == second
-            else "both"
-            for k in range(len(components))
-        )
-    return ProductVerdict(
-        False,
-        witness,
-        classes,
-        tuple(wc),
-        tuple(cl),
-        f"components {first} and {second} are both weakly clean but not clean, "
-        "with opposite exclusive sign classes",
-    )
+    witness = classes = None
+    if all(member is not None for _, _, member in picks):
+        witness, classes = [Fraction(0)] * len(components), ["both"] * len(components)
+        for slot, sign_class, member in picks:
+            witness[slot], classes[slot] = member, sign_class
+        witness, classes = tuple(witness), tuple(classes)
+    return ProductVerdict(False, witness, classes, tuple(wc), tuple(cl), detail)
 
 
 # -- end-to-end worked reports -------------------------------------------------------

@@ -141,6 +141,22 @@ def test_ideal_exchange_witnesses_name_an_idempotent(capsys):
     assert all("idempotent" in w for w in payload["witnesses"])
 
 
+@pytest.mark.parametrize(
+    "spec", ["(zn 12)", "(matrix 2 (zn 2))", "(series (zn 2) 3)", "(product (zn 4) (zn 6))"]
+)
+def test_ideal_witnesses_are_the_first_decomposition_of_each_member(spec):
+    from cleanrings.analysis import decompositions
+
+    ring = build(parse(spec))
+    members = tuple(ring.elements)
+    for check in ("clean", "weakly-clean", "uniquely"):
+        expected = []
+        for x in members:
+            first = [d for d in decompositions(ring, x) if check != "clean" or d.sign == 1][0]
+            expected.append({"element": x, **first.to_json_dict()})
+        assert json.dumps(cli._finite_witness(ring, members, check)) == json.dumps(expected)
+
+
 def test_ideal_localized_refutation_ships_a_witness(capsys):
     code, payload, _ = run_json(
         capsys,

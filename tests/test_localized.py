@@ -1,6 +1,6 @@
 """Exact arithmetic in subrings of Q with denominators avoiding a prime set,
-and the valuation case table for ideal cleanness validated against the
-bounded witness-search oracle."""
+and the residue decider for ideal cleanness validated against a residue scan
+and the bounded witness-search oracle."""
 
 from __future__ import annotations
 
@@ -203,6 +203,20 @@ def test_ideal_validation():
         LocalizedIdeal(R35, "maximal", (1, 0))
 
 
+@pytest.mark.parametrize("primes", [(3.5, 5), ("7",), (True, 3), (7, 7.0)])
+def test_primes_must_be_integers(primes):
+    with pytest.raises(ValueError):
+        LocalizedIntegers(primes)
+
+
+@pytest.mark.parametrize("exponents", [(1.9, 0), (1,), (1, 0, 0), (-1, 0), (True, 0), ("1", 0)])
+def test_every_ideal_takes_one_non_negative_integer_exponent_per_prime(exponents):
+    with pytest.raises(ValueError):
+        R35.ideal(exponents)
+    with pytest.raises(ValueError):
+        LocalizedIdeal(R35, "principal", exponents)
+
+
 @settings(max_examples=100, deadline=None)
 @given(r=_members(R35))
 def test_principal_ideal_membership_tracks_valuations(r):
@@ -223,7 +237,7 @@ def test_membership_rejects_smaller_valuations():
     assert ideal.contains(Fraction(-90))
 
 
-# -- the analytic case table, anchored -------------------------------------------------
+# -- the analytic verdicts, anchored -----------------------------------------------------
 
 
 def test_zero_ideal_is_clean():
@@ -292,6 +306,81 @@ def test_method_annotation_tracks_the_validated_envelope():
     assert "unvalidated" in ideal_is_weakly_clean_analytic(four.full_ideal()).method
     deep = R35.ideal((3, 0))
     assert "unvalidated" in ideal_is_clean_analytic(deep).method
+
+
+# -- the decider against a residue scan, for every prime set -----------------------------
+
+
+def _residue_scan(ring: LocalizedIntegers, ideal: LocalizedIdeal) -> tuple[bool, bool, bool]:
+    """(clean, weakly clean, uniquely weakly clean), read off every residue
+    mod M that a member takes. R/MR is Z/M and M*R is the Jacobson radical,
+    so x is a unit exactly when x mod M is; the members d*a/b of <d> take
+    the residues d*a*b^-1 mod M, which are the multiples of gcd(d, M) (only
+    0 for the zero ideal)."""
+    m = ring.modulus
+    step = math.gcd(int(ideal.generator), m)
+    flags = [tuple(math.gcd(r + s, m) == 1 for s in (0, -1, 1)) for r in range(0, m, step)]
+    return (
+        all(x or down for x, down, _ in flags),
+        all(x or down or up for x, down, up in flags),
+        all(x != (down or up) for x, down, up in flags),
+    )
+
+
+def _decided(ideal: LocalizedIdeal) -> tuple[bool, bool, bool]:
+    return (
+        ideal_is_clean_analytic(ideal).value,
+        ideal_is_weakly_clean_analytic(ideal).value,
+        ideal_is_uniquely_weakly_clean_analytic(ideal).value,
+    )
+
+
+def _shape_ideals():
+    """One ideal of every shape, then the zero ideal of its prime set.
+
+    A shape fixes, for 2 and for 3, whether the prime is absent, has e = 0
+    or has e > 0; it takes zero to three of 5, 7 and 11 with e = 0, and 13
+    with e > 0 or not. Every prime p >= 5 has the same residue patterns (0,
+    1, -1 and another residue where e_p = 0, only 0 where e_p > 0), three
+    such primes with e = 0 already give every (x, x - 1, x + 1) flag triple,
+    and a second prime with e > 0 repeats the first, so the shapes show the
+    pattern set of every prime set and every exponent vector.
+    """
+    roles = [
+        ((), ((2, 0),), ((2, 1),)),
+        ((), ((3, 0),), ((3, 1),)),
+        [tuple((p, 0) for p in (5, 7, 11)[:k]) for k in range(4)],
+        ((), ((13, 1),)),
+    ]
+    for parts in itertools.product(*roles):
+        pairs = [pair for part in parts for pair in part]
+        if pairs:
+            ring = LocalizedIntegers([p for p, _ in pairs])
+            yield ring, ring.ideal([e for _, e in pairs])
+            yield ring, ring.zero_ideal()
+
+
+def _small_prime_ideals():
+    """Every set of one to three primes up to 13, with the zero ideal and
+    every 0/1 exponent vector."""
+    for size in (1, 2, 3):
+        for primes in itertools.combinations((2, 3, 5, 7, 11, 13), size):
+            ring = LocalizedIntegers(primes)
+            yield ring, ring.zero_ideal()
+            for exponents in itertools.product((0, 1), repeat=size):
+                yield ring, ring.ideal(exponents)
+
+
+@pytest.mark.parametrize("ideals, count", [(_shape_ideals, 142), (_small_prime_ideals, 273)])
+def test_decider_agrees_with_a_residue_scan(ideals, count):
+    checked = 0
+    disagreements = []
+    for ring, ideal in ideals():
+        checked += 1
+        if _decided(ideal) != _residue_scan(ring, ideal):
+            disagreements.append((ring.label, ideal.describe(), _decided(ideal)))
+    assert checked == count
+    assert disagreements == []
 
 
 # -- oracle agreement over the whole validated envelope --------------------------------
