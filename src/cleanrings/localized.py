@@ -88,10 +88,6 @@ VALIDATED_MAX_EXPONENT = 2
 _WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _is_int(n) -> bool:
-    return isinstance(n, int) and not isinstance(n, bool)
-
-
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; n at or above 2^64 is refused."""
     if n >= 1 << 64:
@@ -128,7 +124,7 @@ class LocalizedIntegers:
         if not ps:
             raise ValueError("at least one prime is required")
         for p in ps:
-            if not _is_int(p):
+            if type(p) is not int:  # bool, float and str are refused
                 raise ValueError(f"a prime must be an integer, not {p!r}")
             if not _is_prime(p):
                 raise ValueError(f"{p} is not prime")
@@ -227,7 +223,7 @@ class LocalizedIdeal:
 
     def __post_init__(self):
         if len(self.exponents) != len(self.ring.primes) or not all(
-            _is_int(e) and e >= 0 for e in self.exponents
+            type(e) is int and e >= 0 for e in self.exponents
         ):
             raise ValueError("one non-negative integer exponent per prime is required")
         if self.kind not in ("zero", "principal"):
