@@ -569,6 +569,7 @@ SPEC_COMMANDS = {
     "ideal-finite-exchange": ["ideal", "(zn 12)", "--gens", "2", "--check", "exchange"],
     "ideal-finite-uniquely-no": ["ideal", "(zn 6)", "--check", "uniquely"],
     "ideal-finite-matrix-clean": ["ideal", "(matrix 2 (zn 2))", "--check", "clean"],
+    "ideal-finite-series-exchange": ["ideal", "(series (zn 4) 4)", "--gens", "4", "--check", "exchange"],
     "ideal-localized-clean": ["ideal", "(localized 2 3)", "--gens", "3", "--check", "clean"],
     "ideal-localized-weakly-clean": ["ideal", "(localized 2 3)", "--gens", "3", "--check", "weakly-clean"],
     "ideal-localized-uniquely": ["ideal", "(localized 2 3)", "--gens", "3", "--check", "uniquely"],
@@ -582,6 +583,8 @@ SPEC_COMMANDS = {
     "idempotents-localized": ["idempotents", "(localized 7)"],
     "units-finite": ["units", "(zn 9)"],
     "units-localized": ["units", "(localized 7)"],
+    "laws-series": ["laws", "--spec", "(series (zn 4) 4)"],
+    "laws-near-cap-product": ["laws", "--spec", "(product (zn 4) (zn 4) (zn 16))"],
 }
 
 # "<case>-<text|json>": (exit code, SHA-256 of stdout)
@@ -608,6 +611,8 @@ SPEC_COMMAND_PINS = {
     "ideal-finite-uniquely-no-json": (1, "2555c623a7aa10bbac3f08ef4efc9b67bd491e26cd562e489fdfd0885b332509"),
     "ideal-finite-matrix-clean-text": (0, "bfaf988e69cc7eef155fd963a4445a689538d98ada5f7340f3af76c23ec34834"),
     "ideal-finite-matrix-clean-json": (0, "7efdd47536e70914fa7c63dde10a45fc8a990e264e2d3795313bf8339a0aaffc"),
+    "ideal-finite-series-exchange-text": (0, "c135d3da61297ebf9b1f439f7c4bb7d454822d49cfa2e4c8af8bc7e16fa1fb10"),
+    "ideal-finite-series-exchange-json": (0, "852d7a246636716ac0faa566ef7243b6730d01e7c3ef029f6e720e93138f5b98"),
     "ideal-localized-clean-text": (1, "6a7e383085e6c4d06e707f1f4ac9f6540618c1b58bf50703253fada9b833d47d"),
     "ideal-localized-clean-json": (1, "2d0ae444defc9e33a24c61d61af4890619d39070cdfad8ca52c8363cba13c8bc"),
     "ideal-localized-weakly-clean-text": (1, "8a013b447b4c1665ba6f3ead1e69ea778a4c1da2f9c58e7674bea0f52f8f3305"),
@@ -634,6 +639,8 @@ SPEC_COMMAND_PINS = {
     "units-finite-json": (0, "3f768ccb47f417b73b5d8aa3b49186ebeb31198f9d809bc4c6918f762be79613"),
     "units-localized-text": (0, "3411f3f1dff4d5cc88940ed4836fd78ee4105cf32db649eb3cf32240d1c340ed"),
     "units-localized-json": (0, "908288f46bc0d1cd8acfd457519938fdbf04119e1feb95eb99661651f724b9fa"),
+    "laws-series-json": (0, "8bc876a3a26252cb274195e9e4448182e2ad527ef05c4efcbfe3bbb79634ec39"),
+    "laws-near-cap-product-json": (0, "313bd2e2e623d9bea4743a6c3b27f55b56c5c9db43fcf2b44b2731386639df28"),
 }
 
 
