@@ -6,7 +6,10 @@ weakly clean when x = u + e or x = u - e. It is uniquely weakly clean when
 exactly one idempotent admits a decomposition of either sign. An ideal has
 one of these properties when every one of its elements does; verdicts record
 only counts on success and a full attempted-decomposition trace for the
-first failing element, so passing scans stay cheap to serialize.
+first failing element, so passing scans stay cheap to serialize. Every
+property of an ideal, the exchange property included, and the first
+decomposition of each member are read off one gather of x - e and x + e per
+ideal (``_shifts``).
 
 The weakly exchange test for x asks for an idempotent e with e - x in
 R(x - x^2) or e + x in R(x + x^2). Restricting candidate idempotents to the
@@ -96,13 +99,21 @@ def decompositions(ring: FiniteRing, x: int) -> tuple[Decomposition, ...]:
     A pair that works with both signs (only possible when e + e = 0 forces
     u to coincide) is listed once per sign; ordering is deterministic.
     """
-    units = ring.units_mask
-    out: list[Decomposition] = []
-    for sign, (row,) in zip((1, -1), _shifts(ring, [x])):
-        for e, u in zip(ring.idempotents, row.tolist()):
-            if units[u]:
-                out.append(Decomposition(sign, e, u))
-    return tuple(out)
+    shifted = np.hstack(_shifts(ring, [x]))[0].tolist()
+    signed = [(sign, e) for sign in (1, -1) for e in ring.idempotents]
+    return tuple(Decomposition(*se, u) for se, u in zip(signed, shifted) if ring.units_mask[u])
+
+
+def _first_decompositions(
+    ring: FiniteRing, members: Sequence[int], *, plus_only: bool = False
+) -> list[Decomposition]:
+    """For each member, the first decomposition that ``decompositions`` lists,
+    of sign +1 only when plus_only. Every finite ring is clean, so there is one."""
+    shifted = np.hstack(_shifts(ring, members)[: 1 if plus_only else 2])
+    first = ring.units_mask[shifted].argmax(axis=1)
+    units = np.take_along_axis(shifted, first[:, None], axis=1)[:, 0].tolist()
+    signed = [(sign, e) for sign in (1, -1) for e in ring.idempotents]
+    return [Decomposition(*signed[j], u) for j, u in zip(first.tolist(), units)]
 
 
 def clean_class(ring: FiniteRing, x: int) -> CleanClass:
@@ -124,22 +135,32 @@ def is_uniquely_weakly_clean_element(ring: FiniteRing, x: int) -> bool:
     return int((plus_ok | minus_ok).sum()) == 1
 
 
-def exchange_idempotents(
-    ring: FiniteRing, x: int, candidates: Sequence[int] | None = None
-) -> np.ndarray:
-    """The idempotents e, in order, with e - x in R(x - x^2) or e + x in R(x + x^2).
+def _exchange_masks(ring: FiniteRing, members: Sequence[int]) -> np.ndarray:
+    """Whether e - x lies in R(x - x^2) or e + x in R(x + x^2), indexed
+    [member, idempotent] over all of the ring's idempotents.
 
-    The candidates are the given idempotents, or by default all of the ring's.
+    R*y is an additive subgroup, so e - x lies in it exactly when x - e does,
+    and both tests read the rows of ``_shifts``.
     """
-    idem = np.array(ring.idempotents if candidates is None else candidates, dtype=np.int32)
-    x2 = ring.mul(x, x)
-    target_minus = np.zeros(ring.order, dtype=bool)
-    target_minus[ring.left_multiples(ring.sub(x, x2))] = True
-    target_plus = np.zeros(ring.order, dtype=bool)
-    target_plus[ring.left_multiples(ring.add(x, x2))] = True
-    e_minus_x = ring.add_table[idem, ring.neg_table[x]]
-    e_plus_x = ring.add_table[idem, x]
-    return idem[target_minus[e_minus_x] | target_plus[e_plus_x]]
+    x = np.array(members)
+    square = ring.mul_table[x, x]
+    rows = np.arange(len(x))[:, None]
+    ys = (ring.add_table[x, ring.neg_table[square]], ring.add_table[x, square])
+    ok = np.zeros((len(x), len(ring.idempotents)), dtype=bool)
+    for y, shifted in zip(ys, _shifts(ring, members)):
+        multiples = np.zeros((len(x), ring.order), dtype=bool)
+        multiples[rows, ring.mul_table[:, y].T] = True
+        ok |= multiples[rows, shifted]
+    return ok
+
+
+def _exchange_columns(ring: FiniteRing, ideal: IdealSet | None, mode: str) -> list[int]:
+    """The idempotents an exchange test probes: all, or in strict mode those in the ideal."""
+    if mode != "strict":
+        return list(range(len(ring.idempotents)))
+    if ideal is None:
+        raise ValueError("strict mode requires the ideal")
+    return np.flatnonzero(ideal.member_mask()[list(ring.idempotents)]).tolist()
 
 
 def is_weakly_exchange_element(
@@ -153,13 +174,8 @@ def is_weakly_exchange_element(
 
     In strict mode the idempotent must additionally belong to the given ideal.
     """
-    candidates = ring.idempotents
-    if mode == "strict":
-        if ideal is None:
-            raise ValueError("strict mode requires the ideal")
-        allowed = set(ideal.members)
-        candidates = [e for e in candidates if e in allowed]
-    return exchange_idempotents(ring, x, candidates).size > 0
+    columns = _exchange_columns(ring, ideal, mode)
+    return bool(_exchange_masks(ring, [x])[0, columns].any())
 
 
 # -- ideal-level verdicts -------------------------------------------------------
@@ -250,22 +266,15 @@ def ideal_is_weakly_exchange(
     *,
     mode: Literal["strict", "relaxed"] = "strict",
 ) -> IdealVerdict:
-    probed = ring.idempotents
-    if mode == "strict":
-        allowed = set(ideal.members)
-        probed = tuple(e for e in probed if e in allowed)
-    for x in ideal.members:
-        if exchange_idempotents(ring, x, probed).size == 0:
-            return IdealVerdict(
-                f"weakly-exchange-{mode}",
-                ideal.describe(),
-                False,
-                len(ideal),
-                failing=x,
-                trace=probed,
-                detail=f"element {x}: no probed idempotent lands in R(x-x^2) or R(x+x^2)",
-            )
-    return IdealVerdict(f"weakly-exchange-{mode}", ideal.describe(), True, len(ideal))
+    columns = _exchange_columns(ring, ideal, mode)
+    failing = np.flatnonzero(~_exchange_masks(ring, ideal.members)[:, columns].any(axis=1))
+    name = f"weakly-exchange-{mode}"
+    if failing.size == 0:
+        return IdealVerdict(name, ideal.describe(), True, len(ideal))
+    x = ideal.members[int(failing[0])]
+    detail = f"element {x}: no probed idempotent lands in R(x-x^2) or R(x+x^2)"
+    trace = tuple(ring.idempotents[j] for j in columns)
+    return IdealVerdict(name, ideal.describe(), False, len(ideal), x, trace, detail)
 
 
 def _failure_trace(ring: FiniteRing, x: int, limit: int = 16) -> tuple:

@@ -197,29 +197,14 @@ _CHECKS = {
 
 def _finite_witness(ring: FiniteRing, members: tuple[int, ...], check: str) -> list[dict]:
     """One audited decomposition (or exchange idempotent) per member of a
-    passing ideal: the first that ``analysis.decompositions`` lists, sign +1
-    first and e ascending, read off one gather of x - e and x + e."""
-    import numpy as np
-
-    from .analysis import _shifts, exchange_idempotents
+    passing ideal: the first of the ring's that works, from one gather."""
+    from .analysis import _exchange_masks, _first_decompositions
 
     if check == "exchange":
-        found = [exchange_idempotents(ring, x) for x in members]
-        return [
-            {"element": x, "idempotent": int(f[0])} if f.size else {"element": x}
-            for x, f in zip(members, found)
-        ]
-    # x = u + e takes the unit u = x - e, and x = u - e takes u = x + e
-    minus_e, plus_e = _shifts(ring, members)
-    shifted = minus_e if check == "clean" else np.hstack((minus_e, plus_e))
-    first = ring.units_mask[shifted].argmax(axis=1)
-    units = shifted[np.arange(len(members)), first].tolist()
-    idem = ring.idempotents
-    out = []
-    for x, j, u in zip(members, first.tolist(), units):
-        half, e = divmod(j, len(idem))
-        out.append({"element": x, "sign": (1, -1)[half], "idempotent": idem[e], "unit": u})
-    return out
+        first = _exchange_masks(ring, members).argmax(axis=1).tolist()
+        return [{"element": x, "idempotent": ring.idempotents[j]} for x, j in zip(members, first)]
+    found = _first_decompositions(ring, members, plus_only=check == "clean")
+    return [{"element": x, **d.to_json_dict()} for x, d in zip(members, found)]
 
 
 def _cmd_ideal(args: argparse.Namespace) -> int:
@@ -265,7 +250,7 @@ def _cmd_ideal(args: argparse.Namespace) -> int:
             if "unit" in w:
                 sign = "+" if w["sign"] == 1 else "-"
                 lines.append(f"  {w['element']} = {w['unit']} {sign} {w['idempotent']}")
-            elif "idempotent" in w:
+            else:
                 lines.append(
                     f"  element {w['element']}: idempotent {w['idempotent']}"
                     " lands in the required multiple set"

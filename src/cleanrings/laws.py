@@ -43,13 +43,12 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .analysis import (
     _corner_verdicts,
-    decompositions,
+    _first_decompositions,
     ideal_is_clean,
     ideal_is_uniquely_weakly_clean,
     ideal_is_weakly_clean,
@@ -311,7 +310,7 @@ def _diagonal(inputs: str, ambient: FiniteRing, builder, rings, gens) -> dict:
     return _steps(inputs, [_holds(ambient, builder(ambient, *ideals))], scanned=scanned)
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def _inventory(key: str) -> tuple[tuple[IdealSet, ...], bool]:
     entry = catalog_entry(key)
     ideals, complete = ideal_inventory(entry.ring)
@@ -334,12 +333,12 @@ def _localized(*cases: tuple[tuple[int, ...], tuple[int, ...] | None]) -> Iterat
         yield ring, ideal, f"{ring.label} | {ideal.describe()}"
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def _m2z4() -> FiniteRing:
     return matrix_ring(zn(4), 2)
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def _m3z2() -> FiniteRing:
     return matrix_ring(zn(2), 3, cap=512)
 
@@ -956,6 +955,7 @@ def _radical_quotient(ring, inputs, ideals, complete):
         return _skipped(inputs, "the radical is zero, so the projection changes nothing")
     qring, proj = quotient(ring, sorted(radical))
     containing = [i for i in ideals if radical <= set(i.members)]
+    lifts = {e: lift_idempotent(ring, proj, qring, e) for e in qring.idempotents}
 
     def steps():
         for ideal in containing:
@@ -965,9 +965,9 @@ def _radical_quotient(ring, inputs, ideals, complete):
             yield None, v_up.checked + v_down.checked
             if v_up.ok != v_down.ok:
                 yield {"ideal": ideal.describe(), "upstairs": v_up.ok, "downstairs": v_down.ok}, 0
-            for x in ideal:
-                first = decompositions(qring, int(proj[x]))[0]
-                e = lift_idempotent(ring, proj, qring, first.idempotent)
+            firsts = _first_decompositions(qring, proj[list(ideal.members)].tolist())
+            for x, first in zip(ideal, firsts):
+                e = lifts[first.idempotent]
                 shifted = ring.add(x, ring.neg(e)) if first.sign == 1 else ring.add(x, e)
                 yield None, 1
                 if not ring.is_unit(shifted):

@@ -48,6 +48,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Sequence
 
 if TYPE_CHECKING:
@@ -152,6 +153,9 @@ class LocalizedIntegers:
         The check runs on the reduced form, so 3/6 is a valid member when
         3 is the only listed prime (it reduces to 1/2).
         """
+        for part in (numerator, denominator):
+            if isinstance(part, bool) or not isinstance(part, (Rational, str)):
+                raise ValueError(f"members are made of integers, fractions or text, not {part!r}")
         q = Fraction(numerator) if denominator == 1 else Fraction(numerator, denominator)
         if not self.contains(q):
             raise ValueError(
@@ -194,7 +198,7 @@ class LocalizedIntegers:
         """The ideal generated by one element, normalized to its canonical
         integer generator prod(p^e_p); unit factors are stripped, so a unit
         generator yields the whole ring."""
-        g = self.element(Fraction(generator))
+        g = self.element(generator)
         if g == 0:
             return self.zero_ideal()
         return LocalizedIdeal(self, "principal", self.valuations(g.numerator))

@@ -14,6 +14,10 @@ from hypothesis import strategies as st
 from cleanrings import (
     CleanClass,
     Decomposition,
+    IdealSet,
+    build,
+    build_catalog,
+    catalog_entry,
     clean_class,
     decompositions,
     direct_product,
@@ -30,6 +34,7 @@ from cleanrings import (
     is_weakly_exchange_element,
     lift_idempotent,
     matrix_ring,
+    parse,
     principal_ideals,
     quotient,
     ring_is_clean,
@@ -40,7 +45,7 @@ from cleanrings import (
     zn,
     zn_bimodule,
 )
-from cleanrings.analysis import _failure_trace
+from cleanrings.analysis import _exchange_masks, _failure_trace
 
 Z6 = zn(6)
 Z2XZ2 = direct_product([zn(2), zn(2)])
@@ -211,6 +216,64 @@ def test_weakly_clean_ideal_is_weakly_exchange():
         for ideal in principal_ideals(ring):
             if ideal_is_weakly_clean(ring, ideal).ok:
                 assert ideal_is_weakly_exchange(ring, ideal).ok
+
+
+def _exchange_oracle(ring, x: int, probed) -> list[int]:
+    """The idempotents among probed with e - x in R(x - x^2) or e + x in
+    R(x + x^2), straight from the definition, each R*y a Python set."""
+    square = ring.mul(x, x)
+    minus = {ring.mul(r, ring.sub(x, square)) for r in ring.elements}
+    plus = {ring.mul(r, ring.add(x, square)) for r in ring.elements}
+    return [e for e in probed if ring.sub(e, x) in minus or ring.add(e, x) in plus]
+
+
+# every catalog ring and the four order-256 rings of the near-cap benchmark
+EXCHANGE_RINGS = [entry.key for entry in build_catalog()] + [
+    "(matrix 2 (zn 4))",
+    "(series (zn 4) 4)",
+    "(zn 256)",
+    "(product (zn 4) (zn 4) (zn 16))",
+]
+
+
+@pytest.mark.parametrize("name", EXCHANGE_RINGS)
+def test_exchange_masks_match_the_definition_on_every_element(name):
+    ring = build(parse(name)) if name.startswith("(") else catalog_entry(name).ring
+    masks = _exchange_masks(ring, ring.elements)
+    assert masks.shape == (ring.order, len(ring.idempotents))
+    idem = np.array(ring.idempotents)
+    for x in ring.elements:
+        assert idem[masks[x]].tolist() == _exchange_oracle(ring, x, ring.idempotents)
+
+
+# principal ideals, and member sets that are not ideals: the strict probe of
+# {2} in Z_6 holds no idempotent at all
+EXCHANGE_SETS = [ideal for ring in SAMPLE_RINGS for ideal in principal_ideals(ring)] + [
+    IdealSet(Z6, (2,)),
+    IdealSet(Z6, (1, 2)),
+    IdealSet(Z6, (0, 2, 5)),
+    IdealSet(M2Z2, (1, 2, 6)),
+    IdealSet(TRI2, (0, 4, 6)),
+]
+
+
+@pytest.mark.parametrize("mode", ["strict", "relaxed"])
+def test_exchange_verdicts_match_the_definition(mode):
+    for ideal in EXCHANGE_SETS:
+        ring = ideal.ring
+        probed = [e for e in ring.idempotents if mode == "relaxed" or e in ideal.members]
+        passing = [bool(_exchange_oracle(ring, x, probed)) for x in ideal.members]
+        for x, ok in zip(ideal.members, passing):
+            assert is_weakly_exchange_element(ring, x, ideal=ideal, mode=mode) == ok
+        failing = next((x for x, ok in zip(ideal.members, passing) if not ok), None)
+        verdict = ideal_is_weakly_exchange(ring, ideal, mode=mode)
+        assert (verdict.ok, verdict.failing, verdict.checked) == (
+            failing is None,
+            failing,
+            len(ideal),
+        )
+        assert verdict.trace == (() if failing is None else tuple(probed))
+        assert verdict.property_name == f"weakly-exchange-{mode}"
 
 
 def test_strict_mode_requires_the_ideal():

@@ -99,6 +99,29 @@ def test_membership_is_checked_on_the_reduced_form():
     assert R35.contains(Fraction(4, 7))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: R35.element(0.1),
+        lambda: R35.element(True),
+        lambda: R35.element(1, 2.0),
+        lambda: R35.principal_ideal(0.5),
+        lambda: clean_flags(R35, 0.5),
+    ],
+    ids=["float", "bool", "float-denominator", "float-generator", "float-flags"],
+)
+def test_members_are_not_built_from_floats_or_bools(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_members_are_built_from_integers_fractions_and_text():
+    assert R35.element("0.5") == R35.element("1/2") == R35.element(Fraction(1, 2)) == Fraction(1, 2)
+    assert R35.element(-7) == Fraction(-7)
+    assert R35.principal_ideal("3/8") == R35.principal_ideal(Fraction(3, 8)) == R35.ideal((1, 0))
+    assert R35.principal_ideal(0).is_zero
+
+
 def test_unit_criterion():
     assert R35.is_unit(Fraction(2, 11))
     assert R35.is_unit(Fraction(1))
