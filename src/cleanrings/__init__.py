@@ -66,7 +66,6 @@ _EXPORTS = {
     ),
     "localized": (
         "DEFAULT_SEARCH_BOUND",
-        "AnalyticVerdict",
         "LocalizedIdeal",
         "LocalizedIntegers",
         "SignClasses",

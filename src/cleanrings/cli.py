@@ -213,8 +213,7 @@ def _cmd_ideal(args: argparse.Namespace) -> int:
     gens = None if args.gens is None else [_parse_element(ring, g) for g in args.gens]
     if isinstance(ring, LocalizedIntegers):
         ideal = _localized_ideal(ring, gens)
-        verdict = analytic_check(ideal)
-        ok = bool(verdict)
+        ok = analytic_check(ideal)
         witness = None
         if not ok:
             if args.check == "uniquely":
@@ -224,11 +223,11 @@ def _cmd_ideal(args: argparse.Namespace) -> int:
                 witness = witness_search(ring, ideal, bound=args.bound, flavor=flavor)
         verdict_json = {
             "value": ok,
-            "method": verdict.method,
+            "method": "analytic",
             "witness": None if witness is None else str(witness),
         }
         witnesses = None
-        lines = [f"ideal {ideal.describe()}: {args.check} {_yn(ok)} [{verdict.method}]"]
+        lines = [f"ideal {ideal.describe()}: {args.check} {_yn(ok)} [analytic]"]
         if witness is not None:
             lines.append(f"  witness {witness}: no admissible decomposition")
         elif not ok:
@@ -409,18 +408,14 @@ def _parser() -> argparse.ArgumentParser:
         prog="cleanrings",
         description="Decide clean and weakly clean properties of ring elements and ideals.",
     )
-    # The subcommand parser re-applies its own --json default to the shared
-    # namespace, so the pre-command flag needs its own slot; main() merges.
-    top.add_argument(
-        "--json",
-        action="store_true",
-        dest="json_global",
-        help="emit machine-readable JSON",
-    )
+    top.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     commands = top.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    # SUPPRESS keeps the subcommand from resetting a --json given before it.
+    common.add_argument(
+        "--json", action="store_true", default=argparse.SUPPRESS, help="emit machine-readable JSON"
+    )
 
     analyze = commands.add_parser(
         "analyze", parents=[common], help="decomposition census for one element"
@@ -489,7 +484,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    args.json = args.json or getattr(args, "json_global", False)
     try:
         return args.func(args)
     except SpecError as exc:

@@ -486,10 +486,6 @@ class FiniteRing:
                     return False
         return self.sum_of(es) == self.one
 
-    def left_multiples(self, y: int) -> np.ndarray:
-        """The set R*y = {r*y : r in R} as a sorted index array."""
-        return np.unique(self.mul_table[:, y])
-
     # -- Jacobson radical ----------------------------------------------------
 
     @cached_property

@@ -404,7 +404,7 @@ def law_weakly_clean_implies_weakly_exchange():
     # verdicts are cross-checked on a member sample against the raw
     # divisibility definition of the exchange property.
     for ring, ideal, inputs in _localized(((3, 5), None), ((3, 5), (3,)), ((2, 3), (3,))):
-        if not ideal_is_weakly_clean_analytic(ideal).value:
+        if not ideal_is_weakly_clean_analytic(ideal):
             yield _skipped(
                 inputs,
                 "the ideal is not weakly clean, so the hypothesis is empty",
@@ -417,7 +417,7 @@ def law_weakly_clean_implies_weakly_exchange():
             is_weakly_exchange_element_exact(ring, x, ideal=ideal, mode="strict")
             for x in sample
         )
-        ok = wex.value and definition_ok
+        ok = wex and definition_ok
         yield _verdict(
             inputs,
             ok,
@@ -468,8 +468,8 @@ def law_central_equivalence():
     # Localized instances: commutative, so the hypothesis always holds, and
     # the biconditional is checked where both sides can be false.
     for _, ideal, inputs in _localized(((3, 5), None), ((2, 3), (3,))):
-        wc = ideal_is_weakly_clean_analytic(ideal).value
-        wex = ideal_is_weakly_exchange_analytic(ideal).value
+        wc = ideal_is_weakly_clean_analytic(ideal)
+        wex = ideal_is_weakly_exchange_analytic(ideal)
         yield _verdict(
             inputs, wc == wex, strength="discriminating", reason=f"both sides are {wc}", scanned=2
         )
@@ -497,14 +497,14 @@ def law_reduced_rings():
     # Localizations are integral domains (no nilpotents) where the exchange
     # property genuinely fails on some ideals, so the implication has teeth.
     for _, ideal, inputs in _localized(((3, 5), None), ((2, 3), (6,)), ((2, 3), None)):
-        if not ideal_is_weakly_exchange_analytic(ideal).value:
+        if not ideal_is_weakly_exchange_analytic(ideal):
             yield _skipped(
                 inputs,
                 "the ideal is not weakly exchange, so the hypothesis is empty",
                 strength="discriminating",
             )
             continue
-        wc = ideal_is_weakly_clean_analytic(ideal).value
+        wc = ideal_is_weakly_clean_analytic(ideal)
         yield _verdict(inputs, wc, strength="discriminating", scanned=2)
 
 
@@ -1039,9 +1039,9 @@ def law_localized_agreement():
     disagreements: list[dict] = []
     for ring, ideal in envelope:
         analytic = [
-            ideal_is_clean_analytic(ideal).value,
-            ideal_is_weakly_clean_analytic(ideal).value,
-            ideal_is_uniquely_weakly_clean_analytic(ideal).value,
+            ideal_is_clean_analytic(ideal),
+            ideal_is_weakly_clean_analytic(ideal),
+            ideal_is_uniquely_weakly_clean_analytic(ideal),
         ]
         search = [
             witness_search(ring, ideal, flavor="clean") is None,

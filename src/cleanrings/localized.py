@@ -8,9 +8,9 @@ decomposition search of the finite-ring analysis collapses to three unit
 tests per element: x itself, x - 1, and x + 1. Every nonzero ideal is
 principal with a canonical integer generator d = prod(p^e_p), and the
 ideal-level properties are decided from the members' residues mod each p
-(below). A bounded witness search supplies the failing members; the test
-suite replays the two against each other across an envelope of prime sets
-and valuations.
+(below), for every prime set and exponent vector. A bounded witness search
+supplies the failing members; the localized-agreement law replays the two
+against each other over a sweep of small prime sets and valuations.
 
 The search visits the members d*a/b with |a| <= bound and b <= bound coprime
 to M, row by row: for each denominator b in ascending order, the multipliers
@@ -59,7 +59,6 @@ __all__ = [
     "LocalizedIdeal",
     "SignClasses",
     "SignClassSurvey",
-    "AnalyticVerdict",
     "clean_flags",
     "is_weakly_exchange_element_exact",
     "ideal_is_clean_analytic",
@@ -78,8 +77,8 @@ __all__ = [
 
 DEFAULT_SEARCH_BOUND = 64
 
-# The validated envelope, where the verdicts are checked against the witness
-# search on every ideal (``envelope_ideals``).
+# The sweep of the localized-agreement law, which checks the decider against
+# the witness search on every ideal it holds (``envelope_ideals``).
 VALIDATED_MAX_PRIMES = 3
 VALIDATED_MAX_PRIME = 11
 VALIDATED_MAX_EXPONENT = 2
@@ -198,20 +197,17 @@ class LocalizedIntegers:
         """The ideal generated by one element, normalized to its canonical
         integer generator prod(p^e_p); unit factors are stripped, so a unit
         generator yields the whole ring."""
-        g = self.element(generator)
-        if g == 0:
-            return self.zero_ideal()
-        return LocalizedIdeal(self, "principal", self.valuations(g.numerator))
+        return _localized_ideal(self, [generator])
 
 
 def _localized_ideal(
-    ring: LocalizedIntegers, gens: Sequence[Fraction | int] | None
+    ring: LocalizedIntegers, gens: Sequence[Fraction | int | str] | None
 ) -> "LocalizedIdeal":
     """The ideal the member generators span, with the least exponent of each
     prime over the nonzero ones; no generators at all is the whole ring."""
     if gens is None:
         return ring.full_ideal()
-    vectors = [ring.valuations(ring.element(q).numerator) for q in gens if q != 0]
+    vectors = [ring.valuations(q.numerator) for q in map(ring.element, gens) if q != 0]
     if not vectors:
         return ring.zero_ideal()
     return ring.ideal(tuple(min(col) for col in zip(*vectors)))
@@ -374,30 +370,8 @@ def is_weakly_exchange_element_exact(
 # -- analytic ideal verdicts -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnalyticVerdict:
-    """Boolean verdict plus whether the witness search cross-checks it (the
-    validated envelope)."""
-
-    value: bool
-    method: str
-
-    def __bool__(self) -> bool:
-        return self.value
-
-
-def _method_for(ideal: LocalizedIdeal) -> str:
-    ring = ideal.ring
-    inside = (
-        len(ring.primes) <= VALIDATED_MAX_PRIMES
-        and max(ring.primes) <= VALIDATED_MAX_PRIME
-        and max(ideal.exponents, default=0) <= VALIDATED_MAX_EXPONENT
-    )
-    return "analytic" if inside else "analytic (unvalidated envelope)"
-
-
 def envelope_ideals() -> Iterator[tuple[LocalizedIntegers, LocalizedIdeal]]:
-    """Every localization ideal inside the validated envelope.
+    """Every localization ideal in the localized-agreement law's sweep.
 
     Yields (ring, ideal) for every set of one to VALIDATED_MAX_PRIMES primes
     up to VALIDATED_MAX_PRIME: the zero ideal, then every exponent vector
@@ -412,7 +386,7 @@ def envelope_ideals() -> Iterator[tuple[LocalizedIntegers, LocalizedIdeal]]:
                 yield ring, ring.ideal(exponents)
 
 
-def _decide(ideal: LocalizedIdeal, name: str) -> AnalyticVerdict:
+def _decide(ideal: LocalizedIdeal, name: str) -> bool:
     """Whether every member has the SignClasses property ``name``.
 
     A member's (x, x - 1, x + 1) unit flags are the "and" of its flags at
@@ -430,23 +404,22 @@ def _decide(ideal: LocalizedIdeal, name: str) -> AnalyticVerdict:
             for x, down, up in patterns
             for y, down_p, up_p in local
         }
-    value = all(getattr(SignClasses(None, *flags), name) for flags in patterns)
-    return AnalyticVerdict(value, _method_for(ideal))
+    return all(getattr(SignClasses(None, *flags), name) for flags in patterns)
 
 
-def ideal_is_clean_analytic(ideal: LocalizedIdeal) -> AnalyticVerdict:
+def ideal_is_clean_analytic(ideal: LocalizedIdeal) -> bool:
     return _decide(ideal, "is_clean")
 
 
-def ideal_is_weakly_clean_analytic(ideal: LocalizedIdeal) -> AnalyticVerdict:
+def ideal_is_weakly_clean_analytic(ideal: LocalizedIdeal) -> bool:
     return _decide(ideal, "is_weakly_clean")
 
 
-def ideal_is_uniquely_weakly_clean_analytic(ideal: LocalizedIdeal) -> AnalyticVerdict:
+def ideal_is_uniquely_weakly_clean_analytic(ideal: LocalizedIdeal) -> bool:
     return _decide(ideal, "is_uniquely_weakly_clean")
 
 
-def ideal_is_weakly_exchange_analytic(ideal: LocalizedIdeal) -> AnalyticVerdict:
+def ideal_is_weakly_exchange_analytic(ideal: LocalizedIdeal) -> bool:
     return ideal_is_weakly_clean_analytic(ideal)
 
 
@@ -704,8 +677,8 @@ def product_weakly_clean(
     """
     if not components:
         raise ValueError("at least one component is required")
-    wc = [bool(ideal_is_weakly_clean_analytic(i)) for _, i in components]
-    cl = [bool(ideal_is_clean_analytic(i)) for _, i in components]
+    wc = [ideal_is_weakly_clean_analytic(i) for _, i in components]
+    cl = [ideal_is_clean_analytic(i) for _, i in components]
     not_clean = [k for k, flag in enumerate(cl) if not flag]
     if all(wc) and len(not_clean) <= 1:
         return ProductVerdict(
@@ -768,8 +741,8 @@ def reproduce_examples(*, bound: int = DEFAULT_SEARCH_BOUND) -> dict:
         "generator_is_unit": ring.is_unit(gen1),
         "ideal": ideal1.describe(),
         "ideal_is_full_ring": ideal1.is_full,
-        "weakly_clean": bool(weakly),
-        "clean": bool(clean),
+        "weakly_clean": weakly,
+        "clean": clean,
         "non_clean_witness": str(non_clean_witness),
         "witness_checks": {
             "x_is_unit": flags.unit,

@@ -107,7 +107,7 @@ _IDEAL = _document(
                     },
                     optional=("failing_element", "detail", "trace"),
                 ),
-                _object(  # localization: analytic criterion plus oracle cross-check
+                _object(  # localization: the residue decider's verdict, and a searched witness for a no
                     {
                         "value": {"type": "boolean"},
                         "method": {"type": "string"},

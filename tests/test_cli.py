@@ -88,9 +88,14 @@ def test_analyze_localized_weakly_clean_only_by_minus(capsys):
 
 
 def test_global_json_flag_position_is_free(capsys):
-    _, before, _ = run_json(capsys, "--json", "analyze", "(zn 5)", "--element", "2")
-    _, after, _ = run_json(capsys, "analyze", "(zn 5)", "--element", "2", "--json")
-    assert before == after
+    argv = ["analyze", "(zn 5)", "--element", "2"]
+    _, before, _ = run_json(capsys, "--json", *argv)
+    _, after, _ = run_json(capsys, *argv, "--json")
+    _, both, _ = run_json(capsys, "--json", *argv, "--json")
+    assert before == after == both
+    code, neither, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert neither.startswith("ring Z_5 from (zn 5)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +582,9 @@ SPEC_COMMANDS = {
     "ideal-localized-full-clean": ["ideal", "(localized 3 5)", "--check", "clean"],
     "ideal-localized-two-gens": ["ideal", "(localized 2 3)", "--gens", "12", "18", "--check", "clean"],
     "ideal-localized-no-witness": ["ideal", "(localized 2 3)", "--check", "weakly-clean", "--bound", "1"],
+    "ideal-localized-one-prime-clean": ["ideal", "(localized 13)", "--check", "clean"],
+    "ideal-localized-four-primes-weakly-clean": ["ideal", "(localized 2 3 5 7)", "--check", "weakly-clean"],
+    "ideal-localized-cube-uniquely": ["ideal", "(localized 3 5)", "--gens", "27", "--check", "uniquely"],
     "radical-finite": ["radical", "(quotient (zn 12) (ideal 4))"],
     "radical-localized": ["radical", "(localized 3 5)"],
     "idempotents-finite": ["idempotents", "(product (zn 2) (zn 3))"],
@@ -627,6 +635,9 @@ SPEC_COMMAND_PINS = {
     "ideal-localized-two-gens-json": (0, "21cab8a71fa7bbf8e8e0d057b4d9bb03c414bd080e824a71c3dafd63ebc9a7f3"),
     "ideal-localized-no-witness-text": (1, "36192b4e3433b27d50bcac92e7a92418efb2a3e174e0b5e40ad15bb75b9ba72f"),
     "ideal-localized-no-witness-json": (1, "f1d5c61b2d65a74ad16e054ecb3d2a9d6ade42f69d639c220ba4b346aded150c"),
+    "ideal-localized-one-prime-clean-text": (0, "3959fc371662ac65cfc960c0e98c4bd153aa35b745ca65bffae44c05f1db765e"),
+    "ideal-localized-four-primes-weakly-clean-json": (1, "8af9db4c4f0b692e9fb2e8e2cb71cfaa81d9d1b54a8f7f526870f4e35be7749f"),
+    "ideal-localized-cube-uniquely-text": (0, "96e376ed937b70d9e852ef00b7647c237d76fce6f8c7b7279245e91ab181aead"),
     "radical-finite-text": (0, "b13fd7a15656ef2b15b9923c41b59caccc37c5bead1d7878cdc12b0be92b95f1"),
     "radical-finite-json": (0, "11734bbd5202c122515e7326cc17e46400d9c121c010fedc2e0cf32592782dd1"),
     "radical-localized-text": (0, "fc395c4fdd773d910b8c9466f104c355d6008a6cb27d1d1cb954cec69d8b9838"),

@@ -116,12 +116,6 @@ def test_complete_orthogonal_family():
     assert ring.is_complete_orthogonal([ring.one])
 
 
-def test_left_multiples():
-    ring = zn(12)
-    assert ring.left_multiples(4).tolist() == [0, 4, 8]
-    assert ring.left_multiples(5).tolist() == list(range(12))
-
-
 # -- validation rejections -------------------------------------------------------
 
 

@@ -27,7 +27,7 @@ from cleanrings.laws import (
     run_ring,
     summarize,
 )
-from cleanrings.localized import LocalizedIntegers, clean_flags, ideal_is_clean_analytic
+from cleanrings.localized import LocalizedIntegers, clean_flags
 
 REPORTS = run_catalog()
 BY_LAW: dict[str, list] = defaultdict(list)
@@ -225,14 +225,6 @@ def test_envelope_really_holds_400_ideals():
     pairs = list(envelope_ideals())
     assert len(pairs) == 400
     assert sum(1 for _, i in pairs if i.is_zero) == 25
-
-
-def test_every_envelope_ideal_is_labelled_analytic():
-    # _method_for and envelope_ideals read the same bounds
-    from cleanrings.laws import envelope_ideals
-
-    for _, ideal in envelope_ideals():
-        assert ideal_is_clean_analytic(ideal).method == "analytic"
 
 
 def test_units_sanity_counts():

@@ -31,7 +31,14 @@ from cleanrings.localized import (
     uniqueness_witness_search,
     witness_search,
 )
-from cleanrings.localized import SignClasses, _first_hit, _is_prime, _rows, _search_grid
+from cleanrings.localized import (
+    SignClasses,
+    _first_hit,
+    _is_prime,
+    _localized_ideal,
+    _rows,
+    _search_grid,
+)
 
 R35 = LocalizedIntegers((3, 5))
 R23 = LocalizedIntegers((2, 3))
@@ -215,6 +222,15 @@ def test_zero_generator_yields_zero_ideal():
     assert ideal.contains(Fraction(0)) and not ideal.contains(Fraction(45))
 
 
+def test_generators_are_read_as_members_before_zeros_are_dropped():
+    assert _localized_ideal(R35, ["0"]) == R35.zero_ideal()
+    assert _localized_ideal(R35, ["0", "0/7"]) == R35.zero_ideal()
+    assert _localized_ideal(R35, ["0", "45/2", 75]) == R35.ideal((1, 1))
+    for gens in ([0.0], [False], [0, 0.5]):
+        with pytest.raises(ValueError):
+            _localized_ideal(R35, gens)
+
+
 def test_ideal_validation():
     with pytest.raises(ValueError):
         R35.ideal((1,))
@@ -264,71 +280,79 @@ def test_membership_rejects_smaller_valuations():
 
 
 def test_zero_ideal_is_clean():
-    assert ideal_is_clean_analytic(R35.zero_ideal()).value
+    assert ideal_is_clean_analytic(R35.zero_ideal())
 
 
 def test_everywhere_positive_valuations_give_a_clean_ideal():
-    assert ideal_is_clean_analytic(R35.ideal((1, 2))).value
-    assert ideal_is_clean_analytic(R23.ideal((1, 1))).value
+    assert ideal_is_clean_analytic(R35.ideal((1, 2)))
+    assert ideal_is_clean_analytic(R23.ideal((1, 1)))
 
 
 def test_full_ring_over_two_odd_primes_weakly_clean_not_clean():
     full = R35.full_ideal()
-    assert ideal_is_weakly_clean_analytic(full).value
-    assert not ideal_is_clean_analytic(full).value
+    assert ideal_is_weakly_clean_analytic(full)
+    assert not ideal_is_clean_analytic(full)
     assert witness_search(R35, full, flavor="clean") == Fraction(-5)
     assert witness_search(R35, full, flavor="weakly-clean") is None
 
 
 def test_single_odd_zero_valuation_stays_weakly_clean():
     ideal = R35.principal_ideal(3)
-    assert ideal_is_weakly_clean_analytic(ideal).value
-    assert not ideal_is_clean_analytic(ideal).value
+    assert ideal_is_weakly_clean_analytic(ideal)
+    assert not ideal_is_clean_analytic(ideal)
     assert witness_search(R35, ideal, flavor="clean") == Fraction(6)
 
 
 def test_even_prime_in_the_zero_part_defeats_weak_cleanness():
     ideal = R23.principal_ideal(3)
-    assert not ideal_is_weakly_clean_analytic(ideal).value
+    assert not ideal_is_weakly_clean_analytic(ideal)
     assert witness_search(R23, ideal) == Fraction(3)
 
 
 def test_three_primes_defeat_the_full_ring():
     ring = LocalizedIntegers((3, 5, 7))
-    assert not ideal_is_weakly_clean_analytic(ring.full_ideal()).value
+    assert not ideal_is_weakly_clean_analytic(ring.full_ideal())
     assert witness_search(ring, ring.full_ideal()) == Fraction(6)
     bigger = LocalizedIntegers((5, 7, 11))
     assert witness_search(bigger, bigger.full_ideal()) == Fraction(21)
 
 
 def test_uniqueness_table():
-    assert ideal_is_uniquely_weakly_clean_analytic(R2.full_ideal()).value
-    assert not ideal_is_uniquely_weakly_clean_analytic(R3.full_ideal()).value
+    assert ideal_is_uniquely_weakly_clean_analytic(R2.full_ideal())
+    assert not ideal_is_uniquely_weakly_clean_analytic(R3.full_ideal())
     assert uniqueness_witness_search(R3, R3.full_ideal()) == Fraction(1)
-    assert ideal_is_uniquely_weakly_clean_analytic(R35.zero_ideal()).value
+    assert ideal_is_uniquely_weakly_clean_analytic(R35.zero_ideal())
     proper = R35.principal_ideal(3)
     assert (
-        ideal_is_uniquely_weakly_clean_analytic(proper).value
-        == ideal_is_weakly_clean_analytic(proper).value
+        ideal_is_uniquely_weakly_clean_analytic(proper)
+        == ideal_is_weakly_clean_analytic(proper)
     )
 
 
 def test_weakly_exchange_table_matches_weakly_clean():
     for ideal in (R35.full_ideal(), R35.principal_ideal(3), R23.principal_ideal(3)):
         assert (
-            ideal_is_weakly_exchange_analytic(ideal).value
-            == ideal_is_weakly_clean_analytic(ideal).value
+            ideal_is_weakly_exchange_analytic(ideal)
+            == ideal_is_weakly_clean_analytic(ideal)
         )
 
 
-def test_method_annotation_tracks_the_validated_envelope():
-    assert ideal_is_clean_analytic(R35.full_ideal()).method == "analytic"
-    big_prime = LocalizedIntegers((13,))
-    assert "unvalidated" in ideal_is_clean_analytic(big_prime.full_ideal()).method
-    four = LocalizedIntegers((2, 3, 5, 7))
-    assert "unvalidated" in ideal_is_weakly_clean_analytic(four.full_ideal()).method
-    deep = R35.ideal((3, 0))
-    assert "unvalidated" in ideal_is_clean_analytic(deep).method
+def test_verdicts_beyond_the_agreement_sweep_are_plain_bools():
+    # (clean, weakly clean, uniquely weakly clean, weakly exchange)
+    cases = [
+        (LocalizedIntegers((13,)).full_ideal(), (True, True, False, True)),
+        (LocalizedIntegers((2, 3, 5, 7)).full_ideal(), (False, False, False, False)),
+        (R35.ideal((3, 0)), (False, True, True, True)),
+    ]
+    for ideal, expected in cases:
+        verdicts = (
+            ideal_is_clean_analytic(ideal),
+            ideal_is_weakly_clean_analytic(ideal),
+            ideal_is_uniquely_weakly_clean_analytic(ideal),
+            ideal_is_weakly_exchange_analytic(ideal),
+        )
+        assert all(type(v) is bool for v in verdicts), ideal.describe()
+        assert verdicts == expected, ideal.describe()
 
 
 # -- the decider against a residue scan, for every prime set -----------------------------
@@ -352,9 +376,9 @@ def _residue_scan(ring: LocalizedIntegers, ideal: LocalizedIdeal) -> tuple[bool,
 
 def _decided(ideal: LocalizedIdeal) -> tuple[bool, bool, bool]:
     return (
-        ideal_is_clean_analytic(ideal).value,
-        ideal_is_weakly_clean_analytic(ideal).value,
-        ideal_is_uniquely_weakly_clean_analytic(ideal).value,
+        ideal_is_clean_analytic(ideal),
+        ideal_is_weakly_clean_analytic(ideal),
+        ideal_is_uniquely_weakly_clean_analytic(ideal),
     )
 
 
@@ -425,10 +449,10 @@ def test_analytic_table_agrees_with_search_oracle_everywhere():
                     ("weakly-clean", ideal_is_weakly_clean_analytic(ideal)),
                 ):
                     witness = witness_search(ring, ideal, flavor=flavor)
-                    if verdict.value != (witness is None):
+                    if verdict != (witness is None):
                         disagreements.append((primes, ideal.describe(), flavor, witness))
                 unique = uniqueness_witness_search(ring, ideal)
-                if ideal_is_uniquely_weakly_clean_analytic(ideal).value != (unique is None):
+                if ideal_is_uniquely_weakly_clean_analytic(ideal) != (unique is None):
                     disagreements.append((primes, ideal.describe(), "unique", unique))
     assert checked == 400
     assert disagreements == []

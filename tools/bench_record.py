@@ -12,7 +12,8 @@ BENCHMARK.json's. The file holds every result line with its side, workload
 and seed; the median of each end-to-end metric per side and workload; per
 workload and metric, the parent's spread between quartiles and the number
 of seeds on which the change did better; and the Python and numpy versions,
-CPU count, date and git revision of each side. After the untraced runs it
+CPU count, date, and git revision and source size (the `wc -l` total of
+src/cleanrings/*.py) of each side. After the untraced runs it
 makes one `--trace 1` run per workload and side, with the first seed, and
 stores its per-layer metrics under "traced". Last, it runs the Tier-1 suite
 (`python -m pytest -q --continue-on-collection-errors` with src on
@@ -38,14 +39,17 @@ from pathlib import Path
 
 
 def revision(root: Path) -> dict:
-    """The checkout's git commit and whether its tree differs from it."""
+    """The checkout's git commit, whether its tree differs from it, and the
+    line count of its src/cleanrings/*.py files."""
     def git(*args):
         return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
 
+    src_lines = sum(path.read_bytes().count(b"\n") for path in (root / "src" / "cleanrings").glob("*.py"))
     head = git("rev-parse", "HEAD")
     if head.returncode != 0:
-        return {"commit": None, "dirty": None}
-    return {"commit": head.stdout.strip(), "dirty": bool(git("status", "--porcelain").stdout.strip())}
+        return {"commit": None, "dirty": None, "src_lines": src_lines}
+    dirty = bool(git("status", "--porcelain").stdout.strip())
+    return {"commit": head.stdout.strip(), "dirty": dirty, "src_lines": src_lines}
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
