@@ -5,6 +5,7 @@ under test)."""
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 
@@ -30,6 +31,7 @@ from cleanrings import (
 from cleanrings import constructions, core
 from cleanrings.catalog import build_catalog
 from cleanrings.core import size_cap
+from cleanrings.dsl import build, parse
 
 
 # -- oracles ------------------------------------------------------------------
@@ -662,3 +664,60 @@ def test_radical_cross_checks_never_fire_on_real_rings(n):
     ring = zn(n)
     radical = ring.jacobson_radical
     assert set(radical) == zn_radical_oracle(n)
+
+
+NEAR_CAP_SPECS = (
+    "(matrix 2 (zn 4))",
+    "(series (zn 4) 4)",
+    "(zn 256)",
+    "(product (zn 4) (zn 4) (zn 16))",
+)
+
+
+@functools.cache
+def _radical_rings() -> dict[str, FiniteRing]:
+    """The four order-256 rings of the near-cap benchmark and two
+    non-commutative block rings of the catalog."""
+    rings = {spec: build(parse(spec)) for spec in NEAR_CAP_SPECS}
+    rings.update((e.key, e.ring) for e in build_catalog() if e.key in ("tri2-z2", "tri3-z2"))
+    return rings
+
+
+def two_sided_radical_oracle(ring: FiniteRing) -> set[int]:
+    """{x : 1 - a*x*b is a unit for all a, b}, straight from the definition."""
+    add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
+    return {
+        x for x in ring.elements
+        if ring.units_mask[add[ring.one, neg[mul[mul[:, x], :]]]].all()
+    }
+
+
+@pytest.mark.parametrize("key", [*NEAR_CAP_SPECS, "tri2-z2", "tri3-z2"])
+def test_radical_matches_the_two_sided_definition(key):
+    ring = _radical_rings()[key]
+    assert set(ring.jacobson_radical) == two_sided_radical_oracle(ring)
+
+
+@pytest.mark.parametrize("spec", NEAR_CAP_SPECS)
+def test_radical_cross_check_refuses_an_ideal_outside_the_radical(spec):
+    # R is a two-sided ideal, so only the unit check 1 + J in U(R) can see it
+    ring = _radical_rings()[spec]
+    with pytest.raises(RuntimeError, match=r"1 \+ J not all units"):
+        ring._cross_check_radical(list(ring.elements))
+
+
+@pytest.mark.parametrize(
+    "ring, extra",
+    [
+        (zn(9), lambda ring: 1),
+        (constructions.matrix_ring(zn(4), 2), lambda ring: constructions.matrix_element(ring, [[0, 1], [0, 0]])),
+    ],
+    ids=["Z_9, 1", "M_2(Z_4), [[0,1],[0,0]]"],
+)
+def test_radical_cross_check_refuses_a_non_ideal_of_quasi_regular_elements(ring, extra):
+    # 1 + x is a unit for every member, so only the ideal check can see it
+    x = extra(ring)
+    members = sorted({*ring.jacobson_radical, x})
+    assert ring.is_unit(ring.add(ring.one, x)) and x not in ring.jacobson_radical
+    with pytest.raises(RuntimeError, match="J is not a two-sided ideal"):
+        ring._cross_check_radical(members)

@@ -12,6 +12,7 @@ from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cleanrings import cli, laws
@@ -452,6 +453,27 @@ def _flip(monkeypatch, name: str, *kinds: str) -> None:
     monkeypatch.setattr(laws, name, flipped)
 
 
+def _flip_scan(monkeypatch, verdict: str, *kinds: str) -> None:
+    """Rebind ``laws._scan_masks`` so that, on rings built by the given
+    constructions, every member's clean verdict (verdict "clean": whether
+    some x - e is a unit) or weakly clean verdict ("weakly-clean") reads
+    inverted. Inverting the clean verdict may change the weakly clean one."""
+    real = laws._scan_masks
+
+    def flipped(ring, members):
+        plus, minus = real(ring, members)
+        if ring.provenance.get("kind") not in kinds:
+            return plus, minus
+        inverted = np.zeros_like(plus)
+        if verdict == "clean":
+            inverted[:, 0] = ~plus.any(axis=1)
+            return inverted, minus
+        inverted[:, 0] = ~(plus | minus).any(axis=1)
+        return inverted, np.zeros_like(minus)
+
+    monkeypatch.setattr(laws, "_scan_masks", flipped)
+
+
 def _alter(monkeypatch, name: str, attr: str, value) -> None:
     """Give each ring ``laws.<name>`` builds the attribute ``value(ring)``."""
     real = getattr(laws, name)
@@ -521,11 +543,11 @@ _FAULTS = {
         laws.law_series_ideal,
     ),
     "series-ideal, element weak cleanness inverted": (
-        lambda mp: _flip(mp, "is_weakly_clean_element", "series"),
+        lambda mp: _flip_scan(mp, "weakly-clean", "series"),
         laws.law_series_ideal,
     ),
     "series-ideal, element cleanness inverted": (
-        lambda mp: _flip(mp, "is_clean_element", "series"),
+        lambda mp: _flip_scan(mp, "clean", "series"),
         laws.law_series_ideal,
     ),
     "idealization-ideal, every pair a unit": (

@@ -10,8 +10,11 @@ seed to the next so that slow phases of the machine fall on both sides. The
 run length is BENCHMARK.json's `run_seconds`; the workloads W default to
 BENCHMARK.json's. The file holds every result line with its side, workload
 and seed; the median of each end-to-end metric per side and workload; per
-workload and metric, the parent's spread between quartiles and the number
-of seeds on which the change did better; and the Python and numpy versions,
+workload and metric, the parent's spread between quartiles, the number of
+seeds on which the change did better, how much worse the change's median is
+than the parent's as a fraction of the parent's (negative when it is
+better) and whether that stays within the metric's BENCHMARK.json bound;
+and the Python and numpy versions,
 CPU count, date, and git revision and source size (the `wc -l` total of
 src/cleanrings/*.py) of each side. After the untraced runs it
 makes one `--trace 1` run per workload and side, with the first seed, and
@@ -96,8 +99,11 @@ def medians(runs: list[dict]) -> dict:
 
 
 def pairs(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per workload and end-to-end metric: the parent's quartile spread and
-    on how many seeds the change did better than the parent."""
+    """Per workload and end-to-end metric: the parent's quartile spread, on
+    how many seeds the change did better than the parent, and the no-regression
+    gate: `worse_by`, (change median - parent median) / parent median with the
+    sign flipped where higher is better, and `within_bound`, whether that is
+    at most the metric's bound (null where the metric declares none)."""
     out: dict = {}
     for workload in sorted({r["workload"] for r in runs}):
         by_seed: dict = {}
@@ -108,9 +114,13 @@ def pairs(runs: list[dict], end_to_end: list[dict]) -> dict:
             name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
             values = [(s["parent"][name]["value"], s["change"][name]["value"]) for s in by_seed.values()]
             q1, _, q3 = statistics.quantiles([p for p, _ in values], n=4)
+            parent, change = (statistics.median(side) for side in zip(*values))
+            worse, scale, bound = sign * (change - parent), abs(parent), metric.get("bound")
             out.setdefault(workload, {})[name] = {
                 "parent_iqr": q3 - q1,
                 "change_better": f"{sum(sign * (c - p) < 0 for p, c in values)}/{len(values)}",
+                "worse_by": worse / scale if scale else None,
+                "within_bound": None if bound is None else worse <= bound * scale,
             }
     return out
 
