@@ -49,6 +49,15 @@ def _check_cap(order: int, cap: int | None, what: str) -> None:
         raise SizeCapError(f"{what} would have order {order} > cap {limit}")
 
 
+def _check_components(count: int, cap: int | None, what: str) -> None:
+    """Refuse more components (digits) than the cap before a part list that
+    long is built. Over a base of order 2 or more that many already exceed
+    the cap; over the trivial ring the order stays 1 however many there are."""
+    limit = size_cap(cap)
+    if count > limit:
+        raise SizeCapError(f"{what} would have {count} components > cap {limit}")
+
+
 def _digits(idx: int, radices: Sequence[int]) -> list[int]:
     """The digits of an element index, first radix most significant."""
     if not 0 <= idx < math.prod(radices):
@@ -155,6 +164,7 @@ def matrix_ring(base: FiniteRing, k: int, *, label: str | None = None, cap: int 
     """k x k matrices over base, entries encoded row-major."""
     if k < 1:
         raise ValueError("matrix_ring requires k >= 1")
+    _check_components(k * k, cap, f"M_{k}({base.label})")
 
     def mul_cols(*d):
         cols = []
@@ -640,6 +650,7 @@ def truncated_power_series(base: FiniteRing, k: int, *, label: str | None = None
     """
     if k < 1:
         raise ValueError("truncation degree must be at least 1")
+    _check_components(k, cap, "truncated series ring")
 
     def mul_cols(*d):
         cols = []

@@ -59,7 +59,7 @@ from .analysis import (
     ring_is_clean,
     ring_is_weakly_clean,
 )
-from .catalog import build_catalog, catalog_entry
+from .catalog import _spec_ring, build_catalog, catalog_entry
 from .constructions import (
     PairingMap,
     _digits,
@@ -69,13 +69,10 @@ from .constructions import (
     idealization,
     matrix_element,
     matrix_ring,
-    morita_zero,
     quotient,
     regular_bimodule,
-    tri2,
     tri3,
     truncated_power_series,
-    zero_bimodule,
     zn,
     zn_bimodule,
 )
@@ -733,16 +730,16 @@ def law_morita_ideal():
     instances = [
         (catalog_entry("morita-z2").ring, z2, z2, None, None, morita_ideal, "morita-z2 | R x R"),
         (
-            morita_zero(z4, z6, zn_bimodule(z4, z6, 2), zn_bimodule(z6, z4, 2)),
+            _spec_ring("law morita-ideal", "(morita (zn 4) (zn 6) (znmod 2) (znmod 2))"),
             z4, z6, (2,), (3,), morita_ideal, "[[Z_4,Z_2],[Z_2,Z_6]] | <2>, <3>",
         ),
         (
-            morita_zero(z2, z3, zero_bimodule(z2, z3), zero_bimodule(z3, z2)),
+            _spec_ring("law morita-ideal", "(morita (zn 2) (zn 3) zero zero)"),
             z2, z3, None, (), morita_ideal, "[[Z_2,0],[0,Z_3]] | R, <0>",
         ),
         (catalog_entry("tri2-z2").ring, z2, z2, None, None, tri2_ideal, "tri2-z2 | R x R"),
         (
-            tri2(z4, z6, zn_bimodule(z6, z4, 2)),
+            _spec_ring("law morita-ideal", "(tri2 (zn 4) (zn 6) (znmod 2))"),
             z4, z6, (2,), (3,), tri2_ideal, "T2(Z_4;Z_2;Z_6) | <2>, <3>",
         ),
     ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,31 @@ def test_pairs_flags_a_regression_beyond_the_bound_and_signs_a_gain_negative():
     assert got["hits"]["change_better"] == "4/4"
     # a parent median of zero has no relative change
     assert got["loose_s"]["worse_by"] is None
+
+
+def test_main_records_the_revisions_read_before_the_first_run(tmp_path, monkeypatch):
+    """A tree edited or committed while the runs go on is not recorded as the
+    one measured."""
+    benchmark = {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": END_TO_END}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    runs = []
+
+    def run_once(root, workload, seed, seconds, trace=0):
+        runs.append((root, workload, seed, trace))
+        metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in END_TO_END}
+        return {"metrics": metrics, "correct": True, "failed": 0, "attempted": 1}
+
+    monkeypatch.setattr(bench_record, "run_once", run_once)
+    monkeypatch.setattr(bench_record, "run_tier1", lambda root: {"runs_before": len(runs)})
+    monkeypatch.setattr(bench_record, "revision", lambda root: {"tree": root.name, "runs_before": len(runs)})
+    monkeypatch.chdir(tmp_path)
+    assert bench_record.main(["--tag", "t", "--seeds", "1", "2", "--parent", str(parent)]) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert len(runs) == 6  # two seeds and one traced run on each side
+    assert record["tier1"]["change"] == {"runs_before": 6}
+    assert record["revisions"] == {
+        "change": {"tree": tmp_path.name, "runs_before": 0},
+        "parent": {"tree": "parent", "runs_before": 0},
+    }

@@ -5,11 +5,14 @@ from __future__ import annotations
 import pytest
 
 from cleanrings.catalog import (
+    _BASE_SPECS,
     IDEAL_LAW_MAX_ORDER,
     build_catalog,
     catalog_entry,
 )
 from cleanrings.constructions import quotient
+from cleanrings.dsl import build, parse, pretty
+from cleanrings.laws import RING_LAW_IDS, run_catalog, run_ring
 
 
 def test_catalog_has_expected_size_and_unique_keys():
@@ -84,3 +87,18 @@ def test_quotient_entry_agrees_with_a_fresh_quotient():
     fresh, _ = quotient(base, sorted(base.jacobson_radical))
     twin = entries["zn-12-mod-radical"].ring
     assert twin.order == fresh.order == 6
+
+
+def test_laws_spec_on_a_base_entry_reproduces_its_catalog_reports():
+    """Each base ring is canonical spec text, and ``laws --spec`` on that text
+    (``run_ring`` under the entry's key) gives every ring-law report that the
+    catalog run gives the entry."""
+    catalog = [r.to_json_dict() for r in run_catalog() if r.law_id in RING_LAW_IDS]
+    matched = 0
+    for key, spec, _ in _BASE_SPECS:
+        assert pretty(parse(spec)) == spec
+        want = [r for r in catalog if r["inputs"] == key]
+        got = [r.to_json_dict() for r in run_ring(build(parse(spec)), label=key)]
+        assert [r for r in want if r not in got] == [], key
+        matched += len(want)
+    assert matched == 151

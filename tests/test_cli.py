@@ -845,23 +845,24 @@ def test_ideal_localized_generator_past_int64_gets_a_true_witness(capsys, primes
     assert bench.check_localized_ideal(primes, exponents, check, False, code, out, err) == []
 
 
-def _run_capped(argv: list[str], limit: int = 1 << 30):
+def _run_capped(argv: list[str], limit: int = 1 << 30, timeout: float = 120, env: dict | None = None):
     """(exit code, stdout, stderr, wall seconds) of the command line in a child
     whose address space is capped, so that a search that allocates by its
-    bound fails at once instead of exhausting the machine's memory."""
+    bound fails at once instead of exhausting the machine's memory. env adds
+    to the child's environment."""
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    src = str(Path(__file__).resolve().parents[1] / "src")
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "cleanrings.cli", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env={**os.environ, "PYTHONPATH": src, **(env or {})},
         preexec_fn=cap,
-        timeout=120,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
 
@@ -885,6 +886,39 @@ def test_a_large_bound_ends_as_a_small_one_does(capsys, argv, code):
     assert seconds < 10
     if code:
         assert "  witness 6: no admissible decomposition" in out
+
+
+@pytest.mark.parametrize(
+    "spec, components",
+    [
+        ("(matrix 100 (zn 1))", 10_000),
+        ("(matrix 1000 (zn 1))", 1_000_000),
+        ("(matrix 100000 (zn 1))", 10_000_000_000),
+        ("(series (zn 1) 1000)", 1_000),
+        ("(series (zn 1) 100000)", 100_000),
+    ],
+)
+def test_a_trivial_base_does_not_carry_a_ring_past_the_cap(spec, components):
+    """Over Z_1 the order is 1 however many components a matrix or series
+    ring has, so the size estimate passes such a spec; the constructor
+    refuses more components than the cap before it lists them, so none of
+    these hangs or runs out of memory."""
+    code, out, err, seconds = _run_capped(["analyze", spec, "--element", "0"], timeout=10)
+    assert (code, out) == (2, "")
+    assert err.startswith("cleanrings: error: ")
+    assert err.endswith(f" would have {components} components > cap 256\n")
+    assert seconds < 2
+
+
+def test_a_lowered_cap_names_the_catalog_entry_it_refuses():
+    """The catalog's rings are spec texts the user never typed, so the
+    refusal names the entry and its text rather than a position in it."""
+    code, out, err, _ = _run_capped(["laws", "--catalog"], env={"CLEANRINGS_SIZE_CAP": "50"})
+    assert (code, out) == (2, "")
+    assert err == (
+        "cleanrings: error: catalog entry matrix2-z3 (matrix 2 (zn 3)):"
+        " estimated order exceeds the size cap 50\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cleanrings.core import FiniteRing
+from cleanrings.core import FiniteRing, SizeCapError
 from cleanrings.dsl import (
     CornerSpec,
     IdealRef,
@@ -313,6 +313,20 @@ def test_size_estimate_is_clamped_just_above_the_cap():
     assert size_estimate(deep) == 257
     assert size_estimate(MatrixSpec(2, ZnSpec(4))) == 256
     assert size_estimate(SeriesSpec(ZnSpec(2), 10**6)) == 257
+
+
+def test_build_refuses_more_components_than_the_cap_over_a_trivial_base(monkeypatch):
+    """The order over Z_1 is 1 for any count, so only the component count
+    can be refused; up to the cap such rings still build."""
+    assert size_estimate(MatrixSpec(10**5, ZnSpec(1))) == 1
+    for spec in (MatrixSpec(17, ZnSpec(1)), SeriesSpec(ZnSpec(1), 257), MatrixSpec(10**5, ZnSpec(1))):
+        with pytest.raises(SizeCapError, match="components > cap 256"):
+            build(spec)
+    assert build(MatrixSpec(16, ZnSpec(1))).order == 1
+    assert build(SeriesSpec(ZnSpec(1), 256)).order == 1
+    monkeypatch.setenv("CLEANRINGS_SIZE_CAP", "100")
+    with pytest.raises(SizeCapError, match="101 components > cap 100"):
+        build(SeriesSpec(ZnSpec(1), 101))
 
 
 def test_size_estimate_walks_a_shared_chain_once_per_level_past_the_cap(monkeypatch):

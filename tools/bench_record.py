@@ -16,9 +16,9 @@ than the parent's as a fraction of the parent's (negative when it is
 better) and whether that stays within the metric's BENCHMARK.json bound;
 and the Python and numpy versions,
 CPU count, date, and git revision and source size (the `wc -l` total of
-src/cleanrings/*.py) of each side. After the untraced runs it
-makes one `--trace 1` run per workload and side, with the first seed, and
-stores its per-layer metrics under "traced". Last, it runs the Tier-1 suite
+src/cleanrings/*.py) of each side, read before the first run. After the
+untraced runs it makes one `--trace 1` run per workload and side, with the
+first seed, and stores its per-layer metrics under "traced". Last, it runs the Tier-1 suite
 (`python -m pytest -q --continue-on-collection-errors` with src on
 PYTHONPATH, as ROADMAP.md gives it) once per side and stores its wall time,
 exit code, outcome counts and summary line under "tier1". Uses the standard
@@ -138,6 +138,9 @@ def main(argv=None) -> int:
 
     seconds = benchmark["run_seconds"]
     sides = {"change": root, "parent": args.parent.resolve()}
+    # Read before the first run, so that edits made while the runs go on are
+    # not taken for the measured trees.
+    revisions = {side: revision(path) for side, path in sides.items()}
     runs = []
     for workload in args.workloads:
         for i, seed in enumerate(args.seeds):
@@ -163,7 +166,7 @@ def main(argv=None) -> int:
         "numpy": importlib.metadata.version("numpy"),
         "cpus": os.cpu_count(),
         "seconds": seconds,
-        "revisions": {side: revision(path) for side, path in sides.items()},
+        "revisions": revisions,
         "runs": runs,
         "medians": medians(runs),
         "pairs": pairs(runs, benchmark["end_to_end"]),
