@@ -422,6 +422,51 @@ def test_usage_and_construction_errors_exit_two(capsys, argv, needle):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["analyze", "(zn 6)", "--element", "2/3"],
+            "error: elements of the finite ring Z_6 are indices 0..5",
+        ),
+        (["analyze", "(zn 6)", "--element", "9"], "error: element 9 out of range for Z_6 (order 6)"),
+        (
+            ["ideal", "(zn 6)", "--gens", "7", "--check", "clean"],
+            "error: element 7 out of range for Z_6 (order 6)",
+        ),
+        (
+            ["analyze", "(localized 5)", "--element", "1/5"],
+            "error: element '1/5' does not lie in Z_(5): 1/5 lies outside Z_(5):"
+            " denominator 5 shares a factor with 5",
+        ),
+        (
+            ["analyze", "(localized 5)", "--element", "1/0"],
+            "error: element '1/0' does not lie in Z_(5): Fraction(1, 0)",
+        ),
+        (
+            ["laws", "--spec", "(localized 3 5)"],
+            "error: laws --spec needs a finite ring; the built-in catalog already"
+            " carries the localization instances (use laws --catalog)",
+        ),
+        (
+            ["radical", "(zn 6)", "--spec-file", "ring.spec"],
+            "error: give either an inline spec or --spec-file, not both",
+        ),
+        (["radical"], "error: a ring spec is required (inline or via --spec-file)"),
+        (
+            ["radical", "--spec-file", "/nonexistent/x.spec"],
+            "[Errno 2] No such file or directory: '/nonexistent/x.spec'",
+        ),
+        (
+            ["analyze", "(zn 6", "--element", "1"],
+            "syntax error at 1:6: unterminated form at end of input (expected ))",
+        ),
+    ],
+)
+def test_usage_and_construction_errors_print_one_exact_line(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"cleanrings: {message}\n")
+
+
 def test_an_internal_error_exits_three_with_one_line(capsys, monkeypatch):
     def broken(spec):
         raise RuntimeError("no table")
