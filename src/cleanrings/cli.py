@@ -32,19 +32,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from . import localized
 from .dsl import LocalizedSpec, SpecError, build, parse, pretty
-from .localized import (
-    LocalizedIntegers,
-    _localized_ideal,
-    clean_flags,
-    ideal_is_clean_analytic,
-    ideal_is_uniquely_weakly_clean_analytic,
-    ideal_is_weakly_clean_analytic,
-    ideal_is_weakly_exchange_analytic,
-    reproduce_examples,
-    uniqueness_witness_search,
-    witness_search,
-)
 
 # The finite-ring modules (and numpy with them) are imported by the commands
 # that need them, so a localization command starts light.
@@ -52,10 +41,6 @@ if TYPE_CHECKING:
     from .core import FiniteRing
 
 __all__ = ["main"]
-
-
-class _UsageError(ValueError):
-    """A bad invocation detected after argparse (exit code 2)."""
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +51,15 @@ def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _fraction_text(value: object) -> str:
+    """json's hook for the one non-JSON value a payload holds: a Fraction."""
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _emit_json(payload: dict) -> None:
-    _emit(json.dumps(payload, sort_keys=True))
+    _emit(json.dumps(payload, sort_keys=True, default=_fraction_text))
 
 
 def _positive_int(text: str) -> int:
@@ -85,17 +77,20 @@ def _load_spec(args: argparse.Namespace):
     file_name = getattr(args, "spec_file", None)
     inline = getattr(args, "spec", None)
     if file_name and inline:
-        raise _UsageError("give either an inline spec or --spec-file, not both")
+        raise ValueError("give either an inline spec or --spec-file, not both")
     if file_name:
         return parse(Path(file_name).read_text(encoding="utf-8"), allow_tables=True)
     if inline is None:
-        raise _UsageError("a ring spec is required (inline or via --spec-file)")
+        raise ValueError("a ring spec is required (inline or via --spec-file)")
     return parse(inline)
 
 
 def _built(args: argparse.Namespace):
+    """(spec, ring, kind): the one place that tells a localization from a
+    finite ring; every ring command then asks the kind."""
     spec = _load_spec(args)
-    return spec, build(spec)
+    ring = build(spec)
+    return spec, ring, (_Localized if isinstance(spec, LocalizedSpec) else _Finite)(ring)
 
 
 def _render(
@@ -119,34 +114,112 @@ def _render(
     return 0 if ok else 1
 
 
-def _parse_element(ring, text: str):
-    if isinstance(ring, LocalizedIntegers):
-        try:
-            return ring.element(Fraction(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise _UsageError(f"element {text!r} does not lie in {ring.label}: {exc}")
-    try:
-        value = int(text, 0)
-    except ValueError:
-        raise _UsageError(
-            f"elements of the finite ring {ring.label} are indices 0..{ring.order - 1}"
-        )
-    if not 0 <= value < ring.order:
-        raise _UsageError(
-            f"element {value} out of range for {ring.label} (order {ring.order})"
-        )
-    return value
+def _yn(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+# each --check value: the property p of its verdicts, analysis.ideal_is_<p>
+# for a finite ring and localized.ideal_is_<p>_analytic for a localization
+_CHECKS = {
+    "clean": "clean",
+    "weakly-clean": "weakly_clean",
+    "uniquely": "uniquely_weakly_clean",
+    "exchange": "weakly_exchange",
+}
 
 
 # ---------------------------------------------------------------------------
-# analyze
+# the two kinds of ring: each answers analyze, ideal, radical and units with
+# the command's payload fields (or verdict) and text lines
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    spec, ring = _built(args)
-    x = _parse_element(ring, args.element)
-    if isinstance(ring, LocalizedIntegers):
-        verdict = clean_flags(ring, x)
+class _Finite:
+    """A ring given by operation tables; elements are indices."""
+
+    name = "finite"
+
+    def __init__(self, ring: FiniteRing):
+        self.ring = ring
+
+    def element(self, text: str) -> int:
+        ring = self.ring
+        try:
+            value = int(text, 0)
+        except ValueError:
+            raise ValueError(
+                f"elements of the finite ring {ring.label} are indices 0..{ring.order - 1}"
+            )
+        if not 0 <= value < ring.order:
+            raise ValueError(f"element {value} out of range for {ring.label} (order {ring.order})")
+        return value
+
+    def analyze(self, x: int):
+        from .analysis import clean_class
+
+        verdict = clean_class(self.ring, x)
+        shown = verdict.decompositions[:12]
+        lines = [f"  {x} = {d.unit} {'+' if d.sign == 1 else '-'} {d.idempotent}" for d in shown]
+        rest = len(verdict.decompositions) - len(shown)
+        if rest:
+            lines.append(f"  ... and {rest} more decomposition(s)")
+        if not verdict.decompositions:
+            lines.append("  no unit-plus-idempotent or unit-minus-idempotent decomposition")
+        return verdict, lines
+
+    def ideal(self, gens, check: str, bound: int):
+        from . import analysis
+        from .ideals import _finite_ideal
+
+        ring = self.ring
+        ideal = _finite_ideal(ring, gens)
+        verdict = getattr(analysis, f"ideal_is_{_CHECKS[check]}")(ring, ideal)
+        witnesses = _finite_witness(ring, ideal.members, check) if verdict.ok else None
+        lines = [
+            f"ideal {ideal.describe()} ({len(ideal.members)} elements): {check} {_yn(verdict.ok)}"
+        ]
+        for w in witnesses or ():
+            if "unit" in w:
+                sign = "+" if w["sign"] == 1 else "-"
+                lines.append(f"  {w['element']} = {w['unit']} {sign} {w['idempotent']}")
+            else:
+                lines.append(
+                    f"  element {w['element']}: idempotent {w['idempotent']}"
+                    " lands in the required multiple set"
+                )
+        if not verdict.ok:
+            lines.append(f"  failing element {verdict.failing}: {verdict.detail}")
+        payload = {"ideal": ideal.describe(), "ok": verdict.ok, "witnesses": witnesses}
+        return {**payload, "verdict": verdict.to_json_dict()}, lines
+
+    def radical(self):
+        members = list(self.ring.jacobson_radical)
+        description = "{" + ", ".join(str(m) for m in members) + "}"
+        payload = {"members": members, "size": len(members), "generator": None}
+        line = f"radical {description} ({len(members)} of {self.ring.order} elements)"
+        return {**payload, "description": description}, [line]
+
+    def units(self):
+        units = list(self.ring.units)
+        line = f"units ({len(units)}): {', '.join(str(u) for u in units)}"
+        return {"units": units, "count": len(units), "criterion": None}, [line]
+
+
+class _Localized:
+    """Z_(P), decided from residues; elements are fractions a/b."""
+
+    name = "localized"
+
+    def __init__(self, ring: localized.LocalizedIntegers):
+        self.ring = ring
+
+    def element(self, text: str) -> Fraction:
+        try:
+            return self.ring.element(Fraction(text))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"element {text!r} does not lie in {self.ring.label}: {exc}")
+
+    def analyze(self, x: Fraction):
+        verdict = localized.clean_flags(self.ring, x)
         lines = []
         if verdict.unit:
             lines.append(f"  {x} = {x} + 0 and {x} = {x} - 0 ({x} is a unit)")
@@ -156,43 +229,43 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             lines.append(f"  {x} = {x + 1} - 1 ({x + 1} is a unit)")
         if not verdict.is_weakly_clean:
             lines.append(f"  none of {x}, {x - 1}, {x + 1} is a unit: no decomposition")
-    else:
-        from .analysis import clean_class
+        return verdict, lines
 
-        verdict = clean_class(ring, x)
-        shown = verdict.decompositions[:12]
-        lines = [f"  {x} = {d.unit} {'+' if d.sign == 1 else '-'} {d.idempotent}" for d in shown]
-        rest = len(verdict.decompositions) - len(shown)
-        if rest:
-            lines.append(f"  ... and {rest} more decomposition(s)")
-        if not verdict.decompositions:
-            lines.append("  no unit-plus-idempotent or unit-minus-idempotent decomposition")
-    ok = verdict.is_weakly_clean
-    census = (
-        f"element {x}: clean {_yn(verdict.is_clean)},"
-        f" weakly clean {_yn(ok)},"
-        f" uniquely weakly clean {_yn(verdict.is_uniquely_weakly_clean)}"
-    )
-    payload = {"ok": ok, "verdict": verdict.to_json_dict()}
-    return _render(args, payload, [census, *lines], ok, spec, ring)
+    def ideal(self, gens, check: str, bound: int):
+        ring = self.ring
+        ideal = localized._localized_ideal(ring, gens)
+        ok = getattr(localized, f"ideal_is_{_CHECKS[check]}_analytic")(ideal)
+        witness = None
+        if not ok:
+            if check == "uniquely":
+                witness = localized.uniqueness_witness_search(ring, ideal, bound=bound)
+            else:
+                flavor = "clean" if check == "clean" else "weakly-clean"
+                witness = localized.witness_search(ring, ideal, bound=bound, flavor=flavor)
+        lines = [f"ideal {ideal.describe()}: {check} {_yn(ok)} [analytic]"]
+        if witness is not None:
+            lines.append(f"  witness {witness}: no admissible decomposition")
+        elif not ok:
+            lines.append(f"  no witness within the search bound {bound} (raise --bound)")
+        verdict = {"value": ok, "method": "analytic", "witness": witness}
+        return {"ideal": ideal.describe(), "ok": ok, "verdict": verdict, "witnesses": None}, lines
 
+    def radical(self):
+        g = self.ring.modulus
+        payload = {"members": None, "size": None, "generator": str(g), "description": f"<{g}>"}
+        return payload, [f"radical <{g}> (all multiples of {g})"]
 
-def _yn(flag: bool) -> str:
-    return "yes" if flag else "no"
+    def units(self):
+        modulus = self.ring.modulus
+        criterion = (
+            f"a/b is a unit exactly when gcd(a, {modulus}) = 1;"
+            f" membership already forces gcd(b, {modulus}) = 1"
+        )
+        return {"units": None, "count": None, "criterion": criterion}, [f"units: {criterion}"]
 
 
 # ---------------------------------------------------------------------------
-# ideal
-
-
-# each --check value: (the name of its finite-ring verdict in analysis, its
-# localization verdict)
-_CHECKS = {
-    "clean": ("ideal_is_clean", ideal_is_clean_analytic),
-    "weakly-clean": ("ideal_is_weakly_clean", ideal_is_weakly_clean_analytic),
-    "uniquely": ("ideal_is_uniquely_weakly_clean", ideal_is_uniquely_weakly_clean_analytic),
-    "exchange": ("ideal_is_weakly_exchange", ideal_is_weakly_exchange_analytic),
-}
+# the ring commands
 
 
 def _finite_witness(ring: FiniteRing, members: tuple[int, ...], check: str) -> list[dict]:
@@ -207,113 +280,39 @@ def _finite_witness(ring: FiniteRing, members: tuple[int, ...], check: str) -> l
     return [{"element": x, **d.to_json_dict()} for x, d in zip(members, found)]
 
 
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    spec, ring, kind = _built(args)
+    x = kind.element(args.element)
+    verdict, lines = kind.analyze(x)
+    ok = verdict.is_weakly_clean
+    census = (
+        f"element {x}: clean {_yn(verdict.is_clean)},"
+        f" weakly clean {_yn(ok)},"
+        f" uniquely weakly clean {_yn(verdict.is_uniquely_weakly_clean)}"
+    )
+    payload = {"ok": ok, "verdict": verdict.to_json_dict()}
+    return _render(args, payload, [census, *lines], ok, spec, ring)
+
+
 def _cmd_ideal(args: argparse.Namespace) -> int:
-    spec, ring = _built(args)
-    finite_check, analytic_check = _CHECKS[args.check]
-    gens = None if args.gens is None else [_parse_element(ring, g) for g in args.gens]
-    if isinstance(ring, LocalizedIntegers):
-        ideal = _localized_ideal(ring, gens)
-        ok = analytic_check(ideal)
-        witness = None
-        if not ok:
-            if args.check == "uniquely":
-                witness = uniqueness_witness_search(ring, ideal, bound=args.bound)
-            else:
-                flavor = "clean" if args.check == "clean" else "weakly-clean"
-                witness = witness_search(ring, ideal, bound=args.bound, flavor=flavor)
-        verdict_json = {
-            "value": ok,
-            "method": "analytic",
-            "witness": None if witness is None else str(witness),
-        }
-        witnesses = None
-        lines = [f"ideal {ideal.describe()}: {args.check} {_yn(ok)} [analytic]"]
-        if witness is not None:
-            lines.append(f"  witness {witness}: no admissible decomposition")
-        elif not ok:
-            lines.append(f"  no witness within the search bound {args.bound} (raise --bound)")
-    else:
-        from . import analysis
-        from .ideals import _finite_ideal
-
-        ideal = _finite_ideal(ring, gens)
-        verdict = getattr(analysis, finite_check)(ring, ideal)
-        ok = verdict.ok
-        verdict_json = verdict.to_json_dict()
-        witnesses = _finite_witness(ring, ideal.members, args.check) if ok else None
-        lines = [
-            f"ideal {ideal.describe()} ({len(ideal.members)} elements):"
-            f" {args.check} {_yn(ok)}"
-        ]
-        for w in witnesses or ():
-            if "unit" in w:
-                sign = "+" if w["sign"] == 1 else "-"
-                lines.append(f"  {w['element']} = {w['unit']} {sign} {w['idempotent']}")
-            else:
-                lines.append(
-                    f"  element {w['element']}: idempotent {w['idempotent']}"
-                    " lands in the required multiple set"
-                )
-        if not ok:
-            lines.append(f"  failing element {verdict.failing}: {verdict.detail}")
-    payload = {
-        "check": args.check,
-        "ideal": ideal.describe(),
-        "ok": ok,
-        "verdict": verdict_json,
-        "witnesses": witnesses,
-    }
-    return _render(args, payload, lines, ok, spec, ring)
+    spec, ring, kind = _built(args)
+    gens = None if args.gens is None else [kind.element(g) for g in args.gens]
+    payload, lines = kind.ideal(gens, args.check, args.bound)
+    return _render(args, {"check": args.check, **payload}, lines, payload["ok"], spec, ring)
 
 
-# ---------------------------------------------------------------------------
-# radical / idempotents / units
-
-
-def _cmd_radical(args: argparse.Namespace) -> int:
-    spec, ring = _built(args)
-    if isinstance(ring, LocalizedIntegers):
-        kind, members, generator = "localized", None, str(ring.modulus)
-        description = f"<{generator}>"
-        line = f"radical {description} (all multiples of {generator})"
-    else:
-        kind, members, generator = "finite", list(ring.jacobson_radical), None
-        description = "{" + ", ".join(str(m) for m in members) + "}"
-        line = f"radical {description} ({len(members)} of {ring.order} elements)"
-    payload = {
-        "kind": kind,
-        "members": members,
-        "size": None if members is None else len(members),
-        "generator": generator,
-        "description": description,
-    }
-    return _render(args, payload, [line], spec=spec, ring=ring)
+def _cmd_structure(args: argparse.Namespace) -> int:
+    """radical and units: the kind's answer, under the command's name."""
+    spec, ring, kind = _built(args)
+    payload, lines = getattr(kind, args.command)()
+    return _render(args, {"kind": kind.name, **payload}, lines, spec=spec, ring=ring)
 
 
 def _cmd_idempotents(args: argparse.Namespace) -> int:
-    spec, ring = _built(args)
-    if isinstance(ring, LocalizedIntegers):
-        values: list = [str(e) for e in ring.idempotents()]
-    else:
-        values = list(ring.idempotents)
-    payload = {"idempotents": values, "count": len(values)}
+    spec, ring, _ = _built(args)
+    values = list(ring.idempotents)
     line = f"idempotents ({len(values)}): {', '.join(str(v) for v in values)}"
-    return _render(args, payload, [line], spec=spec, ring=ring)
-
-
-def _cmd_units(args: argparse.Namespace) -> int:
-    spec, ring = _built(args)
-    if isinstance(ring, LocalizedIntegers):
-        criterion = (
-            f"a/b is a unit exactly when gcd(a, {ring.modulus}) = 1;"
-            f" membership already forces gcd(b, {ring.modulus}) = 1"
-        )
-        payload = {"kind": "localized", "units": None, "count": None, "criterion": criterion}
-        line = f"units: {criterion}"
-    else:
-        units = list(ring.units)
-        payload = {"kind": "finite", "units": units, "count": len(units), "criterion": None}
-        line = f"units ({len(units)}): {', '.join(str(u) for u in units)}"
+    payload = {"idempotents": values, "count": len(values)}
     return _render(args, payload, [line], spec=spec, ring=ring)
 
 
@@ -325,18 +324,18 @@ def _cmd_laws(args: argparse.Namespace) -> int:
     from .laws import LAW_IDS, RING_LAW_IDS, reports_to_json, run_catalog, run_law, run_ring, summarize
 
     if args.law is not None and args.law not in LAW_IDS:
-        raise _UsageError(f"unknown law {args.law!r}; known: {', '.join(LAW_IDS)}")
+        raise ValueError(f"unknown law {args.law!r}; known: {', '.join(LAW_IDS)}")
     if args.catalog:
         reports = run_catalog() if args.law is None else run_law(args.law)
     else:
         if args.law is not None and args.law not in RING_LAW_IDS:
-            raise _UsageError(
+            raise ValueError(
                 f"law {args.law!r} does not run on a single ring; laws --spec runs"
                 f" {', '.join(RING_LAW_IDS)}"
             )
         spec = _load_spec(args)
         if isinstance(spec, LocalizedSpec):
-            raise _UsageError(
+            raise ValueError(
                 "laws --spec needs a finite ring; the built-in catalog already"
                 " carries the localization instances (use laws --catalog)"
             )
@@ -362,7 +361,7 @@ def _cmd_laws(args: argparse.Namespace) -> int:
 
 
 def _cmd_examples(args: argparse.Namespace) -> int:
-    report = reproduce_examples(bound=args.bound)
+    report = localized.reproduce_examples(bound=args.bound)
     one = report["full_ring_weakly_clean_not_clean"]
     checks = one["witness_checks"]
     two = report["product_not_weakly_clean"]
@@ -444,9 +443,9 @@ def _parser() -> argparse.ArgumentParser:
     ideal.set_defaults(func=_cmd_ideal)
 
     for name, func, blurb in (
-        ("radical", _cmd_radical, "the intersection of the maximal left ideals"),
+        ("radical", _cmd_structure, "the intersection of the maximal left ideals"),
         ("idempotents", _cmd_idempotents, "list the idempotent elements"),
-        ("units", _cmd_units, "list the units, or state the unit criterion"),
+        ("units", _cmd_structure, "list the units, or state the unit criterion"),
     ):
         sub = commands.add_parser(name, parents=[common], help=blurb)
         _add_spec_arguments(sub)
@@ -486,10 +485,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
-        print(f"cleanrings: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SpecError, OSError) as exc:
         print(f"cleanrings: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # construction and usage failures

@@ -166,6 +166,7 @@ class LocalizedIntegers:
     def is_unit(self, q: Fraction) -> bool:
         return self.contains(q) and math.gcd(q.numerator, self.modulus) == 1
 
+    @property
     def idempotents(self) -> tuple[Fraction, Fraction]:
         """0 and 1 — the ring is a domain, so e(e - 1) = 0 forces e in {0, 1}."""
         return (Fraction(0), Fraction(1))
@@ -352,9 +353,9 @@ def is_weakly_exchange_element_exact(
     if mode == "strict":
         if ideal is None:
             raise ValueError("strict mode requires the ideal")
-        candidates = [e for e in ring.idempotents() if ideal.contains(e)]
+        candidates = [e for e in ring.idempotents if ideal.contains(e)]
     else:
-        candidates = list(ring.idempotents())
+        candidates = ring.idempotents
 
     def in_multiples(y: Fraction, g: Fraction) -> bool:
         if y == 0:

@@ -138,7 +138,7 @@ def test_unit_criterion():
 
 
 def test_idempotents_are_zero_and_one():
-    assert R35.idempotents() == (Fraction(0), Fraction(1))
+    assert R35.idempotents == (Fraction(0), Fraction(1))
 
 
 @settings(max_examples=80, deadline=None)
