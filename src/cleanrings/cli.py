@@ -19,13 +19,16 @@ JSON object per line.
 Exit codes: 0 success; 1 a checked property failed (a law failed, or an
 element with no admissible decomposition was found); 2 usage, parse, or
 construction errors; 3 an internal error, a fault of the program rather than
-a verdict, reported on one line as "cleanrings: internal error: <type>: <message>".
+a verdict, reported on one line as "cleanrings: internal error: <type>: <message>";
+141, with nothing printed, when the reader closes stdout early (128 + SIGPIPE,
+what a shell reports for cat in the same place).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -484,7 +487,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here at the latest
+        return code
+    except BrokenPipeError:  # the reader has gone: stop quietly, as cat does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (SpecError, OSError) as exc:
         print(f"cleanrings: {exc}", file=sys.stderr)
         return 2

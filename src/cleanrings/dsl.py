@@ -19,7 +19,7 @@ Grammar (parenthesized prefix form)::
 Examples: ``(zn 6)``, ``(product (zn 2) (zn 4))``, ``(matrix 2 (zn 2))``,
 ``(localized 3 5)``, ``(quotient (zn 8) (ideal 4))``, ``(series (zn 2) 3)``.
 
-Parsing happens in three stages with distinct diagnostics, each carrying the
+Parsing happens in four stages with distinct diagnostics, each carrying the
 line and column of the offending token and, where sensible, the set of
 expected tokens:
 
