@@ -43,11 +43,10 @@ those declarations.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Union
 
 from .limits import size_cap
-from .localized import LocalizedIntegers
+from .localized import LocalizedIntegers, _Value
 
 if TYPE_CHECKING:
     from .core import FiniteRing
@@ -122,12 +121,15 @@ class SpecSizeError(SpecError):
 # tokens and reader
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(_Value):
     kind: str  # "lparen" | "rparen" | "int" | "symbol" | "eof"
     text: str
     line: int
     col: int
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        # One per token: spelled out, it builds as fast as a dataclass.
+        self.__dict__.update(kind=kind, text=text, line=line, col=col)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -180,13 +182,11 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-@dataclass(frozen=True)
-class _Atom:
+class _Atom(_Value):
     token: _Token
 
 
-@dataclass(frozen=True)
-class _List:
+class _List(_Value):
     items: tuple[Union["_Atom", "_List"], ...]
     open_token: _Token
 
@@ -227,24 +227,20 @@ def _read(tokens: list[_Token], pos: int, depth: int = 1) -> tuple[Union[_Atom, 
 # AST
 
 
-@dataclass(frozen=True)
-class ZnSpec:
+class ZnSpec(_Value):
     n: int
 
 
-@dataclass(frozen=True)
-class ProductSpec:
+class ProductSpec(_Value):
     factors: tuple["RingSpec", ...]
 
 
-@dataclass(frozen=True)
-class MatrixSpec:
+class MatrixSpec(_Value):
     k: int
     base: "RingSpec"
 
 
-@dataclass(frozen=True)
-class ModuleRef:
+class ModuleRef(_Value):
     """A bimodule reference: ``regular``, ``zero``, ``znmod m``, or raw tables.
 
     The ``table`` kind carries (addition, left action, right action) as nested
@@ -256,15 +252,13 @@ class ModuleRef:
     tables: tuple[tuple[tuple[int, ...], ...], ...] | None = None
 
 
-@dataclass(frozen=True)
-class Tri2Spec:
+class Tri2Spec(_Value):
     r: "RingSpec"
     s: "RingSpec"
     lower: ModuleRef
 
 
-@dataclass(frozen=True)
-class Tri3Spec:
+class Tri3Spec(_Value):
     a1: "RingSpec"
     a2: "RingSpec"
     a3: "RingSpec"
@@ -273,46 +267,39 @@ class Tri3Spec:
     m32: ModuleRef
 
 
-@dataclass(frozen=True)
-class MoritaSpec:
+class MoritaSpec(_Value):
     r: "RingSpec"
     s: "RingSpec"
     upper: ModuleRef
     lower: ModuleRef
 
 
-@dataclass(frozen=True)
-class IdealizeSpec:
+class IdealizeSpec(_Value):
     base: "RingSpec"
     module: ModuleRef
 
 
-@dataclass(frozen=True)
-class IdealRef:
+class IdealRef(_Value):
     """Ideal generators, or the whole ring when ``generators`` is None."""
 
     generators: tuple[int, ...] | None
 
 
-@dataclass(frozen=True)
-class QuotientSpec:
+class QuotientSpec(_Value):
     base: "RingSpec"
     ideal: IdealRef
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(_Value):
     base: "RingSpec"
     k: int
 
 
-@dataclass(frozen=True)
-class LocalizedSpec:
+class LocalizedSpec(_Value):
     primes: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CornerSpec:
+class CornerSpec(_Value):
     base: "RingSpec"
     element: int
 
@@ -431,8 +418,7 @@ class _Ring(_Kind):
         return go(spec)
 
 
-@dataclass(frozen=True)
-class _Int(_Kind):
+class _Int(_Kind, _Value):
     """A positioned integer, named by its label in diagnostics."""
 
     label: str
@@ -475,8 +461,7 @@ class _Ideal(_Kind):
         return "(ideal " + " ".join(str(g) for g in ref.generators) + ")"
 
 
-@dataclass(frozen=True)
-class _Module(_Kind):
+class _Module(_Kind, _Value):
     """A bimodule over the rings held by the fields named left and right."""
 
     left: str
@@ -565,8 +550,7 @@ _IDEAL = _Ideal()
 # the constructions, each declared once
 
 
-@dataclass(frozen=True)
-class _Construction:
+class _Construction(_Value):
     """A construction's head, its AST class and the kind of each argument.
 
     The kinds follow the class's fields, which are in text order. When
@@ -610,10 +594,10 @@ def _parts(spec: RingSpec):
     decl = _BY_CLASS.get(type(spec))
     if decl is None:
         raise TypeError(f"not a RingSpec: {spec!r}")
-    for field, kind in zip(fields(spec), decl.kinds):
-        value = getattr(spec, field.name)
+    for name, kind in zip(spec._fields, decl.kinds):
+        value = getattr(spec, name)
         for item in value if decl.many else (value,):
-            yield field.name, kind, item
+            yield name, kind, item
 
 
 # ---------------------------------------------------------------------------

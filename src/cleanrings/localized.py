@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Sequence
@@ -113,8 +112,54 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class LocalizedIntegers:
+class _Value:
+    """An immutable record, as a frozen dataclass is, but built without code
+    generation. Its fields are the names its class bodies annotate, bases
+    first; a class attribute of that name is the default. It equals only a
+    record of its own class, and hashes and prints by its fields."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        own = vars(cls).get("__annotations__", {})
+        cls._fields = (*cls._fields, *(name for name in own if name not in cls._fields))
+
+    def __init__(self, *args, **kwargs):
+        cls, names = type(self), self._fields
+        values = dict(zip(names, args))
+        for name in names[len(args):]:
+            if name in kwargs or hasattr(cls, name):
+                values[name] = kwargs.pop(name) if name in kwargs else getattr(cls, name)
+        if len(args) > len(names) or kwargs or len(values) < len(names):
+            raise TypeError(f"{cls.__qualname__}() takes the fields {', '.join(names)}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Checks the fields; a record that has conditions overrides it."""
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class LocalizedIntegers(_Value):
     """The subring of Q with denominators coprime to a finite set of primes."""
 
     primes: tuple[int, ...]
@@ -214,8 +259,7 @@ def _localized_ideal(
     return ring.ideal(tuple(min(col) for col in zip(*vectors)))
 
 
-@dataclass(frozen=True)
-class LocalizedIdeal:
+class LocalizedIdeal(_Value):
     """0 or the principal ideal generated by d = prod(p^e_p)."""
 
     ring: LocalizedIntegers
@@ -270,8 +314,7 @@ class LocalizedIdeal:
 # -- element classification ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignClasses:
+class SignClasses(_Value):
     """Unit tests behind the three possible decompositions of one element.
 
     plus: x = u + e is solvable (x or x - 1 a unit);
@@ -286,6 +329,13 @@ class SignClasses:
     unit: bool
     shifted_down_unit: bool
     shifted_up_unit: bool
+
+    def __init__(self, element, unit, shifted_down_unit, shifted_up_unit):
+        # One per row of a search: spelled out, it builds as fast as a dataclass.
+        self.__dict__.update(
+            element=element, unit=unit,
+            shifted_down_unit=shifted_down_unit, shifted_up_unit=shifted_up_unit,
+        )
 
     @property
     def plus(self) -> bool:
@@ -599,8 +649,7 @@ def uniqueness_witness_search(
     return _first_members(ring, ideal, bound, _lacking("is_uniquely_weakly_clean"))[0]
 
 
-@dataclass(frozen=True)
-class SignClassSurvey:
+class SignClassSurvey(_Value):
     """First representatives of each exclusive sign class within an ideal."""
 
     first_plus_only: Fraction | None
@@ -636,8 +685,7 @@ def sign_class_survey(
 # -- products --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProductVerdict:
+class ProductVerdict(_Value):
     """Weak cleanness of a componentwise ideal inside a finite product."""
 
     ok: bool

@@ -54,8 +54,9 @@ def test_public_names_are_pinned_and_come_from_their_submodules():
     assert set(cleanrings.__all__) <= set(dir(cleanrings))
 
 
-# Each localization command, run in one fresh interpreter; afterwards none of
-# the finite-ring modules, and not numpy, may have been imported.
+# Each localization command, run in one fresh interpreter; after each one none
+# of the finite-ring modules, not numpy, and not dataclasses or inspect (whose
+# import costs a localized command a quarter of its time) may be imported.
 _LOCALIZED_COMMANDS = [
     ["analyze", "(localized 3 5)", "--element", "2/11"],
     ["ideal", "(localized 3 5 7)", "--gens", "3", "--check", "weakly-clean"],
@@ -73,29 +74,33 @@ _FINITE_MODULES = [
     "cleanrings.constructions",
     "cleanrings.analysis",
     "cleanrings.laws",
+    "dataclasses",
+    "inspect",
 ]
 
 _PROBE = """
 import contextlib, io, json, sys
 from cleanrings import cli
-codes = []
+runs = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(cli.main(argv))
-print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+        runs.append([cli.main(argv), sorted(sys.modules)])
+print(json.dumps(runs))
 """
 
 
 def test_localized_commands_import_no_finite_ring_module():
+    """-S keeps the site hooks (.pth files) from importing modules first."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(_LOCALIZED_COMMANDS)],
+        [sys.executable, "-S", "-c", _PROBE, json.dumps(_LOCALIZED_COMMANDS)],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
-    assert report["codes"] == [0, 1, 1, 0, 0, 0, 0]
-    assert [m for m in _FINITE_MODULES if m in report["modules"]] == []
+    runs = json.loads(proc.stdout)
+    assert [code for code, _ in runs] == [0, 1, 1, 0, 0, 0, 0]
+    for argv, (_, modules) in zip(_LOCALIZED_COMMANDS, runs):
+        assert [m for m in _FINITE_MODULES if m in modules] == [], argv
