@@ -27,6 +27,7 @@ what a shell reports for cat in the same place).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import re
@@ -486,6 +487,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    stdout = sys.stdout
+    if isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
+        # Unbuffered (python -u), a write that a closing pipe takes in part counts
+        # as whole; a line-buffered writer writes the rest, and so fails.
+        sys.stdout = open(stdout.fileno(), "w", 1, stdout.encoding, stdout.errors, closefd=False)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here at the latest
@@ -502,6 +508,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a fault of the program, not a verdict
         print(f"cleanrings: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":

@@ -467,13 +467,16 @@ def test_usage_and_construction_errors_print_one_exact_line(capsys, argv, messag
     assert run(capsys, *argv) == (2, "", f"cleanrings: {message}\n")
 
 
-def test_a_closed_output_pipe_ends_quietly_with_exit_141(tmp_path):
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["unset", "1"])
+def test_a_closed_output_pipe_ends_quietly_with_exit_141(tmp_path, unbuffered):
     """The reader takes one line and closes the pipe, as `| head -1` does;
     the rest of the output (about 90 KB) cannot fit in the pipe meanwhile.
-    Output is buffered, as it is by default: unbuffered, the interpreter
-    counts the part of one large write that the pipe took as all of it."""
+    Under PYTHONUNBUFFERED=1 the interpreter's own stdout would count the
+    part of one large write that the pipe took as all of it."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
     with open(tmp_path / "stderr", "w+b") as err:
         proc = subprocess.Popen(
             [sys.executable, "-m", "cleanrings.cli", "laws", "--catalog", "--json"],
