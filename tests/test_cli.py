@@ -467,30 +467,29 @@ def test_usage_and_construction_errors_print_one_exact_line(capsys, argv, messag
     assert run(capsys, *argv) == (2, "", f"cleanrings: {message}\n")
 
 
-@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["unset", "1"])
-def test_a_closed_output_pipe_ends_quietly_with_exit_141(tmp_path, unbuffered):
+def test_a_closed_output_pipe_ends_quietly_with_exit_141(tmp_path):
     """The reader takes one line and closes the pipe, as `| head -1` does;
     the rest of the output (about 90 KB) cannot fit in the pipe meanwhile.
-    Under PYTHONUNBUFFERED=1 the interpreter's own stdout would count the
-    part of one large write that the pipe took as all of it."""
+    Run with PYTHONUNBUFFERED unset and set to 1: unbuffered, the
+    interpreter's own stdout would count the part of one large write that
+    the pipe took as all of it."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    if unbuffered is not None:
-        env["PYTHONUNBUFFERED"] = unbuffered
-    with open(tmp_path / "stderr", "w+b") as err:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "cleanrings.cli", "laws", "--catalog", "--json"],
-            stdout=subprocess.PIPE,
-            stderr=err,
-            bufsize=0,
-            env={**env, "PYTHONPATH": src},
-        )
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        code = proc.wait(timeout=120)
-        err.seek(0)
-        assert (code, err.read()) == (141, b"")
-    assert json.loads(first)["law"]
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        with open(tmp_path / "stderr", "w+b") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "cleanrings.cli", "laws", "--catalog", "--json"],
+                stdout=subprocess.PIPE,
+                stderr=err,
+                bufsize=0,
+                env={**env, **unbuffered, "PYTHONPATH": src},
+            )
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+            err.seek(0)
+            assert (unbuffered, code, err.read()) == (unbuffered, 141, b"")
+        assert json.loads(first)["law"]
 
 
 def test_an_internal_error_exits_three_with_one_line(capsys, monkeypatch):
