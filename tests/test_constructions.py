@@ -36,6 +36,7 @@ from cleanrings import (
     zn,
     zn_bimodule,
 )
+from cleanrings import laws
 from cleanrings.catalog import build_catalog
 
 
@@ -549,11 +550,14 @@ _PINNED_EXTRAS = {
         zn(2), zn(3), zero_bimodule(zn(2), zn(3)), zero_bimodule(zn(3), zn(2))
     ),
     "matrix1-z2": lambda: matrix_ring(zn(2), 1),
+    "matrix2-z4": laws._m2z4,
+    "matrix3-z2": laws._m3z2,
 }
 
 # SHA-256 of to_json() and of every element's describe() joined by "|", for
 # each catalog ring and a few composites outside it (a radix-1 factor, series
-# at k = 1, morita with zero bimodules, a 1x1 matrix ring, an uneven tri2).
+# at k = 1, morita with zero bimodules, a 1x1 matrix ring, an uneven tri2, and
+# the two matrix rings the laws build beyond the catalog).
 _PINS = {
     "zn-1": ("f5d9b907ada0b5c8adea8f2a675355c9c8bbe341bbcf9889547b81639d8df012", "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9"),
     "zn-2": ("8e2e2a82953906fb42fa27b1e82db09628b8f95f16edf829135748c2c3a7b910", "fff143c4af61e84ccece0b526eb6d505cd6f5cc463ba41b8c54da3e04c455835"),
@@ -603,6 +607,8 @@ _PINS = {
     "idealization-z4-zn2": ("dea6411b4da7ec88116f84a9092112c6457a9ae87bbcacb21582bfff5ff035b2", "1bec44a26a4ae4a0af3b810aaace6344922e517047f1102cec371e04e46acf30"),
     "morita-zero-modules": ("f5f7e82936a6d4d64cde7099de3c874b3060d3410db3135dde41e9b0fcf84534", "bfa0e8f7cb5db7fabb539021e19cf32019c95df8a6685cfc3042a969186f357e"),
     "matrix1-z2": ("f7182cc92e9eda3362b3e508fa38b93e3fd362878b891095049e8cc20f51e98c", "3beb158d2f3f4de00e8e6ea52e29de129e5e0d5d169219b7868e2bc2d9637e5a"),
+    "matrix2-z4": ("fa9acaf18d27e359a323ad7cc643e542fa685eb6ec2366800a8cde1303d4bc91", "3012bcc3cb3f8b0898420f6efb25750c68af7d6a2c70aa7a44a6669ccd8c7ef7"),
+    "matrix3-z2": ("e4a3175e9026be4aa23819c8c0558b5cec936ce9c5e96e2d5171093e0803555e", "5722843ea44121a36c32b4cdc2c6cead1849da9f6f69757d9f113752d86819a0"),
 }
 
 

@@ -368,6 +368,26 @@ def test_size_estimate_visits_a_shared_chain_below_the_clamp_once_per_node(monke
         assert len(visited) == 2 * depth + 1, depth
 
 
+def test_build_hashes_each_record_of_a_deep_spec_once(monkeypatch):
+    """Building a spec looks each sub-spec up in a memo keyed by value. A
+    record's field tuple is read once, when it is first hashed, so building
+    (product (product ... (zn 2))) reads a number of tuples linear in the depth."""
+    from cleanrings import localized
+
+    reads = []
+    values = localized._Value._values
+    monkeypatch.setattr(localized._Value, "_values", lambda self: reads.append(self) or values(self))
+    counts = {}
+    for depth in (1, 2, 49, 98):
+        spec = parse("(product " * depth + "(zn 2)" + ")" * depth)
+        reads.clear()
+        assert build(spec).order == 2
+        counts[depth] = len(reads)
+    per_level = counts[2] - counts[1]
+    assert counts[49] - counts[2] == 47 * per_level
+    assert counts[98] - counts[49] == 49 * per_level
+
+
 def test_quotient_and_corner_estimates_bound_the_built_order():
     for text in ["(quotient (zn 12) (ideal 4))", "(corner (zn 6) 3)"]:
         spec = parse(text)

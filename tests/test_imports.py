@@ -104,3 +104,31 @@ def test_localized_commands_import_no_finite_ring_module():
     assert [code for code, _ in runs] == [0, 1, 1, 0, 0, 0, 0]
     for argv, (_, modules) in zip(_LOCALIZED_COMMANDS, runs):
         assert [m for m in _KEPT_OUT if m in modules] == [], argv
+
+
+# Commands on finite rings, run in one fresh interpreter: none of them may
+# import numpy.ma, which np.unique loads and which adds about 12 ms to each.
+# numpy's own directory goes on the path, as -S leaves out site-packages.
+_FINITE_COMMANDS = [
+    ["laws", "--catalog"],
+    ["laws", "--spec", "(zn 256)"],
+    ["ideal", "(series (zn 4) 4)", "--gens", "16", "--check", "weakly-clean"],
+]
+
+
+def test_finite_commands_do_not_import_numpy_ma():
+    import numpy
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(Path(numpy.__file__).parents[1])])}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _PROBE, json.dumps(_FINITE_COMMANDS)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert [code for code, _ in runs] == [0, 0, 0]
+    for argv, (_, modules) in zip(_FINITE_COMMANDS, runs):
+        assert "numpy" in modules and "numpy.ma" not in modules, argv
