@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import FiniteRing, SizeCapError, size_cap, _abelian_group_violations, _action_breaks
-from .core import _as_table, _closure_break, _int_table, _law_breaks
+from .core import _as_table, _closure_break, _distinct, _int_table, _law_breaks
 
 
 class BimoduleError(ValueError):
@@ -614,7 +614,7 @@ def quotient(ring: FiniteRing, ideal, *, label: str | None = None, cap: int | No
     m = np.array(members, dtype=np.int32)
 
     canon = ring.add_table[:, m].min(axis=1)
-    reps = np.unique(canon)
+    reps = _distinct(canon, ring.order)
     proj = np.searchsorted(reps, canon).astype(np.int32)
     q = len(reps)
     add = proj[ring.add_table[np.ix_(reps, reps)]]
@@ -708,7 +708,7 @@ def corner_ring(ring: FiniteRing, e: int, *, label: str | None = None) -> Corner
     if not ring.is_idempotent(e):
         raise ValueError(f"corner_ring requires an idempotent, got {e}")
     exe = ring.mul_table[ring.mul_table[e, :], e]
-    carrier = tuple(int(x) for x in np.unique(exe))
+    carrier = tuple(_distinct(exe, ring.order).tolist())
     position = {x: i for i, x in enumerate(carrier)}
     arr = np.array(carrier, dtype=np.int32)
     lut = np.full(ring.order, -1, dtype=np.int32)

@@ -179,6 +179,14 @@ def _generators(add: np.ndarray) -> np.ndarray:
     return np.array(gens or [0], dtype=np.int64)
 
 
+def _distinct(values: np.ndarray, n: int) -> np.ndarray:
+    """The distinct element indices (below n) among values, ascending: what
+    np.unique returns, without the numpy.ma import it costs."""
+    seen = np.zeros(n, dtype=bool)
+    seen[values] = True
+    return np.flatnonzero(seen)
+
+
 def _abelian_group_violations(add: np.ndarray):
     """Check (indices, add) is an abelian group with identity 0.
 

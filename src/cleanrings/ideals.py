@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .constructions import _index
-from .core import FiniteRing, SizeCapError, _closure_break
+from .core import FiniteRing, SizeCapError, _closure_break, _distinct
 
 DEFAULT_IDEAL_ENUM_CAP = 64
 
@@ -104,7 +104,7 @@ def ideal_closure(ring: FiniteRing, generators: Sequence[int]) -> IdealSet:
     frontier = np.flatnonzero(mask)
     while frontier.size:
         sums = add[np.ix_(np.flatnonzero(mask), frontier)]
-        frontier = np.unique(sums[~mask[sums]])
+        frontier = _distinct(sums[~mask[sums]], ring.order)
         mask[frontier] = True
     result = IdealSet(ring, tuple(np.flatnonzero(mask).tolist()), generators=gens)
     if not is_ideal(ring, result.members):
@@ -138,7 +138,7 @@ def ideal_sum(a: IdealSet, b: IdealSet) -> IdealSet:
     ring = a.ring
     ma = np.array(a.members, dtype=np.int32)
     mb = np.array(b.members, dtype=np.int32)
-    members = np.unique(ring.add_table[np.ix_(ma, mb)])
+    members = _distinct(ring.add_table[np.ix_(ma, mb)], ring.order)
     gens = None
     if a.generators is not None and b.generators is not None:
         gens = tuple(dict.fromkeys(a.generators + b.generators))

@@ -116,7 +116,8 @@ class _Value:
     """An immutable record, as a frozen dataclass is, but built without code
     generation. Its fields are the names its class bodies annotate, bases
     first; a class attribute of that name is the default. It equals only a
-    record of its own class, and hashes and prints by its fields."""
+    record of its own class, and hashes and prints by its fields; the hash is
+    kept on the record, so a memo keyed by nested specs hashes each once."""
 
     _fields: tuple[str, ...] = ()
 
@@ -146,7 +147,9 @@ class _Value:
         return self._values() == other._values() if same else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        if "_hash" not in self.__dict__:
+            self.__dict__["_hash"] = hash(self._values())
+        return self.__dict__["_hash"]
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
