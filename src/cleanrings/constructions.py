@@ -161,21 +161,25 @@ def direct_product(factors: Sequence[FiniteRing], *, label: str | None = None, c
 
 
 def matrix_ring(base: FiniteRing, k: int, *, label: str | None = None, cap: int | None = None) -> FiniteRing:
-    """k x k matrices over base, entries encoded row-major."""
+    """k x k matrices over base, entries encoded row-major.
+
+    Products go through a dot table: with rows and columns numbered as
+    length-k vectors in the same mixed radix, dot[u, v] is the product of
+    row u and column v, so entry (i, j) of AB is one gather of dot at the
+    codes of A's row i and B's column j.
+    """
     if k < 1:
         raise ValueError("matrix_ring requires k >= 1")
     _check_components(k * k, cap, f"M_{k}({base.label})")
 
     def mul_cols(*d):
-        cols = []
-        for i in range(k):
-            for j in range(k):
-                acc = None
-                for l in range(k):
-                    term = base.mul_table[np.ix_(d[i * k + l], d[l * k + j])]
-                    acc = term if acc is None else base.add_table[acc, term]
-                cols.append(acc)
-        return cols
+        vec = [np.arange(base.order**k) // base.order ** (k - 1 - l) % base.order for l in range(k)]
+        dot = base.mul_table[np.ix_(vec[0], vec[0])]
+        for l in range(1, k):
+            dot = base.add_table[dot, base.mul_table[np.ix_(vec[l], vec[l])]]
+        rows = [_encode_cols(d[i * k : (i + 1) * k], [base.order] * k) for i in range(k)]
+        cols = [_encode_cols(d[j::k], [base.order] * k) for j in range(k)]
+        return [dot[np.ix_(row, col)] for row in rows for col in cols]
 
     def decoder(entries: list[int]) -> str:
         rows = [",".join(base.describe(e) for e in entries[i * k : (i + 1) * k]) for i in range(k)]

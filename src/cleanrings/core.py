@@ -9,8 +9,12 @@ Validation is complete, never sampled, and accepts in O(n^2 log n). It
 takes a greedy additive generating set A, |A| <= log2 n, and checks:
 - Light's test: (x + y) + g = x + (y + g) for all x, y and g in A makes a
   commutative addition associative (Clifford & Preston I, 1.2);
-- a(b + g) = ab + ag and (b + g)a = ba + ga for all a, b and g in A: the
-  g that pass are closed under addition, so the product is bi-additive;
+- (b + g)a = ba + ga for all a, b and g in A: the g that pass are closed
+  under addition, so the product is additive in its left factor, and left
+  multiplication by a sum is the sum of the left multiplications;
+- g(b + h) = gb + gh for all b and g, h in A: the h that pass are closed
+  under addition, so left multiplication by a generator is additive, and
+  so is left multiplication by every element, a sum of generators;
 - (ab)c = a(bc) on A x A x A: the associator of a bi-additive product is
   tri-additive, so it vanishes once it vanishes on generators.
 Tables that fail this check are scanned exhaustively over all element
@@ -236,15 +240,19 @@ def _action_breaks(ring_add: np.ndarray, ring_mul: np.ndarray, act: np.ndarray, 
 
     gens, when given, are additive generating sets (ring, module) of the two
     abelian groups, and ring_mul is bi-additive or is act itself. Additivity
-    then needs m' or r' among the generators only; once act is bi-additive,
-    (r r') m - r (r' m) is tri-additive and needs generator triples only.
+    in r then needs r' among the generators only, and the r' that pass are
+    closed under addition; it makes r -> (m -> r m) additive, so each r acts
+    as a sum of generators, and a sum of additive maps is additive. Additivity
+    in m thus needs r and m' among the generators only. Once act is
+    bi-additive, (r r') m - r (r' m) is tri-additive and needs generator
+    triples only.
     """
     rows, cols = act.shape
     reduced = [None] * 3
     if gens is not None:
         r_gens, m_gens = gens
         r_all, m_all = np.arange(rows), np.arange(cols)
-        reduced = [(r_gens, r_gens, m_gens), (r_all, m_all, m_gens), (m_all, r_all, r_gens)]
+        reduced = [(r_gens, r_gens, m_gens), (r_gens, m_all, m_gens), (m_all, r_all, r_gens)]
     associative, module_additive, ring_additive = _law_breaks(list(zip(
         (lambda r, s, m: (act[ring_mul[r, s], m], act[r, act[s, m]]),
          lambda r, m, p: (act[r, mod_add[m, p]], mod_add[act[r, m], act[r, p]]),

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -101,6 +102,50 @@ def test_matrix_ring_matches_matrix_oracle(data):
     x, y = matrix_element(ring, A), matrix_element(ring, B)
     assert matrix_entries(ring, ring.mul(x, y)) == matrix_mul_oracle(n, A, B, 2)
     assert matrix_entries(ring, ring.add(x, y)) == matrix_add_oracle(n, A, B, 2)
+
+
+def _gathered_matrix_table(base, k):
+    """The product table of M_k(base) built entry by entry from k product and
+    k - 1 sum gathers of the base tables, one array over every pair at a time."""
+    n = base.order ** (k * k)
+    idx = np.arange(n)
+    d = [idx // base.order ** (k * k - 1 - c) % base.order for c in range(k * k)]
+    table = np.zeros((n, n), dtype=np.int64)
+    for i in range(k):
+        for j in range(k):
+            acc = None
+            for l in range(k):
+                term = base.mul_table[np.ix_(d[i * k + l], d[l * k + j])]
+                acc = term if acc is None else base.add_table[acc, term]
+            table = table * base.order + acc
+    return table
+
+
+def _entrywise_product(base, k, a, b):
+    """Entry (i, j) of AB as the sum over l of a_il b_lj, one base operation at a time."""
+    entries = []
+    for i in range(k):
+        for j in range(k):
+            acc = base.zero
+            for l in range(k):
+                acc = base.add(acc, base.mul(a[i][l], b[l][j]))
+            entries.append(acc)
+    return [entries[i * k : (i + 1) * k] for i in range(k)]
+
+
+@pytest.mark.parametrize("n, k", [(6, 1), (4, 2), (6, 2), (2, 3)])
+def test_matrix_ring_products_match_the_entrywise_sums(n, k):
+    """The dot-table product against the gathered table on every pair, and
+    against the entrywise sums on every pair of a seeded draw of 40 rows."""
+    base = zn(n)
+    ring = matrix_ring(base, k, cap=n ** (k * k))
+    assert ring.mul_table.dtype == base.mul_table.dtype
+    assert np.array_equal(ring.mul_table, _gathered_matrix_table(base, k))
+    rows = random.Random(f"matrix-{n}-{k}").sample(range(ring.order), min(40, ring.order))
+    grids = [matrix_entries(ring, x) for x in ring.elements]
+    for x in rows:
+        products = [matrix_element(ring, _entrywise_product(base, k, grids[x], b)) for b in grids]
+        assert ring.mul_table[x].tolist() == products, x
 
 
 def test_matrix_ring_known_counts():

@@ -29,7 +29,7 @@ from cleanrings import (
     zn_bimodule,
 )
 from cleanrings import constructions, core
-from cleanrings.catalog import build_catalog
+from cleanrings.catalog import build_catalog, catalog_entry
 from cleanrings.core import size_cap
 from cleanrings.dsl import build, parse
 
@@ -254,6 +254,26 @@ def test_generator_check_accepts_ring_tables_exactly_when_the_scan_does(ring, da
     if np.array_equal(tables["add"], ring.add_table):
         assert ran  # an abelian group has generators, so the ring laws are reduced
     assert validate_ring(*args) == exhaustive
+
+
+def test_a_product_changed_off_the_generator_rows_is_rejected_with_the_scan_witnesses():
+    """Left distributivity is checked at generator rows only. One product of
+    M_2(Z_2) changed in row 15, no additive generator, still fails the
+    generator check (right distributivity at b = 14, g = 1 sees it), and the
+    exhaustive scan names the witnesses it named when left distributivity was
+    checked at every row."""
+    ring = catalog_entry("matrix2-z2").ring
+    assert ring.additive_generators.tolist() == [1, 2, 4, 8]
+    mul = ring.mul_table.copy()
+    mul[15, 15] = ring.add(mul[15, 15], 1)
+    with _checked_against_the_scan() as ran:
+        report = validate_ring(ring.order, ring.one, ring.add_table, mul)
+    assert ran == [True, False]  # the addition passes, the product laws do not
+    assert report.violations == (
+        core.Violation("mul-associative", (1, 15, 15)),
+        core.Violation("left-distributive", (15, 1, 14)),
+        core.Violation("right-distributive", (1, 14, 15)),
+    )
 
 
 @given(st.integers(1, 3), st.data())

@@ -157,6 +157,80 @@ def test_determinant_cofactor_exhaustive_stream_covers_every_case_once():
     assert cases[-1] == ((5, 5, 5, 5), 1, 1, 5)
 
 
+def _per_case_loop(n: int, k: int, cases):
+    """The determinant-cofactor step checked case by case, as the definition
+    reads: (witness, cases scanned) of the first case that fails, or None and
+    the number of cases. det and cofactor are read from laws, so a fault
+    patched there reaches this oracle too."""
+    base = laws.zn(n)
+
+    def grid(entries):
+        return [list(entries[r * k : (r + 1) * k]) for r in range(k)]
+
+    scanned = 0
+    for entries, i, j, x in cases:
+        scanned += 1
+        bumped = list(entries)
+        bumped[i * k + j] = base.add(bumped[i * k + j], x)
+        lhs = laws.det(base, grid(bumped))
+        rhs = base.add(laws.det(base, grid(entries)), base.mul(x, laws.cofactor(base, grid(entries), i, j)))
+        if lhs != rhs:
+            where = {"modulus": n, "entries": list(entries), "row": i, "col": j, "bump": x}
+            return {**where, "got": lhs, "expected": rhs}, scanned
+    return None, scanned
+
+
+_DET_STREAMS = {
+    "Z_6, k=2, exhaustive": (6, 2, lambda: laws._every_case(6, 2)),
+    "Z_5, k=3, seeded": (5, 3, lambda: laws._seeded_cases(5, 3, 200)),
+    "Z_6, k=3, seeded": (6, 3, lambda: laws._seeded_cases(6, 3, 200)),
+}
+
+
+def _det_fault(monkeypatch, name: str, n: int, fires) -> None:
+    """Make laws.<name> answer one more, mod n, wherever fires(grid, *rest)."""
+    real = getattr(laws, name)
+
+    def faulty(base, grid, *rest):
+        value = real(base, grid, *rest)
+        return (value + 1) % n if fires(tuple(v for row in grid for v in row), *rest) else value
+
+    monkeypatch.setattr(laws, name, faulty)
+
+
+@pytest.mark.parametrize("fault", ["none", "det", "cofactor"])
+@pytest.mark.parametrize("stream", list(_DET_STREAMS))
+def test_determinant_cofactor_step_matches_the_per_case_loop(monkeypatch, stream, fault):
+    """The array pass against the per-case loop, as it is and with det wrong
+    at one grid or cofactor wrong at one (grid, row, col) from the middle of
+    the stream: the same verdict, cases scanned and witness."""
+    n, k, cases = _DET_STREAMS[stream]
+    drawn = list(cases())
+    middle = drawn[len(drawn) // 2]
+    if fault == "det":
+        _det_fault(monkeypatch, "det", n, lambda grid: grid == middle[0])
+    elif fault == "cofactor":
+        _det_fault(monkeypatch, "cofactor", n, lambda grid, i, j: (grid, i, j) == middle[:3])
+    expected = _per_case_loop(n, k, drawn)
+    assert laws._det_cofactor(n, k, iter(drawn)) == expected
+    assert (expected[0] is None) == (fault == "none")
+
+
+def test_determinant_cofactor_calls_det_and_cofactor_once_per_distinct_argument(monkeypatch):
+    calls = defaultdict(list)
+    for name in ("det", "cofactor"):
+        real = getattr(laws, name)
+        monkeypatch.setattr(
+            laws, name, lambda base, grid, *rest, real=real, name=name: calls[name].append(
+                (tuple(v for row in grid for v in row), *rest)
+            ) or real(base, grid, *rest)
+        )
+    cases = list(laws._every_case(6, 2))
+    assert laws._det_cofactor(6, 2, cases) == (None, 31104)
+    assert len(calls["det"]) == len(set(calls["det"])) == 6**4
+    assert sorted(calls["cofactor"]) == sorted({(grid, i, j) for grid, i, j, _ in cases})
+
+
 def test_matrix_law_instances_are_frozen():
     assert sorted(r.inputs for r in BY_LAW["matrix-ideal"]) == [
         "Z_2 | R, k=2",
