@@ -173,7 +173,7 @@ def matrix_ring(base: FiniteRing, k: int, *, label: str | None = None, cap: int 
     _check_components(k * k, cap, f"M_{k}({base.label})")
 
     def mul_cols(*d):
-        vec = [np.arange(base.order**k) // base.order ** (k - 1 - l) % base.order for l in range(k)]
+        vec = np.unravel_index(np.arange(base.order**k), (base.order,) * k)
         dot = base.mul_table[np.ix_(vec[0], vec[0])]
         for l in range(1, k):
             dot = base.add_table[dot, base.mul_table[np.ix_(vec[l], vec[l])]]

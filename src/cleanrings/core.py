@@ -162,6 +162,14 @@ def _scan_breaks(laws) -> list[tuple[int, int, int] | None]:
     return [_first_break(law, shape) for law, shape, _ in laws]
 
 
+def _distinct(values: np.ndarray, n: int) -> np.ndarray:
+    """The distinct element indices (below n) among values, ascending: what
+    np.unique returns, without the numpy.ma import it costs."""
+    seen = np.zeros(n, dtype=bool)
+    seen[values] = True
+    return np.flatnonzero(seen)
+
+
 def _generators(add: np.ndarray) -> np.ndarray:
     """A greedy additive generating set of the commutative table add: each
     generator is the least element outside the closure, under add itself, of
@@ -177,18 +185,9 @@ def _generators(add: np.ndarray) -> np.ndarray:
         gens.append(int(frontier[0]))
         while frontier.size:
             inside[frontier] = True
-            reached = np.zeros_like(inside)
-            reached[add[np.ix_(frontier, np.flatnonzero(inside))]] = True
-            frontier = np.flatnonzero(reached & ~inside)
+            sums = add[np.ix_(frontier, np.flatnonzero(inside))]
+            frontier = _distinct(sums[~inside[sums]], len(add))
     return np.array(gens or [0], dtype=np.int64)
-
-
-def _distinct(values: np.ndarray, n: int) -> np.ndarray:
-    """The distinct element indices (below n) among values, ascending: what
-    np.unique returns, without the numpy.ma import it costs."""
-    seen = np.zeros(n, dtype=bool)
-    seen[values] = True
-    return np.flatnonzero(seen)
 
 
 def _abelian_group_violations(add: np.ndarray):

@@ -536,33 +536,26 @@ def _det_cofactor(n: int, k: int, cases: Iterable[tuple]) -> tuple[dict | None, 
     distinct (grid, row, col); every case is then checked at once, and the
     first that fails in stream order is the witness.
     """
-    base = zn(n)
-    cases = list(cases)
-    size = k * k
-    flat, rows, cols, bumps = zip(*cases)
+    base, size, cases = zn(n), k * k, list(cases)
+    flat, *columns = zip(*cases)
     entries = np.fromiter(itertools.chain.from_iterable(flat), np.int64).reshape(-1, size)
-    rows, cols, bumps = (np.fromiter(column, np.int64) for column in (rows, cols, bumps))
-    place = n ** np.arange(size - 1, -1, -1)
-    at = rows * k + cols
+    rows, cols, bumps = (np.fromiter(column, np.int64) for column in columns)
+    place, at = n ** np.arange(size - 1, -1, -1), rows * k + cols
     old = entries[np.arange(len(cases)), at]
     grids = entries @ place
     bumped = grids + (base.add_table[old, bumps] - old) * place[at]
-    places = place.tolist()
 
-    def grid(number: int) -> list[list[int]]:
-        digits = [number // p % n for p in places]
-        return [digits[r * k : (r + 1) * k] for r in range(k)]
-
-    def once(keys: np.ndarray, value: Callable[[int], int]) -> np.ndarray:
-        """value at each key, computed once per distinct key."""
-        distinct = sorted(set(keys.tolist()))
-        values = np.array([value(key) for key in distinct], dtype=np.int64)
+    def once(keys: np.ndarray, value: Callable) -> np.ndarray:
+        """value(grid, key) at each key, once per distinct key; a key's last
+        k*k base-n digits are its grid."""
+        distinct = np.array(sorted(set(keys.tolist())), dtype=np.int64)
+        grid = (distinct[:, None] // place % n).reshape(-1, k, k).tolist()
+        values = np.array([value(*args) for args in zip(grid, distinct.tolist())], dtype=np.int64)
         return values[np.searchsorted(distinct, keys)]
 
-    dets = once(np.concatenate([grids, bumped]), lambda g: det(base, grid(g)))
-    minors = once(grids * size + at, lambda key: cofactor(base, grid(key // size), *divmod(key % size, k)))
-    lhs = dets[len(cases) :]
-    rhs = base.add_table[dets[: len(cases)], base.mul_table[bumps, minors]]
+    dets = once(np.concatenate([grids, bumped]), lambda grid, _: det(base, grid))
+    minors = once(grids + at * n**size, lambda grid, key: cofactor(base, grid, *divmod(key // n**size, k)))
+    lhs, rhs = dets[len(cases) :], base.add_table[dets[: len(cases)], base.mul_table[bumps, minors]]
     failed = np.flatnonzero(lhs != rhs)
     if not failed.size:
         return None, len(cases)
