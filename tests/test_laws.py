@@ -218,13 +218,18 @@ def test_determinant_cofactor_step_matches_the_per_case_loop(monkeypatch, stream
 
 def test_determinant_cofactor_calls_det_and_cofactor_once_per_distinct_argument(monkeypatch):
     calls = defaultdict(list)
-    for name in ("det", "cofactor"):
+
+    def count(name):
         real = getattr(laws, name)
-        monkeypatch.setattr(
-            laws, name, lambda base, grid, *rest, real=real, name=name: calls[name].append(
-                (tuple(v for row in grid for v in row), *rest)
-            ) or real(base, grid, *rest)
-        )
+
+        def counted(base, grid, *rest):
+            calls[name].append((tuple(v for row in grid for v in row), *rest))
+            return real(base, grid, *rest)
+
+        monkeypatch.setattr(laws, name, counted)
+
+    count("det")
+    count("cofactor")
     cases = list(laws._every_case(6, 2))
     assert laws._det_cofactor(6, 2, cases) == (None, 31104)
     assert len(calls["det"]) == len(set(calls["det"])) == 6**4
