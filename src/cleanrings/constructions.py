@@ -104,7 +104,10 @@ def _composite(
     _check_cap(n, cap, what)
     idx = np.arange(n)
     digits = [(idx // math.prod(radices[c + 1 :]) % r).astype(np.int32) for c, r in enumerate(radices)]
-    add = _encode_cols([p.add_table[np.ix_(d, d)] for p, d in zip(parts, digits)], radices)
+    add = np.zeros((1, 1), dtype=np.int64)
+    for p in parts:  # the earlier parts' sums, shifted one digit, plus each pair of this part's
+        m, r = len(add), p.order
+        add = (add[:, None, :, None] * r + p.add_table[None, :, None, :]).reshape(m * r, m * r)
     return FiniteRing(
         n,
         _index(one_digits, radices),
@@ -236,6 +239,8 @@ def _det_rec(base: FiniteRing, a: list[list[int]]) -> int:
     k = len(a)
     if k == 1:
         return a[0][0]
+    if k == 2:
+        return base.sub(base.mul(a[0][0], a[1][1]), base.mul(a[0][1], a[1][0]))
     acc = 0
     for j in range(k):
         minor = [row[:j] + row[j + 1 :] for row in a[1:]]
