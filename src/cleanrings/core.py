@@ -170,23 +170,31 @@ def _distinct(values: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(seen)
 
 
-def _generators(add: np.ndarray) -> np.ndarray:
-    """A greedy additive generating set of the commutative table add: each
-    generator is the least element outside the closure, under add itself, of
-    0 and the earlier generators, so no other law is assumed. In an abelian
-    group each one at least doubles the closure, so there are at most log2 n.
-    Every element is then a nonempty sum of generators; the trivial group's
-    one generator is 0."""
-    inside = np.zeros(len(add), dtype=bool)
+def _span(add: np.ndarray, inside: np.ndarray, seeds: Iterable[int]) -> np.ndarray:
+    """The bool mask inside, grown in place to the additive subgroup that 0,
+    the subgroup S it marks and the seeds span. A seed s adds its cosets by
+    doubling: mark T + s for the marked T and set s to s + s, until s is
+    marked; then some 0 < m <= 2^k has ms in S, so every S + js is marked.
+    Each marked element is a sum under add itself, and each step marks its
+    s = add[s, 0], so the loop ends on any table with that identity."""
     inside[0] = True
-    gens = []
-    while not inside.all():
-        frontier = np.flatnonzero(~inside)[:1]
-        gens.append(int(frontier[0]))
-        while frontier.size:
-            inside[frontier] = True
-            sums = add[np.ix_(frontier, np.flatnonzero(inside))]
-            frontier = _distinct(sums[~inside[sums]], len(add))
+    for s in seeds:
+        while not inside[s]:
+            inside[add[s][inside]] = True
+            s = add[s, s]
+    return inside
+
+
+def _generators(add: np.ndarray) -> np.ndarray:
+    """A greedy additive generating set of the commutative table add, taken
+    before add is known to be associative: each generator is the least
+    element outside the _span of the earlier ones, which marks only sums of
+    generators under add itself and ends, as add[0, s] = s is checked first.
+    A group has at most log2 n of them; the trivial group's one is 0."""
+    inside = np.zeros(len(add), dtype=bool)
+    gens: list[int] = []
+    while not _span(add, inside, gens[-1:]).all():
+        gens.append(int(np.argmin(inside)))
     return np.array(gens or [0], dtype=np.int64)
 
 

@@ -1,22 +1,18 @@
 """Two-sided ideals of finite rings as explicit member sets.
 
-An ideal is represented by the sorted tuple of its member indices plus the
-generators it was closed from (when known). In a unital ring the ideal <g> is
-the additive span of R*g*R, so a closure gathers every r*g*s in one table
-lookup per generator and then takes the additive subgroup those products
-generate, adding each round's new members to all members until no new sum
-appears. Every result is checked to be a two-sided ideal. That check asks
-for 0 and closure under addition only, which suffices: in a finite additive
-group such a subset is a subgroup, since -x = (ord x - 1)*x.
+An ideal is the sorted tuple of its member indices plus the generators it
+was closed from (when known). Every additive span goes through one kernel,
+core._span, which grows a subgroup by the cosets of each seed: in a unital
+ring <g> is the span of the products r*g*s, gathered in one lookup, and
+I + J is the span of I and the members of J. Closures are checked to be
+two-sided ideals, sums through their inputs; 0 and closure under addition
+make a subset of a finite group a subgroup, since -x = (ord x - 1)*x.
 
 principal_ideals closes one element of each two-sided unit orbit U*x*U only,
-since <u*x*v> = <x>. all_ideals enumerates the full ideal lattice by walking
-a growing list that starts with the principal ideals and summing each ideal
-once with every ideal before it, appending each sum not yet listed. The list
-is then closed under sums, and every ideal of a finite ring is a finite sum
-of principal ideals, so the enumeration is complete. It refuses rings above
-a configurable cap (default 64); callers are expected to fall back to
-principal ideals only.
+since <u*x*v> = <x>. all_ideals closes the principal ideals under pairwise
+sums, and every ideal of a finite ring is a finite sum of principal ideals,
+so its lattice is complete. It refuses rings above a configurable cap
+(default 64); callers are expected to fall back to principal ideals only.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .constructions import _index
-from .core import FiniteRing, SizeCapError, _closure_break, _distinct
+from .core import FiniteRing, SizeCapError, _closure_break, _distinct, _span
 
 DEFAULT_IDEAL_ENUM_CAP = 64
 
@@ -96,16 +92,9 @@ def ideal_closure(ring: FiniteRing, generators: Sequence[int]) -> IdealSet:
     for g in gens:
         if not (0 <= g < ring.order):
             raise ValueError(f"generator {g} out of range for order {ring.order}")
-    add, mul = ring.add_table, ring.mul_table
-    mask = np.zeros(ring.order, dtype=bool)
-    mask[0] = True
-    for g in gens:
-        mask[mul[mul[:, g], :]] = True
-    frontier = np.flatnonzero(mask)
-    while frontier.size:
-        sums = add[np.ix_(np.flatnonzero(mask), frontier)]
-        frontier = _distinct(sums[~mask[sums]], ring.order)
-        mask[frontier] = True
+    mul = ring.mul_table
+    products = _distinct(mul[mul[:, list(gens)], :], ring.order)
+    mask = _span(ring.add_table, np.zeros(ring.order, dtype=bool), products)
     result = IdealSet(ring, tuple(np.flatnonzero(mask).tolist()), generators=gens)
     if not is_ideal(ring, result.members):
         raise RuntimeError("closure invariant failed: result is not an ideal")
@@ -133,19 +122,21 @@ def zero_ideal(ring: FiniteRing) -> IdealSet:
 
 
 def ideal_sum(a: IdealSet, b: IdealSet) -> IdealSet:
+    """I + J, the span of I and the members of J. The inputs are checked, not
+    the result: x(i + j)y = xiy + xjy, so the span of two ideals is an ideal,
+    while the span of a set that is not one could pass for one."""
     if a.ring != b.ring:
         raise ValueError("ideal_sum requires ideals of the same ring")
     ring = a.ring
-    ma = np.array(a.members, dtype=np.int32)
-    mb = np.array(b.members, dtype=np.int32)
-    members = _distinct(ring.add_table[np.ix_(ma, mb)], ring.order)
+    for ideal in (a, b):
+        gap = _closure_break(ideal.members, ring.add_table, ring.mul_table, ring.mul_table.T)
+        if gap is not None:
+            raise RuntimeError(f"ideal_sum requires ideals: {gap}")
+    mask = _span(ring.add_table, a.member_mask(), b.members)
     gens = None
     if a.generators is not None and b.generators is not None:
         gens = tuple(dict.fromkeys(a.generators + b.generators))
-    result = IdealSet(ring, tuple(int(m) for m in members), generators=gens)
-    if not is_ideal(ring, result.members):
-        raise RuntimeError("ideal_sum produced a non-ideal; inputs were not ideals")
-    return result
+    return IdealSet(ring, tuple(np.flatnonzero(mask).tolist()), generators=gens)
 
 
 def ideal_intersection(a: IdealSet, b: IdealSet) -> IdealSet:
@@ -176,10 +167,12 @@ def principal_ideals(ring: FiniteRing) -> list[IdealSet]:
 
 
 def all_ideals(ring: FiniteRing, *, cap: int = DEFAULT_IDEAL_ENUM_CAP) -> list[IdealSet]:
-    """Every two-sided ideal, via principal ideals closed under pairwise sums.
-
-    Refuses rings with order above the cap (lattices can be huge); callers
-    fall back to principal_ideals explicitly.
+    """Every two-sided ideal: the principal ideals, then each sum of an ideal
+    with one listed before it that is not listed yet, appended while the
+    list is walked. Each pair is spanned on masks and only a new sum goes
+    through ideal_sum, so each ideal keeps the generators of the first pair
+    that finds it. Refuses orders above the cap (lattices can be huge);
+    callers fall back to principal_ideals explicitly.
     """
     if ring.order > cap:
         raise SizeCapError(
@@ -187,15 +180,14 @@ def all_ideals(ring: FiniteRing, *, cap: int = DEFAULT_IDEAL_ENUM_CAP) -> list[I
             f"fall back to principal_ideals"
         )
     ideals = principal_ideals(ring)
-    seen = {ideal.members for ideal in ideals}
-    # The list grows while it is walked; each ideal is summed once with every
-    # ideal listed before it, so every pair of the final list is summed once.
+    masks = [ideal.member_mask() for ideal in ideals]
+    seen = {mask.tobytes() for mask in masks}
     for i, b in enumerate(ideals):
-        for a in ideals[:i]:
-            s = ideal_sum(a, b)
-            if s.members not in seen:
-                seen.add(s.members)
-                ideals.append(s)
+        for j in range(i):
+            if _span(ring.add_table, masks[j].copy(), b.members).tobytes() not in seen:
+                ideals.append(ideal_sum(ideals[j], b))
+                masks.append(ideals[-1].member_mask())
+                seen.add(masks[-1].tobytes())
     return sorted(ideals, key=lambda i: (len(i.members), i.members))
 
 

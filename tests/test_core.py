@@ -201,12 +201,53 @@ def test_any_single_cell_multiplication_tamper_is_caught(n, data):
 _SMALL_RINGS = [entry.ring for entry in build_catalog() if entry.ring.order <= 16]
 
 
+def _table_closure(add: np.ndarray, gens) -> np.ndarray:
+    """The mask of 0 and gens closed under the table add: every sum of them,
+    bracketed any way. Each round adds the new elements to every member."""
+    inside = np.zeros(len(add), dtype=bool)
+    inside[0] = True
+    frontier = np.array(sorted(set(gens)), dtype=np.int64)
+    while frontier.size:
+        inside[frontier] = True
+        reached = np.zeros(len(add), dtype=bool)
+        reached[add[np.ix_(frontier, np.flatnonzero(inside))]] = True
+        frontier = np.flatnonzero(reached & ~inside)
+    return inside
+
+
+def _frontier_generators(add: np.ndarray) -> list[int]:
+    """The oracle of core._generators, the greedy set it replaced: each
+    generator is the least element outside the table closure of the earlier
+    ones; the trivial group's one generator is 0."""
+    gens: list[int] = []
+    while not (inside := _table_closure(add, gens)).all():
+        gens.append(int(np.argmin(inside)))
+    return gens or [0]
+
+
+def _generators_against_the_frontier_loop(add: np.ndarray) -> np.ndarray:
+    """core._generators, checked against the frontier loop: they agree on an
+    associative table, where a span and a closure are one subgroup. On any
+    other table the cosets may reach less than the closure, and the set need
+    only generate every element as sums under the table."""
+    gens = _generators(add)
+    if np.array_equal(add[add], add[:, add]):  # (x + y) + z == x + (y + z)
+        assert gens.tolist() == _frontier_generators(add)
+    else:
+        assert _table_closure(add, gens.tolist()).all()
+    return gens
+
+
+_generators = core._generators
+
+
 @contextlib.contextmanager
 def _checked_against_the_scan():
     """Within the block every law family is decided by the exhaustive scan,
     core._scan_breaks, and wherever the generator check applies it must
-    accept exactly when the scan finds no break. Yields the generator
-    check's verdicts, one for each family it ran on."""
+    accept exactly when the scan finds no break; every additive generating
+    set is compared with the frontier loop. Yields the generator check's
+    verdicts, one for each family it ran on."""
     ran = []
 
     def scan(laws):
@@ -220,6 +261,7 @@ def _checked_against_the_scan():
     with pytest.MonkeyPatch.context() as mp:
         for module in (core, constructions):
             mp.setattr(module, "_law_breaks", scan)
+        mp.setattr(core, "_generators", _generators_against_the_frontier_loop)
         yield ran
 
 
@@ -550,6 +592,11 @@ def test_generator_check_sees_a_break_off_the_first_generator(law):
         exhaustive = _outcome(build)
     assert ran and not ran[-1]
     assert law in str(exhaustive) and _outcome(build) == exhaustive
+
+
+@pytest.mark.parametrize("entry", build_catalog(), ids=lambda entry: entry.key)
+def test_generators_match_the_frontier_loop_on_the_catalog(entry):
+    assert _generators(entry.ring.add_table).tolist() == _frontier_generators(entry.ring.add_table)
 
 
 def test_generators_are_few_and_generate():

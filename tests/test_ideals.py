@@ -6,7 +6,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +44,7 @@ from cleanrings import (
 )
 from cleanrings.catalog import build_catalog
 from cleanrings.dsl import SpecError, build, parse, size_estimate
+from cleanrings.core import _distinct
 from cleanrings.ideals import (
     idealization_ideal,
     matrix_ideal,
@@ -50,6 +55,8 @@ from cleanrings.ideals import (
     tri3_ideal,
     corner_ideal,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def zn_ideal_members_oracle(n: int, d: int) -> tuple[int, ...]:
@@ -151,6 +158,27 @@ def test_sum_requires_same_ring():
         ideal_sum(ideal_closure(zn(6), [2]), ideal_closure(zn(12), [2]))
 
 
+def test_sum_refuses_member_sets_that_are_not_ideals_and_ends():
+    # {1} lacks 0, and {0, 1} is not closed, but the span of {0, 1} and <2>
+    # is all of Z_4, an ideal; a span over a set without 0 could loop. Run in
+    # a child, so that a loop fails the test instead of stalling it.
+    script = """
+from cleanrings import IdealSet, ideal_closure, ideal_sum, zn
+r = zn(4)
+for members in ((1,), (0, 1)):
+    try:
+        ideal_sum(IdealSet(r, members), ideal_closure(r, [2]))
+    except RuntimeError as exc:
+        print(exc)
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stdout.splitlines() == [
+        "ideal_sum requires ideals: 0 is not a member",
+        "ideal_sum requires ideals: members are not closed under addition",
+    ]
+
+
 # -- enumeration --------------------------------------------------------------------
 
 
@@ -178,6 +206,35 @@ def test_all_ideals_cap_and_inventory_fallback():
     assert {i.members for i in ideals} == {i.members for i in principal_ideals(ring)}
     full, ok = ideal_inventory(ring, cap=64)
     assert ok and len(full) == 64
+
+
+def _pairwise_all_ideals(ring, cap: int = 64) -> list[tuple[tuple[int, ...], tuple[int, ...] | None]]:
+    """(members, generators) of every ideal, by the walk all_ideals replaced:
+    each ideal of the growing list is summed with every one before it through
+    the full sum table of the two, and each new sum is appended."""
+    assert ring.order <= cap
+    ideals = [(i.members, i.generators) for i in principal_ideals(ring)]
+    seen = {members for members, _ in ideals}
+    for i, (b, b_gens) in enumerate(ideals):
+        for a, a_gens in ideals[:i]:
+            members = tuple(_distinct(ring.add_table[np.ix_(a, b)], ring.order).tolist())
+            assert is_ideal(ring, members)
+            if members not in seen:
+                seen.add(members)
+                gens = None if a_gens is None or b_gens is None else tuple(dict.fromkeys(a_gens + b_gens))
+                ideals.append((members, gens))
+    return sorted(ideals, key=lambda item: (len(item[0]), item[0]))
+
+
+def _listed(ideals) -> list[tuple[tuple[int, ...], tuple[int, ...] | None]]:
+    return [(i.members, i.generators) for i in ideals]
+
+
+@pytest.mark.parametrize(
+    "entry", [e for e in build_catalog() if e.ring.order <= 64], ids=lambda entry: entry.key
+)
+def test_all_ideals_matches_the_pairwise_walk_on_the_catalog(entry):
+    assert _listed(all_ideals(entry.ring)) == _pairwise_all_ideals(entry.ring)
 
 
 def _ideals_by_brute_force(ring) -> set[tuple[int, ...]]:
@@ -395,6 +452,12 @@ def test_closure_matches_the_worklist_on_composites(ring, data):
     assert got == worklist_principal_ideals(ring)
 
 
+@given(_small_composite())
+@settings(max_examples=40, deadline=None)
+def test_all_ideals_matches_the_pairwise_walk_on_composites(ring):
+    assert _listed(all_ideals(ring)) == _pairwise_all_ideals(ring)
+
+
 NEAR_CAP = {
     "(matrix 2 (zn 4))": 3,
     "(series (zn 4) 4)": 16,
@@ -413,3 +476,16 @@ def test_near_cap_principal_ideals_are_pinned_and_match_the_worklist(spec):
     # every ideal is the closure of the generator recorded for it
     for ideal in ideals:
         assert worklist_closure(ring, ideal.generators) == ideal.members
+
+
+@pytest.mark.parametrize("spec", list(NEAR_CAP))
+def test_near_cap_lattices_match_the_pairwise_walk(spec):
+    ring = build(parse(spec))
+    assert _listed(all_ideals(ring, cap=256)) == _pairwise_all_ideals(ring, cap=256)
+
+
+def test_the_lattice_of_f2_to_the_eighth_has_every_subspace():
+    # every subspace of F_2^8 is an ideal of the product ring; the pairwise
+    # walk would sum 32,640 pairs here
+    ring = build(parse(f"(product {' '.join(['(zn 2)'] * 8)})"))
+    assert len(all_ideals(ring, cap=256)) == 256
