@@ -38,7 +38,10 @@ class IdealSet:
     generators: tuple[int, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(dict.fromkeys(int(m) for m in self.members))))
+        members = tuple(sorted(dict.fromkeys(int(m) for m in self.members)))
+        if members and not 0 <= members[0] <= members[-1] < self.ring.order:
+            raise ValueError(_closure_break(members, self.ring.add_table))  # names the member outside
+        object.__setattr__(self, "members", members)
 
     def __contains__(self, x: int) -> bool:
         return x in set(self.members)

@@ -179,6 +179,13 @@ for members in ((1,), (0, 1)):
     ]
 
 
+@pytest.mark.parametrize("members, outside", [((0, -2), -2), ((0, 5), 5)])
+def test_ideal_set_refuses_members_outside_the_ring(members, outside):
+    # -2 would wrap to 2 in a mask, and 5 would index past it
+    with pytest.raises(ValueError, match=f"^member {outside} lies outside 0..3$"):
+        IdealSet(zn(4), members)
+
+
 # -- enumeration --------------------------------------------------------------------
 
 
