@@ -6,11 +6,12 @@ Run from the root of a cleanrings checkout. It runs, one after another
 through `cleanrings.cli.main` in this process, the `near-cap` and
 `localized` commands that `perfbench/workloads.py` makes for each seed
 (pass 0), then a fixed list of finite, localized and erroneous commands,
-and prints one line per command: the argv as JSON, the exit code, and the
-SHA-256 of stdout and of stderr, separated by tabs. Two checkouts behave
-the same on these commands when `diff` finds no difference between their
-outputs. The checkout's `src/` and `perfbench/` are read and nothing is
-written. Uses the standard library only.
+`laws --spec` on each finite spec among them, and prints one line per
+command: the argv as JSON, the exit code, and the SHA-256 of stdout and of
+stderr, separated by tabs. Two checkouts behave the same on these commands
+when `diff` finds no difference between their outputs. The checkout's
+`src/` and `perfbench/` are read and nothing is written. Uses the standard
+library only.
 """
 
 from __future__ import annotations
@@ -97,6 +98,7 @@ def commands(seeds) -> list[list[str]]:
         for name in ("near-cap", "localized"):
             out += [list(op.argv) for op in workloads.WORKLOADS[name](seed, 0)]
     out += _spec_commands(FINITE_SPECS, FINITE_ELEMENTS, FINITE_GENS)
+    out += [["laws", "--spec", spec, *form] for spec in FINITE_SPECS for form in ((), ("--json",))]
     out += _spec_commands(LOCALIZED_SPECS, LOCALIZED_ELEMENTS, LOCALIZED_GENS)
     return out + [list(argv) for argv in (*ERRORS, *OTHERS)]
 
