@@ -225,6 +225,9 @@ def _frontier_generators(add: np.ndarray) -> list[int]:
     return gens or [0]
 
 
+_generators = core._generators  # the kernel, which _checked_against_the_scan replaces by the next
+
+
 def _generators_against_the_frontier_loop(add: np.ndarray) -> np.ndarray:
     """core._generators, checked against the frontier loop: they agree on an
     associative table, where a span and a closure are one subgroup. On any
@@ -236,9 +239,6 @@ def _generators_against_the_frontier_loop(add: np.ndarray) -> np.ndarray:
     else:
         assert _table_closure(add, gens.tolist()).all()
     return gens
-
-
-_generators = core._generators
 
 
 @contextlib.contextmanager
