@@ -22,7 +22,6 @@ equivalence is itself machine-checked rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
@@ -30,12 +29,12 @@ import numpy as np
 from .constructions import corner_ring
 from .core import FiniteRing
 from .ideals import IdealSet, corner_ideal, full_ideal
+from .records import _Value
 
 Sign = Literal[1, -1]
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Value):
     """x = unit + sign * idempotent, with sign +1 (clean) or -1 (co-clean)."""
 
     sign: int
@@ -46,8 +45,7 @@ class Decomposition:
         return {"sign": self.sign, "idempotent": self.idempotent, "unit": self.unit}
 
 
-@dataclass(frozen=True)
-class CleanClass:
+class CleanClass(_Value):
     """Full decomposition census for one element."""
 
     element: int
@@ -181,8 +179,7 @@ def is_weakly_exchange_element(
 # -- ideal-level verdicts -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdealVerdict:
+class IdealVerdict(_Value):
     """Outcome of scanning every element of an ideal for one property.
 
     On success only the element count is kept. On failure the first failing

@@ -13,12 +13,12 @@ over a full ideal inventory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import dsl
 from .constructions import quotient
 from .core import FiniteRing, SizeCapError
+from .records import _Value
 
 IDEAL_LAW_MAX_ORDER = 64
 
@@ -41,8 +41,7 @@ _BASE_SPECS: tuple[tuple[str, str, str], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Value):
     """One named ring in the built-in catalog."""
 
     key: str

@@ -30,13 +30,13 @@ by the function that checks a ring as a module over itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import FiniteRing, SizeCapError, size_cap, _abelian_group_violations, _action_breaks
 from .core import _as_table, _closure_break, _distinct, _int_table, _law_breaks
+from .records import _Value
 
 
 class BimoduleError(ValueError):
@@ -693,8 +693,7 @@ def truncated_power_series(base: FiniteRing, k: int, *, label: str | None = None
     )
 
 
-@dataclass(frozen=True)
-class CornerRing:
+class CornerRing(_Value):
     """The corner e*R*e with its embedding back into the parent ring."""
 
     ring: FiniteRing

@@ -35,7 +35,6 @@ display label.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -43,6 +42,7 @@ import numpy as np
 
 # The size cap lives in ``limits``, which reading a spec imports without numpy.
 from .limits import DEFAULT_SIZE_CAP, SIZE_CAP_ENV, size_cap
+from .records import _Value
 
 
 class TableFormatError(ValueError):
@@ -62,16 +62,14 @@ class RingValidationError(ValueError):
         super().__init__(f"ring axioms violated: {axioms}")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Value):
     """One violated axiom with a witness tuple of element indices."""
 
     axiom: str
     witness: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Value):
     ok: bool
     trivial: bool
     violations: tuple[Violation, ...]

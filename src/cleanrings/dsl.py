@@ -46,7 +46,8 @@ import threading
 from typing import TYPE_CHECKING, Union
 
 from .limits import size_cap
-from .localized import LocalizedIntegers, _Value
+from .localized import LocalizedIntegers
+from .records import _Value
 
 if TYPE_CHECKING:
     from .core import FiniteRing

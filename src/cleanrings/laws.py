@@ -42,7 +42,6 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -111,6 +110,7 @@ from .localized import (
     uniqueness_witness_search,
     witness_search,
 )
+from .records import _Value
 
 __all__ = [
     "LAW_IDS",
@@ -124,15 +124,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(_Value):
     """Outcome of one law instance.
 
     ``witness`` is a JSON-serializable dict: on failure it always holds
     enough data to replay the counterexample; on a pass it may hold the
     decisive evidence the run produced (for instance the tuple certifying
     that a product ideal is not weakly clean). ``seconds`` is wall-clock
-    time and is deliberately absent from the JSON form.
+    time and is deliberately absent from the JSON form and from equality.
     """
 
     law_id: str
@@ -144,7 +143,10 @@ class LawReport:
     reason: str = ""
     witness: dict | None = None
     scanned: int = 0
-    seconds: float = field(default=0.0, compare=False)
+    seconds: float = 0.0
+
+    def _values(self) -> tuple:
+        return super()._values()[:-1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -168,8 +170,7 @@ class LawReport:
 _DECLARED: list[tuple[_Law, Callable[[], list[LawReport]]]] = []
 
 
-@dataclass(frozen=True)
-class _Law:
+class _Law(_Value):
     """One law's declaration.
 
     Used as a decorator on a function that yields (or returns an iterator

@@ -75,13 +75,26 @@ def test_main_records_the_revisions_read_before_the_first_run(tmp_path, monkeypa
         return {"metrics": metrics, "correct": True, "failed": 0, "attempted": 1}
 
     monkeypatch.setattr(bench_record, "run_once", run_once)
-    monkeypatch.setattr(bench_record, "run_tier1", lambda root: {"runs_before": len(runs)})
+    suites = []
+
+    def run_tier1(root):
+        suites.append(root.name)
+        return {"wall_s": float(len(suites) ** 2), "runs_before": len(runs)}
+
+    monkeypatch.setattr(bench_record, "run_tier1", run_tier1)
     monkeypatch.setattr(bench_record, "revision", lambda root: {"tree": root.name, "runs_before": len(runs)})
     monkeypatch.chdir(tmp_path)
     assert bench_record.main(["--tag", "t", "--seeds", "1", "2", "--parent", str(parent)]) == 0
     record = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert len(runs) == 6  # two seeds and one traced run on each side
-    assert record["tier1"]["change"] == {"runs_before": 6}
+    # the suite runs twice per side, parent first and last, after every perfbench run
+    assert suites == ["parent", tmp_path.name, tmp_path.name, "parent"]
+    parent_runs = [{"wall_s": 1.0, "runs_before": 6}, {"wall_s": 16.0, "runs_before": 6}]
+    change_runs = [{"wall_s": 4.0, "runs_before": 6}, {"wall_s": 9.0, "runs_before": 6}]
+    assert record["tier1"] == {
+        "parent": {"wall_s": 8.5, "runs_before": 6, "runs": parent_runs},
+        "change": {"wall_s": 6.5, "runs_before": 6, "runs": change_runs},
+    }
     assert record["revisions"] == {
         "change": {"tree": tmp_path.name, "runs_before": 0},
         "parent": {"tree": "parent", "runs_before": 0},

@@ -107,7 +107,8 @@ def test_localized_commands_import_no_finite_ring_module():
 
 
 # Commands on finite rings, run in one fresh interpreter: none of them may
-# import numpy.ma, which np.unique loads and which adds about 12 ms to each.
+# import numpy.ma, which np.unique loads and which adds about 12 ms to each,
+# nor dataclasses, whose records the package's own _Value base replaces.
 # numpy's own directory goes on the path, as -S leaves out site-packages.
 _FINITE_COMMANDS = [
     ["laws", "--catalog"],
@@ -132,3 +133,4 @@ def test_finite_commands_do_not_import_numpy_ma():
     assert [code for code, _ in runs] == [0, 0, 0]
     for argv, (_, modules) in zip(_FINITE_COMMANDS, runs):
         assert "numpy" in modules and "numpy.ma" not in modules, argv
+        assert "dataclasses" not in modules, argv

@@ -4,7 +4,6 @@ reports are deterministic, and the frozen shape of the run is stable."""
 from __future__ import annotations
 
 import ast
-import dataclasses
 import hashlib
 import importlib
 import random
@@ -16,6 +15,7 @@ import numpy as np
 import pytest
 
 from cleanrings import cli, laws
+from cleanrings.analysis import IdealVerdict
 from cleanrings.dsl import build, parse, pretty
 from cleanrings.laws import (
     LAW_FUNCTIONS,
@@ -527,7 +527,8 @@ def _flip(monkeypatch, name: str, *kinds: str) -> None:
             return v
         if isinstance(v, bool):
             return not v
-        return dataclasses.replace(v, ok=not v.ok, failing=arg.members[-1] if v.ok else None)
+        failing = arg.members[-1] if v.ok else None
+        return IdealVerdict(v.property_name, v.ideal_description, not v.ok, v.checked, failing, v.trace, v.detail)
 
     monkeypatch.setattr(laws, name, flipped)
 
@@ -827,7 +828,9 @@ def _flip_larger_than(monkeypatch, name: str, size: int) -> None:
 
     def flipped(ring, ideal, *rest, **kwargs):
         v = real(ring, ideal, *rest, **kwargs)
-        return dataclasses.replace(v, ok=not v.ok) if len(ideal.members) > size else v
+        if len(ideal.members) <= size:
+            return v
+        return IdealVerdict(v.property_name, v.ideal_description, not v.ok, v.checked, v.failing, v.trace, v.detail)
 
     monkeypatch.setattr(laws, name, flipped)
 

@@ -1,9 +1,12 @@
-"""Value semantics of the spec and localization records.
+"""Value semantics of the package's records.
 
-Each record of ``dsl`` and ``localized`` is an immutable value: it is built
-from its fields in order (or by keyword, with defaults), prints as
+Every record derives from ``records._Value`` and is an immutable value: it
+is built from its fields in order (or by keyword, with defaults), prints as
 ``Name(field=value, ...)``, equals and hashes like the tuple of its fields
-within its own class only, and refuses assignment and deletion.
+within its own class only, and refuses assignment and deletion. Two records
+compare and hash by fewer fields (``IdealSet`` by its members, ``LawReport``
+without its timing), and ``CornerRing``, whose position dict makes it
+unhashable, compares by all of them; these three have their own test.
 """
 
 from __future__ import annotations
@@ -12,12 +15,15 @@ from fractions import Fraction
 
 import pytest
 
-from cleanrings import dsl
+from cleanrings import analysis, catalog, core, dsl, laws
 from cleanrings import localized as loc
+from cleanrings.constructions import corner_ring, zn
+from cleanrings.ideals import IdealSet
 
 _TOKEN = "_Token(kind='int', text='7', line=1, col=2)"
 _ZERO = "ModuleRef(kind='zero', m=None, tables=None)"
 _ZNMOD = "ModuleRef(kind='znmod', m=2, tables=None)"
+_DECOMPOSITION = "Decomposition(sign=1, idempotent=1, unit=1)"
 
 # One instance of each record, built by a factory so that two equal but
 # distinct instances can be made, with its exact repr.
@@ -97,6 +103,30 @@ _CASES = [
         " witness_sign_classes=('plus-only', 'minus-only'), component_weakly_clean=(True, True),"
         " component_clean=(True, False), detail='d')",
     ),
+    (lambda: core.Violation("one-identity", (1,)), "Violation(axiom='one-identity', witness=(1,))"),
+    (
+        lambda: core.ValidationReport(False, False, (core.Violation("one-identity", (1,)),)),
+        "ValidationReport(ok=False, trivial=False,"
+        " violations=(Violation(axiom='one-identity', witness=(1,)),))",
+    ),
+    (lambda: analysis.Decomposition(1, 1, 1), _DECOMPOSITION),
+    (
+        lambda: analysis.CleanClass(2, (analysis.Decomposition(1, 1, 1),)),
+        f"CleanClass(element=2, decompositions=({_DECOMPOSITION},))",
+    ),
+    (
+        lambda: analysis.IdealVerdict("clean", "<2>", False, 1, 2, (analysis.Decomposition(1, 1, 1),), "d"),
+        "IdealVerdict(property_name='clean', ideal_description='<2>', ok=False, checked=1,"
+        f" failing=2, trace=({_DECOMPOSITION},), detail='d')",
+    ),
+    (
+        lambda: catalog.CatalogEntry("z4", zn(4), True),
+        "CatalogEntry(key='z4', ring=<FiniteRing Z_4 order=4>, in_ideal_laws=True, note='')",
+    ),
+    (
+        lambda: laws._Law("units-sanity", "equation", "d"),
+        "_Law(law_id='units-sanity', direction='equation', description='d', check=None)",
+    ),
 ]
 
 
@@ -104,9 +134,9 @@ def _field_names(text: str) -> list[str]:
     """The top-level field names of a repr, in order."""
     names, depth, start = [], 0, text.index("(") + 1
     for i, ch in enumerate(text):
-        if ch in "([":
+        if ch in "([<":
             depth += 1
-        elif ch in ")]":
+        elif ch in ")]>":
             depth -= 1
         elif ch == "=" and depth == 1 and text[i + 1] != "=":
             names.append(text[start:i].strip(" ,"))
@@ -117,7 +147,7 @@ def _field_names(text: str) -> list[str]:
 
 def test_every_record_has_a_case():
     classes = {type(make()) for make, _ in _CASES}
-    assert len(classes) == len(_CASES) == 24
+    assert len(classes) == len(_CASES) == 31
 
 
 @pytest.mark.parametrize("make, text", _CASES, ids=[t.split("(")[0] for _, t in _CASES])
@@ -138,6 +168,36 @@ def test_a_record_prints_compares_hashes_and_refuses_assignment(make, text):
     with pytest.raises(AttributeError):
         a.unknown = 1
     assert a == b and repr(a) == text
+
+
+def test_records_that_compare_on_fewer_fields_or_do_not_hash():
+    ring = zn(4)
+    a, b = IdealSet(ring, (2, 0), (2,)), IdealSet(zn(4), (0, 2))
+    assert repr(a) == "IdealSet(ring=<FiniteRing Z_4 order=4>, members=(0, 2), generators=(2,))"
+    assert a.generators != b.generators and a == b and hash(a) == hash(b) == hash(((0, 2),))
+    assert a != IdealSet(ring, (0, 1, 2, 3), (2,)) and a != (0, 2)
+
+    def report(verdict="pass", seconds=0.0):
+        return laws.LawReport("units-sanity", "d", "(zn 4)", verdict, "equation", "degenerate", seconds=seconds)
+
+    fast, slow = report(seconds=0.001), report(seconds=2.0)
+    assert "seconds=2.0)" in repr(slow)
+    assert fast == slow and hash(fast) == hash(slow)
+    assert fast != report("fail", 0.001)
+
+    c, d = corner_ring(zn(6), 3), corner_ring(zn(6), 3)
+    assert repr(c) == (
+        "CornerRing(ring=<FiniteRing Z_6|e=3 order=2>, parent=<FiniteRing Z_6 order=6>, e=3,"
+        " carrier=(0, 3), position={0: 0, 3: 1})"
+    )
+    assert c is not d and c == d and c != corner_ring(zn(6), 4)
+    with pytest.raises(TypeError):
+        hash(c)
+    with pytest.raises(AttributeError):
+        c.e = 4
+    for record in (a, fast):
+        with pytest.raises(AttributeError):
+            record.members = ()
 
 
 def test_equality_needs_the_same_class_and_equal_fields():

@@ -20,9 +20,10 @@ src/cleanrings/*.py) of each side, read before the first run. After the
 untraced runs it makes one `--trace 1` run per workload and side, with the
 first seed, and stores its per-layer metrics under "traced". Last, it runs the Tier-1 suite
 (`python -m pytest -q --continue-on-collection-errors` with src on
-PYTHONPATH, as ROADMAP.md gives it) once per side and stores its wall time,
-exit code, outcome counts and summary line under "tier1". Uses the standard
-library only.
+PYTHONPATH, as ROADMAP.md gives it) twice per side, in the order parent,
+change, change, parent, and stores under "tier1" per side every run's wall
+time, exit code, outcome counts and summary line, with the median wall time
+and the last run's other figures on top. Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -154,10 +155,14 @@ def main(argv=None) -> int:
         for side, path in sides.items():
             traced.setdefault(side, {})[workload] = run_once(path, workload, args.seeds[0], seconds, trace=1)
             print(json.dumps({"side": side, "workload": workload, "traced": traced[side][workload]}), file=sys.stderr)
-    tier1 = {}
-    for side, path in sides.items():
-        tier1[side] = run_tier1(path)
-        print(json.dumps({"side": side, "tier1": tier1[side]}), file=sys.stderr)
+    suites: dict = {}
+    for side in ("parent", "change", "change", "parent"):
+        suites.setdefault(side, []).append(run_tier1(sides[side]))
+        print(json.dumps({"side": side, "tier1": suites[side][-1]}), file=sys.stderr)
+    tier1 = {
+        side: {**mine[-1], "wall_s": statistics.median(r["wall_s"] for r in mine), "runs": mine}
+        for side, mine in suites.items()
+    }
 
     record = {
         "tag": args.tag,
