@@ -9,7 +9,8 @@ only counts on success and a full attempted-decomposition trace for the
 first failing element, so passing scans stay cheap to serialize. Every
 property of an ideal, the exchange property included, and the first
 decomposition of each member are read off one gather of x - e and x + e per
-ideal (``_shifts``).
+member (``_shifts``). Every result indexed [member, idempotent] is a list
+with one row per member, and a verdict row is a mask over the idempotents.
 
 The weakly exchange test for x asks for an idempotent e with e - x in
 R(x - x^2) or e + x in R(x + x^2). Restricting candidate idempotents to the
@@ -22,12 +23,11 @@ equivalence is itself machine-checked rather than assumed.
 
 from __future__ import annotations
 
+from operator import or_
 from typing import Literal, Sequence
 
-import numpy as np
-
 from .constructions import corner_ring
-from .core import FiniteRing
+from .core import FiniteRing, _gather, _getter, _row, _transpose
 from .ideals import IdealSet, corner_ideal, full_ideal
 from .records import _Value
 
@@ -73,22 +73,30 @@ class CleanClass(_Value):
         }
 
 
-def _shifts(ring: FiniteRing, members: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(x - e, x + e) for each member x and idempotent e, indexed [member, idempotent].
+def _shifts(ring: FiniteRing, members: Sequence[int]) -> tuple[list, list]:
+    """(x - e, x + e) for each idempotent e and member x, indexed [idempotent, member]:
+    the rows of -e and e in the addition table, read at the members.
 
     x = u + e exactly when x - e is a unit u, and x = u - e when x + e is.
     """
-    idem = np.array(ring.idempotents)
-    m = np.array(members)[:, None]
-    return ring.add_table[m, ring.neg_table[idem]], ring.add_table[m, idem]
+    add, at = ring.add_table, _getter(_row(members, ring.order))
+    return (
+        [_gather(add[ring.neg_table[e]], at) for e in ring.idempotents],
+        [_gather(add[e], at) for e in ring.idempotents],
+    )
 
 
-def _scan_masks(ring: FiniteRing, members: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(plus_ok, minus_ok) indexed [member, idempotent]: whether x = u + e and
+def _scan_masks(ring: FiniteRing, members: Sequence[int]) -> tuple[list, list]:
+    """(plus_ok, minus_ok) indexed [idempotent, member]: whether x = u + e and
     x = u - e have a unit u, that is, whether x - e and x + e are units."""
     units = ring.units_mask
     minus_e, plus_e = _shifts(ring, members)
-    return units[minus_e], units[plus_e]
+    return [_gather(units, row) for row in minus_e], [_gather(units, row) for row in plus_e]
+
+
+def _lanes(mask) -> int:
+    """A mask row as one int, a byte per member, for bitwise work on all members at once."""
+    return int.from_bytes(mask, "little")
 
 
 def decompositions(ring: FiniteRing, x: int) -> tuple[Decomposition, ...]:
@@ -97,8 +105,9 @@ def decompositions(ring: FiniteRing, x: int) -> tuple[Decomposition, ...]:
     A pair that works with both signs (only possible when e + e = 0 forces
     u to coincide) is listed once per sign; ordering is deterministic.
     """
-    shifted = np.hstack(_shifts(ring, [x]))[0].tolist()
+    minus_e, plus_e = _shifts(ring, [x])
     signed = [(sign, e) for sign in (1, -1) for e in ring.idempotents]
+    shifted = [row[0] for row in (*minus_e, *plus_e)]
     return tuple(Decomposition(*se, u) for se, u in zip(signed, shifted) if ring.units_mask[u])
 
 
@@ -106,12 +115,22 @@ def _first_decompositions(
     ring: FiniteRing, members: Sequence[int], *, plus_only: bool = False
 ) -> list[Decomposition]:
     """For each member, the first decomposition that ``decompositions`` lists,
-    of sign +1 only when plus_only. Every finite ring is clean, so there is one."""
-    shifted = np.hstack(_shifts(ring, members)[: 1 if plus_only else 2])
-    first = ring.units_mask[shifted].argmax(axis=1)
-    units = np.take_along_axis(shifted, first[:, None], axis=1)[:, 0].tolist()
+    of sign +1 only when plus_only. Every finite ring is clean, so there is one.
+    Each (sign, idempotent) in turn takes the members still left that it decomposes."""
+    minus_e, plus_e = _shifts(ring, members)
+    shifted = minus_e if plus_only else [*minus_e, *plus_e]
     signed = [(sign, e) for sign in (1, -1) for e in ring.idempotents]
-    return [Decomposition(*signed[j], u) for j, u in zip(first.tolist(), units)]
+    first = [0] * len(members)
+    left = _lanes(b"\1" * len(members))
+    for j, row in enumerate(shifted):
+        taken = _lanes(_gather(ring.units_mask, row)) & left
+        left ^= taken
+        hits = taken.to_bytes(len(members), "little")
+        i = hits.find(1)
+        while i >= 0:
+            first[i] = j
+            i = hits.find(1, i + 1)
+    return [Decomposition(*signed[j], shifted[j][i]) for i, j in enumerate(first)]
 
 
 def clean_class(ring: FiniteRing, x: int) -> CleanClass:
@@ -120,36 +139,41 @@ def clean_class(ring: FiniteRing, x: int) -> CleanClass:
 
 def is_clean_element(ring: FiniteRing, x: int) -> bool:
     plus_ok, _ = _scan_masks(ring, [x])
-    return bool(plus_ok.any())
+    return any(p[0] for p in plus_ok)
 
 
 def is_weakly_clean_element(ring: FiniteRing, x: int) -> bool:
     plus_ok, minus_ok = _scan_masks(ring, [x])
-    return bool(plus_ok.any() or minus_ok.any())
+    return any(p[0] or m[0] for p, m in zip(plus_ok, minus_ok))
 
 
 def is_uniquely_weakly_clean_element(ring: FiniteRing, x: int) -> bool:
     plus_ok, minus_ok = _scan_masks(ring, [x])
-    return int((plus_ok | minus_ok).sum()) == 1
+    return sum(p[0] | m[0] for p, m in zip(plus_ok, minus_ok)) == 1
 
 
-def _exchange_masks(ring: FiniteRing, members: Sequence[int]) -> np.ndarray:
+def _exchange_masks(ring: FiniteRing, members: Sequence[int]) -> list[bytes]:
     """Whether e - x lies in R(x - x^2) or e + x in R(x + x^2), indexed
     [member, idempotent] over all of the ring's idempotents.
 
     R*y is an additive subgroup, so e - x lies in it exactly when x - e does,
-    and both tests read the rows of ``_shifts``.
+    and both tests read the rows of ``_shifts``. R*y is column y of the
+    product table, taken as a set once per distinct y.
     """
-    x = np.array(members)
-    square = ring.mul_table[x, x]
-    rows = np.arange(len(x))[:, None]
-    ys = (ring.add_table[x, ring.neg_table[square]], ring.add_table[x, square])
-    ok = np.zeros((len(x), len(ring.idempotents)), dtype=bool)
-    for y, shifted in zip(ys, _shifts(ring, members)):
-        multiples = np.zeros((len(x), ring.order), dtype=bool)
-        multiples[rows, ring.mul_table[:, y].T] = True
-        ok |= multiples[rows, shifted]
-    return ok
+    add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
+    multiples: dict[int, set[int]] = {}
+
+    def within(y: int, shifted) -> map:
+        if y not in multiples:
+            multiples[y] = set(mul.columns[y])
+        return map(multiples[y].__contains__, shifted)
+
+    masks = []
+    for x, minus_e, plus_e in zip(members, *(_transpose(rows) for rows in _shifts(ring, members))):
+        square = mul[x][x]
+        ys = add[x][neg[square]], add[x][square]
+        masks.append(bytes(map(or_, within(ys[0], minus_e), within(ys[1], plus_e))))
+    return masks
 
 
 def _exchange_columns(ring: FiniteRing, ideal: IdealSet | None, mode: str) -> list[int]:
@@ -158,7 +182,8 @@ def _exchange_columns(ring: FiniteRing, ideal: IdealSet | None, mode: str) -> li
         return list(range(len(ring.idempotents)))
     if ideal is None:
         raise ValueError("strict mode requires the ideal")
-    return np.flatnonzero(ideal.member_mask()[list(ring.idempotents)]).tolist()
+    inside = set(ideal.members)
+    return [j for j, e in enumerate(ring.idempotents) if e in inside]
 
 
 def is_weakly_exchange_element(
@@ -172,8 +197,8 @@ def is_weakly_exchange_element(
 
     In strict mode the idempotent must additionally belong to the given ideal.
     """
-    columns = _exchange_columns(ring, ideal, mode)
-    return bool(_exchange_masks(ring, [x])[0, columns].any())
+    (ok,) = _exchange_masks(ring, [x])
+    return any(ok[j] for j in _exchange_columns(ring, ideal, mode))
 
 
 # -- ideal-level verdicts -------------------------------------------------------
@@ -221,12 +246,16 @@ def _scan_ideal(
     unique; the first member that does not is the verdict's failing element.
     """
     plus_ok, minus_ok = _scan_masks(ring, ideal.members)
-    counts = (plus_ok if plus_only else plus_ok | minus_ok).sum(axis=1)
-    failing = np.flatnonzero(counts != 1 if unique else counts == 0)
-    if failing.size == 0:
+    once = twice = 0  # the members one idempotent, and two, decompose: a byte each
+    for p, m in zip(plus_ok, minus_ok):
+        works = _lanes(p) | (0 if plus_only else _lanes(m))
+        twice |= once & works
+        once |= works
+    failing = (once & ~twice if unique else once).to_bytes(len(ideal), "little").find(0)
+    if failing < 0:
         return IdealVerdict(name, ideal.describe(), True, len(ideal))
-    x = ideal.members[int(failing[0])]
-    count = int(counts[failing[0]])
+    x = ideal.members[failing]
+    count = sum(p[failing] | (0 if plus_only else m[failing]) for p, m in zip(plus_ok, minus_ok))
     if unique:
         reason = f"{count} distinct idempotents work" if count else "no decomposition"
         detail = f"element {x}: {reason}"
@@ -264,11 +293,12 @@ def ideal_is_weakly_exchange(
     mode: Literal["strict", "relaxed"] = "strict",
 ) -> IdealVerdict:
     columns = _exchange_columns(ring, ideal, mode)
-    failing = np.flatnonzero(~_exchange_masks(ring, ideal.members)[:, columns].any(axis=1))
+    masks = _exchange_masks(ring, ideal.members)
+    failing = next((i for i, ok in enumerate(masks) if not any(ok[j] for j in columns)), None)
     name = f"weakly-exchange-{mode}"
-    if failing.size == 0:
+    if failing is None:
         return IdealVerdict(name, ideal.describe(), True, len(ideal))
-    x = ideal.members[int(failing[0])]
+    x = ideal.members[failing]
     detail = f"element {x}: no probed idempotent lands in R(x-x^2) or R(x+x^2)"
     trace = tuple(ring.idempotents[j] for j in columns)
     return IdealVerdict(name, ideal.describe(), False, len(ideal), x, trace, detail)
@@ -278,7 +308,7 @@ def _failure_trace(ring: FiniteRing, x: int, limit: int = 16) -> tuple:
     """For a failing element: which (sign, e) candidates were tried and the
     non-unit each produced."""
     units = ring.units_mask
-    minus_e, plus_e = (row[:limit].tolist() for (row,) in _shifts(ring, [x]))
+    minus_e, plus_e = ([row[0] for row in rows[:limit]] for rows in _shifts(ring, [x]))
     trace = []
     for e, *candidates in zip(ring.idempotents, minus_e, plus_e):
         for sign, u in zip((1, -1), candidates):
@@ -306,7 +336,7 @@ def ring_is_uniquely_weakly_clean(ring: FiniteRing) -> bool:
 # -- idempotent lifting --------------------------------------------------------------
 
 
-def lift_idempotent(ring: FiniteRing, proj: np.ndarray, quot: FiniteRing, ebar: int) -> int:
+def lift_idempotent(ring: FiniteRing, proj: Sequence[int], quot: FiniteRing, ebar: int) -> int:
     """An idempotent of the parent ring that projects onto ebar.
 
     Lifting along the quotient by the Jacobson radical always succeeds in a
@@ -315,7 +345,7 @@ def lift_idempotent(ring: FiniteRing, proj: np.ndarray, quot: FiniteRing, ebar: 
     if not quot.is_idempotent(ebar):
         raise ValueError(f"{ebar} is not idempotent in {quot.label}")
     for e in ring.idempotents:
-        if int(proj[e]) == ebar:
+        if proj[e] == ebar:
             return e
     raise RuntimeError(
         f"no idempotent of {ring.label} projects onto {ebar}; "

@@ -39,8 +39,8 @@ from typing import TYPE_CHECKING
 from . import localized
 from .dsl import LocalizedSpec, SpecError, build, parse, pretty
 
-# The finite-ring modules (and numpy with them) are imported by the commands
-# that need them, so a localization command starts light.
+# The finite-ring modules are imported by the commands that need them, so a
+# localization command starts light.
 if TYPE_CHECKING:
     from .core import FiniteRing
 
@@ -278,7 +278,7 @@ def _finite_witness(ring: FiniteRing, members: tuple[int, ...], check: str) -> l
     from .analysis import _exchange_masks, _first_decompositions
 
     if check == "exchange":
-        first = _exchange_masks(ring, members).argmax(axis=1).tolist()
+        first = [ok.find(1) for ok in _exchange_masks(ring, members)]
         return [{"element": x, "idempotent": ring.idempotents[j]} for x, j in zip(members, first)]
     found = _first_decompositions(ring, members, plus_only=check == "clean")
     return [{"element": x, **d.to_json_dict()} for x, d in zip(members, found)]

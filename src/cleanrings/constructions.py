@@ -12,9 +12,14 @@ bit for bit; induced ideals in the ideals module rebuild them from each
 ring's construction record.
 
 Every composite construction goes through _composite: it supplies its parts
-(the rings and bimodules whose orders are the radices), its product columns
-as a function of the digit columns, and the digits of its one; addition is
-always componentwise. _digits and _index convert one element.
+(the rings and bimodules whose orders are the radices), its product's digit
+grids as a function of the digit rows, and the digits of its one; addition
+is always componentwise. A grid is one flat row of n*n entries, x-major, and
+three kernels build them: _outer reads a part's table at the digits of x and
+y, _lookup reads a table at two grids, and _encode sums digits times their
+places. _lookup and _encode pack a row into one int, each entry in its own
+byte lanes, so that sums and small multiples of rows are single int
+operations. _digits and _index convert one element.
 
 Every constructor's output goes through the ring validator, so an invalid
 bimodule or pairing cannot produce a live ring. Bimodule and pairing laws go
@@ -30,12 +35,13 @@ by the function that checks a ring as a module over itself.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
+from itertools import chain
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .core import FiniteRing, SizeCapError, size_cap, _abelian_group_violations, _action_breaks
-from .core import _as_table, _closure_break, _distinct, _int_table, _law_breaks
+from .core import _Table, _as_table, _closure_break, _gather, _getter, _int_table, _law_breaks, _row
 from .records import _Value
 
 
@@ -73,18 +79,92 @@ def _index(digits: Sequence[int], radices: Sequence[int]) -> int:
     return sum(d * math.prod(radices[c + 1 :]) for c, d in enumerate(digits))
 
 
-def _encode_cols(cols: Sequence[np.ndarray], radices: Sequence[int]) -> np.ndarray:
-    acc = np.zeros_like(cols[0], dtype=np.int64)
-    for col, r in zip(cols, radices):
-        acc = acc * r + col
-    return acc.astype(np.int32)
+# -- grids --------------------------------------------------------------------
+
+_LANE_CODES = {1: "B", 2: "H", 4: "I"}
+
+
+def _width(bound: int) -> int:
+    """Bytes per lane for entries below bound."""
+    return 1 if bound <= 256 else 2 if bound <= 65536 else 4
+
+
+def _lanes(row, width: int) -> int:
+    """row as one int, entry i in the width bytes of lane i (lowest first)."""
+    if isinstance(row, (bytes, bytearray)):
+        if width == 1:
+            return int.from_bytes(row, "little")
+        wide = bytearray(width * len(row))
+        wide[::width] = row
+        return int.from_bytes(wide, "little")
+    packed = array(_LANE_CODES[width], row)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return int.from_bytes(packed, "little")
+
+
+def _unlanes(value: int, width: int, count: int):
+    """The count lanes of value as a row: bytes for one-byte lanes, else a tuple."""
+    raw = value.to_bytes(width * count, "little")
+    if width == 1:
+        return raw
+    packed = array(_LANE_CODES[width])
+    packed.frombytes(raw)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return tuple(packed)
+
+
+def _flat(rows: list):
+    """Rows of one kind joined into one row."""
+    return b"".join(rows) if isinstance(rows[0], (bytes, bytearray)) else tuple(chain.from_iterable(rows))
+
+
+def _table(flat, n: int) -> _Table:
+    """The square table whose rows are the n slices of a flat grid."""
+    return _Table(flat[i * n : (i + 1) * n] for i in range(n))
+
+
+def _outer(table, dx, dy):
+    """The grid of table[dx[x]][dy[y]], one gather per distinct digit of dx."""
+    via = _getter(dy)
+    rows = {v: _gather(table[v], via) for v in set(dx)}
+    return _flat([rows[v] for v in dx])
+
+
+def _lookup(table, a, b):
+    """The grid of table[a[i]][b[i]]: the flat table read at a * width + b."""
+    cols = len(table[0])
+    width = _width(len(table) * cols)
+    return _gather(_flat(list(table)), _unlanes(_lanes(a, width) * cols + _lanes(b, width), width, len(a)))
+
+
+def _transposed(grid, n: int):
+    """The grid with x and y exchanged."""
+    return _flat([grid[j::n] for j in range(n)])
+
+
+def _encode(digits: Sequence, radices: Sequence[int]):
+    """The index with the given digits at every entry of the digit rows (or
+    grids), first radix most significant: a row of the element kind."""
+    width = _width(math.prod(radices))
+    acc = 0
+    for d, r in zip(digits, radices):
+        acc = acc * r + _lanes(d, width)
+    return _unlanes(acc, width, len(digits[0]))
+
+
+def _digit_rows(radices: Sequence[int]) -> list:
+    """Each position's digit of every index below prod(radices), as rows."""
+    n = math.prod(radices)
+    return [_row([x // math.prod(radices[c + 1 :]) % r for x in range(n)], r) for c, r in enumerate(radices)]
 
 
 def _composite(
     kind: str,
     what: str,
     parts: Sequence,
-    mul_cols: Callable[..., list[np.ndarray]],
+    mul_cols: Callable[..., list],
     one_digits: Sequence[int],
     *,
     label: str,
@@ -94,25 +174,20 @@ def _composite(
 ) -> FiniteRing:
     """The ring on tuples over ``parts`` (rings or bimodules), added componentwise.
 
-    mul_cols takes the digit columns, one length-n array per part, and returns
-    the product's digit columns as (n, n) tables; decoder renders an element
-    from its digit list. The provenance records kind and radices plus any
-    extra fields.
+    mul_cols takes the digit rows, one length-n row per part, and returns
+    the product's digit grids; decoder renders an element from its digit
+    list. The provenance records kind and radices plus any extra fields.
     """
     radices = tuple(p.order for p in parts)
     n = math.prod(radices)
     _check_cap(n, cap, what)
-    idx = np.arange(n)
-    digits = [(idx // math.prod(radices[c + 1 :]) % r).astype(np.int32) for c, r in enumerate(radices)]
-    add = np.zeros((1, 1), dtype=np.int64)
-    for p in parts:  # the earlier parts' sums, shifted one digit, plus each pair of this part's
-        m, r = len(add), p.order
-        add = (add[:, None, :, None] * r + p.add_table[None, :, None, :]).reshape(m * r, m * r)
+    digits = _digit_rows(radices)
+    add = _encode([_outer(p.add_table, d, d) for p, d in zip(parts, digits)], radices)
     return FiniteRing(
         n,
         _index(one_digits, radices),
-        add,
-        _encode_cols(mul_cols(*digits), radices),
+        _table(add, n),
+        _table(_encode(mul_cols(*digits), radices), n),
         label=label,
         provenance={"kind": kind, "radices": list(radices), **provenance},
         decoder=None if decoder is None else (lambda i: decoder(_digits(i, radices))),
@@ -129,9 +204,10 @@ def zn(n: int, *, cap: int | None = None) -> FiniteRing:
     if n <= 0:
         raise ValueError("zn requires a positive modulus")
     _check_cap(n, cap, f"Z_{n}")
-    idx = np.arange(n)
-    add = (idx[:, None] + idx[None, :]) % n
-    mul = (idx[:, None] * idx[None, :]) % n
+    idx = _row(range(n), n)
+    add = _Table(idx[i:] + idx[:i] for i in range(n))
+    # i*j mod n for j below n are the entries i apart in idx repeated i times
+    mul = _Table((idx * i)[::i] if i else _row(bytes(n), n) for i in range(n))
     return FiniteRing(
         n,
         1 % n,
@@ -151,7 +227,7 @@ def direct_product(factors: Sequence[FiniteRing], *, label: str | None = None, c
         "product",
         "product ring",
         factors,
-        lambda *d: [f.mul_table[np.ix_(c, c)] for f, c in zip(factors, d)],
+        lambda *d: [_outer(f.mul_table, c, c) for f, c in zip(factors, d)],
         [f.one for f in factors],
         label=label or " x ".join(f.label for f in factors),
         cap=cap,
@@ -176,13 +252,15 @@ def matrix_ring(base: FiniteRing, k: int, *, label: str | None = None, cap: int 
     _check_components(k * k, cap, f"M_{k}({base.label})")
 
     def mul_cols(*d):
-        vec = np.unravel_index(np.arange(base.order**k), (base.order,) * k)
-        dot = base.mul_table[np.ix_(vec[0], vec[0])]
+        radices = [base.order] * k
+        vec = _digit_rows(radices)
+        dot = _outer(base.mul_table, vec[0], vec[0])
         for l in range(1, k):
-            dot = base.add_table[dot, base.mul_table[np.ix_(vec[l], vec[l])]]
-        rows = [_encode_cols(d[i * k : (i + 1) * k], [base.order] * k) for i in range(k)]
-        cols = [_encode_cols(d[j::k], [base.order] * k) for j in range(k)]
-        return [dot[np.ix_(row, col)] for row in rows for col in cols]
+            dot = _lookup(base.add_table, dot, _outer(base.mul_table, vec[l], vec[l]))
+        dot = _table(dot, len(vec[0]))
+        rows = [_encode(d[i * k : (i + 1) * k], radices) for i in range(k)]
+        cols = [_encode(d[j::k], radices) for j in range(k)]
+        return [_outer(dot, row, col) for row in rows for col in cols]
 
     def decoder(entries: list[int]) -> str:
         rows = [",".join(base.describe(e) for e in entries[i * k : (i + 1) * k]) for i in range(k)]
@@ -300,46 +378,48 @@ class Bimodule:
         self._validate()
 
     def _validate(self) -> None:
-        violations, _, gens = _abelian_group_violations(self.add_table)
+        violations, gens = _abelian_group_violations(self.add_table)
         if violations:
             raise BimoduleError(f"carrier is not an abelian group: {violations[0].axiom}")
         self.additive_generators = gens
-        idx = np.arange(self.order)
+        idx = _row(range(self.order), self.order)
         L, R = self.left_ring, self.right_ring
         la, ra, madd = self.left_action, self.right_action, self.add_table
-        if not np.array_equal(la[L.one], idx):
+        if la[L.one] != idx:
             raise BimoduleError("left action is not unital")
-        if not np.array_equal(ra[:, R.one], idx):
+        if ra.columns[R.one] != idx:
             raise BimoduleError("right action is not unital")
         laws = ("associative over ring multiplication",
                 "additive in the module argument", "additive in the ring argument")
         # m s is the left action s m of the opposite ring, whose product is R's transposed
-        sides = {"left": (L, L.mul_table, la), "right": (R, R.mul_table.T, ra.T)}
+        sides = {"left": (L, L.mul_table, la), "right": (R, R.mul_table.columns, ra.columns)}
         for side, (ring, ring_mul, act) in sides.items():
             breaks = _action_breaks(ring.add_table, ring_mul, act, madd, (ring.additive_generators, gens))
             for law, witness in zip(laws, breaks):
                 if witness is not None:
                     raise BimoduleError(f"{side} action is not {law}")
+
         # (r m) s = r (m s), tri-additive now that both actions are bi-additive
-        commute = (lambda r, m, s: (ra[la[r, m], s], la[r, ra[m, s]]),
-                   (L.order, self.order, R.order), (L.additive_generators, gens, R.additive_generators))
-        if _law_breaks([commute]) != [None]:
+        def commute(rs, s):
+            via = _getter(ra.columns[s])
+            return ((_gather(ra.columns[s], la.through[r]), _gather(la[r], via)) for r in rs)
+
+        reduced = (L.additive_generators, gens, R.additive_generators)
+        if _law_breaks([(commute, (L.order, self.order, R.order), reduced)]) != [None]:
             raise BimoduleError("left and right actions do not commute")
 
     def add(self, a: int, b: int) -> int:
-        return int(self.add_table[a, b])
+        return self.add_table[a][b]
 
     def left(self, r: int, m: int) -> int:
-        return int(self.left_action[r, m])
+        return self.left_action[r][m]
 
     def right(self, m: int, s: int) -> int:
-        return int(self.right_action[m, s])
+        return self.right_action[m][s]
 
     def is_symmetric(self) -> bool:
         """True when left and right rings coincide and r*m = m*r for all r, m."""
-        return self.left_ring == self.right_ring and bool(
-            np.array_equal(self.left_action, self.right_action.T)
-        )
+        return self.left_ring == self.right_ring and self.left_action == self.right_action.columns
 
 
 def zero_bimodule(left_ring: FiniteRing, right_ring: FiniteRing) -> Bimodule:
@@ -375,17 +455,18 @@ def zn_bimodule(left_ring: FiniteRing, right_ring: FiniteRing, m: int) -> Bimodu
     """
     if m <= 0:
         raise ValueError("zn_bimodule requires a positive modulus")
-    idx = np.arange(m)
-    add = (idx[:, None] + idx[None, :]) % m
-    left = (np.arange(left_ring.order)[:, None] * idx[None, :]) % m
-    right = (idx[:, None] * np.arange(right_ring.order)[None, :]) % m
+    add = [[(a + b) % m for b in range(m)] for a in range(m)]
+    left = [[r * x % m for x in range(m)] for r in range(left_ring.order)]
+    right = [[x * s % m for s in range(right_ring.order)] for x in range(m)]
     return Bimodule(left_ring, right_ring, add, left, right, label=f"Z_{m}")
 
 
 def module_from_action(ring: FiniteRing, add_table, action) -> Bimodule:
     """Symmetric bimodule over a commutative ring from a single action table."""
-    action = np.asarray(action)
-    return Bimodule(ring, ring, add_table, action, action.T, label=f"{ring.label}-module")
+    order = len(add_table)
+    add_table = _as_table(add_table, (order, order), order, "module add")
+    action = _as_table(action, (ring.order, order), order, "left action")
+    return Bimodule(ring, ring, add_table, action, action.columns, label=f"{ring.label}-module")
 
 
 class PairingMap:
@@ -398,53 +479,71 @@ class PairingMap:
     """
 
     def __init__(self, table, label: str = ""):
-        self.table = _int_table(table, "pairing")
-        self.table.setflags(write=False)
+        self.shape, self.table = _int_table(table, "pairing")
         self.label = label or "pairing"
 
     @staticmethod
     def zero(m_order: int, n_order: int) -> "PairingMap":
-        return PairingMap(np.zeros((m_order, n_order), dtype=np.int32), label="0")
+        return PairingMap([[0] * n_order for _ in range(m_order)], label="0")
 
     def __call__(self, m: int, n: int) -> int:
-        return int(self.table[m, n])
+        return self.table[m][n]
 
 
-def _validate_pairing(comp: PairingMap, m32: Bimodule, m21: Bimodule, m31: Bimodule) -> None:
+def _validate_pairing(comp: PairingMap, m32: Bimodule, m21: Bimodule, m31: Bimodule) -> _Table:
     """comp : A32 x A21 -> A31 must be biadditive, balanced over the middle
-    ring, and linear over the outer rings."""
-    t = comp.table
-    if t.shape != (m32.order, m21.order):
+    ring, and linear over the outer rings. Returns its table, checked."""
+    if comp.shape != (m32.order, m21.order):
         raise BimoduleError("pairing table shape does not match the bimodules")
-    if t.size and (t.min() < 0 or t.max() >= m31.order):
+    if not all(0 <= v < m31.order for row in comp.table for v in row):
         raise BimoduleError("pairing values out of range for the target bimodule")
-    add31 = m31.add_table
+    t = _as_table(comp.table, comp.shape, m31.order, "pairing")
+    add21, add31, add32 = m21.add_table.columns, m31.add_table.columns, m32.add_table.columns
     a1, a2, a3 = m21.right_ring, m32.right_ring, m32.left_ring
     g32, g21 = m32.additive_generators, m21.additive_generators
-    all32, all21 = np.arange(m32.order), np.arange(m21.order)
+    all32, all21 = range(m32.order), range(m21.order)
+
+    # Each law yields both sides as rows over its middle argument; the
+    # tables' columns read a fixed last argument.
+    def second(us, w):  # comp(u, v + w) = comp(u, v) + comp(u, w), over v
+        via = _getter(add21[w])
+        return ((_gather(t[u], via), _gather(add31[t[u][w]], t.through[u])) for u in us)
+
+    def first(vs, w):  # comp(u + w, v) = comp(u, v) + comp(w, v), over u
+        via = _getter(add32[w])
+        return ((_gather(t.columns[v], via), _gather(add31[t.columns[v][w]], t.columns.through[v])) for v in vs)
+
+    def balanced(rs, v):  # comp(u r, v) = comp(u, r v), over u
+        return ((_gather(t.columns[v], m32.right_action.columns.through[r]), t.columns[m21.left_action[r][v]])
+                for r in rs)
+
+    def left_linear(rs, v):  # comp(r u, v) = r comp(u, v), over u
+        via = _getter(t.columns[v])
+        return ((_gather(t.columns[v], m32.left_action.through[r]), _gather(m31.left_action[r], via)) for r in rs)
+
+    def right_linear(rs, v):  # comp(u, v r) = comp(u, v) r, over u
+        via = _getter(t.columns[v])
+        return ((t.columns[m21.right_action[v][r]], _gather(m31.right_action.columns[r], via)) for r in rs)
+
     # Once the pairing is additive in each argument, which is checked at one
     # argument's generators, the other three laws are tri-additive.
-    laws = (  # (law, both sides at (i, j, k), shape, the indices a complete check needs)
-        ("additive in its second argument",  # comp(u, v + v') = comp(u, v) + comp(u, v')
-         lambda u, v, w: (t[u, m21.add_table[v, w]], add31[t[u, v], t[u, w]]),
+    laws = (  # (name, law, shape, the indices a complete check needs)
+        ("additive in its second argument", second,
          (m32.order, m21.order, m21.order), (all32, all21, g21)),
-        ("additive in its first argument",  # comp(u + u', v) = comp(u, v) + comp(u', v)
-         lambda v, u, w: (t[m32.add_table[u, w], v], add31[t[u, v], t[w, v]]),
+        ("additive in its first argument", first,
          (m21.order, m32.order, m32.order), (all21, all32, g32)),
-        ("balanced over the middle ring",  # comp(u r, v) = comp(u, r v)
-         lambda r, u, v: (t[m32.right_action[u, r], v], t[u, m21.left_action[r, v]]),
+        ("balanced over the middle ring", balanced,
          (a2.order, m32.order, m21.order), (a2.additive_generators, g32, g21)),
-        ("linear over the left outer ring",  # comp(r u, v) = r comp(u, v)
-         lambda r, u, v: (t[m32.left_action[r, u], v], m31.left_action[r, t[u, v]]),
+        ("linear over the left outer ring", left_linear,
          (a3.order, m32.order, m21.order), (a3.additive_generators, g32, g21)),
-        ("linear over the right outer ring",  # comp(u, v r) = comp(u, v) r
-         lambda r, u, v: (t[u, m21.right_action[v, r]], m31.right_action[t[u, v], r]),
+        ("linear over the right outer ring", right_linear,
          (a1.order, m32.order, m21.order), (a1.additive_generators, g32, g21)),
     )
     breaks = _law_breaks([law for _, *law in laws])
     for (name, *_), witness in zip(laws, breaks):
         if witness is not None:
             raise BimoduleError(f"pairing is not {name}")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +572,10 @@ def morita_zero(
     # (r,m,n,s)(r',m',n',s') = (rr', rm' + ms', nr' + sn', ss')
     def mul_cols(dr, dm, dn, ds):
         return [
-            r_ring.mul_table[np.ix_(dr, dr)],
-            upper.add_table[upper.left_action[np.ix_(dr, dm)], upper.right_action[np.ix_(dm, ds)]],
-            lower.add_table[lower.right_action[np.ix_(dn, dr)], lower.left_action[np.ix_(ds, dn)]],
-            s_ring.mul_table[np.ix_(ds, ds)],
+            _outer(r_ring.mul_table, dr, dr),
+            _lookup(upper.add_table, _outer(upper.left_action, dr, dm), _outer(upper.right_action, dm, ds)),
+            _lookup(lower.add_table, _outer(lower.right_action, dn, dr), _outer(lower.left_action, ds, dn)),
+            _outer(s_ring.mul_table, ds, ds),
         ]
 
     return _composite(
@@ -510,9 +609,9 @@ def tri2(
     # (r,m,s)(r',m',s') = (rr', mr' + sm', ss')
     def mul_cols(dr, dm, ds):
         return [
-            r_ring.mul_table[np.ix_(dr, dr)],
-            lower.add_table[lower.right_action[np.ix_(dm, dr)], lower.left_action[np.ix_(ds, dm)]],
-            s_ring.mul_table[np.ix_(ds, ds)],
+            _outer(r_ring.mul_table, dr, dr),
+            _lookup(lower.add_table, _outer(lower.right_action, dm, dr), _outer(lower.left_action, ds, dm)),
+            _outer(s_ring.mul_table, ds, ds),
         ]
 
     return _composite(
@@ -554,19 +653,20 @@ def tri3(
         raise BimoduleError("m32 must be an (A3, A2)-bimodule")
     if comp is None:
         comp = PairingMap.zero(m32.order, m21.order)
-    _validate_pairing(comp, m32, m21, m31)
+    pairing = _validate_pairing(comp, m32, m21, m31)
 
     def mul_cols(d1, d21, d2, d31, d32, d3):
         return [
-            a1.mul_table[np.ix_(d1, d1)],
-            m21.add_table[m21.right_action[np.ix_(d21, d1)], m21.left_action[np.ix_(d2, d21)]],
-            a2.mul_table[np.ix_(d2, d2)],
-            m31.add_table[
-                m31.add_table[m31.right_action[np.ix_(d31, d1)], comp.table[np.ix_(d32, d21)]],
-                m31.left_action[np.ix_(d3, d31)],
-            ],
-            m32.add_table[m32.right_action[np.ix_(d32, d2)], m32.left_action[np.ix_(d3, d32)]],
-            a3.mul_table[np.ix_(d3, d3)],
+            _outer(a1.mul_table, d1, d1),
+            _lookup(m21.add_table, _outer(m21.right_action, d21, d1), _outer(m21.left_action, d2, d21)),
+            _outer(a2.mul_table, d2, d2),
+            _lookup(
+                m31.add_table,
+                _lookup(m31.add_table, _outer(m31.right_action, d31, d1), _outer(pairing, d32, d21)),
+                _outer(m31.left_action, d3, d31),
+            ),
+            _lookup(m32.add_table, _outer(m32.right_action, d32, d2), _outer(m32.left_action, d3, d32)),
+            _outer(a3.mul_table, d3, d3),
         ]
 
     return _composite(
@@ -592,8 +692,8 @@ def idealization(ring: FiniteRing, module: Bimodule, *, label: str | None = None
         raise BimoduleError("idealization requires a symmetric module over the base ring")
 
     def mul_cols(dr, dm):
-        rm = module.left_action[np.ix_(dr, dm)]
-        return [ring.mul_table[np.ix_(dr, dr)], module.add_table[rm, rm.T]]
+        rm = _outer(module.left_action, dr, dm)
+        return [_outer(ring.mul_table, dr, dr), _lookup(module.add_table, rm, _transposed(rm, len(dr)))]
 
     return _composite(
         "idealization",
@@ -604,50 +704,51 @@ def idealization(ring: FiniteRing, module: Bimodule, *, label: str | None = None
         label=label or f"{ring.label}({module.label})",
         cap=cap,
         decoder=lambda d: f"({ring.describe(d[0])},{d[1]})",
-        module_add=[[int(v) for v in row] for row in module.add_table],
-        module_action=[[int(v) for v in row] for row in module.left_action],
+        module_add=[list(row) for row in module.add_table],
+        module_action=[list(row) for row in module.left_action],
     )
 
 
-def quotient(ring: FiniteRing, ideal, *, label: str | None = None, cap: int | None = None) -> tuple[FiniteRing, np.ndarray]:
-    """R/I with its projection map (an array sending elements to coset indices).
+def quotient(ring: FiniteRing, ideal, *, label: str | None = None, cap: int | None = None) -> tuple[FiniteRing, bytes | tuple]:
+    """R/I with its projection map (a row sending elements to coset indices).
 
     Cosets are indexed by their smallest member, in ascending order, so the
     zero coset is index 0. Accepts an IdealSet or a plain member sequence;
     two-sidedness is verified here because well-definedness depends on it.
     """
     members = sorted({int(x) for x in ideal})
-    gap = _closure_break(members, ring.add_table, ring.mul_table, ring.mul_table.T)
+    gap = _closure_break(members, ring.add_table, ring.mul_table.columns, ring.mul_table)
     if gap is not None:
         raise ValueError(f"quotient requires a two-sided ideal: {gap}")
-    m = np.array(members, dtype=np.int32)
 
-    canon = ring.add_table[:, m].min(axis=1)
-    reps = _distinct(canon, ring.order)
-    proj = np.searchsorted(reps, canon).astype(np.int32)
+    via = _getter(_row(members, ring.order))
+    canon = [min(_gather(row, via)) for row in ring.add_table]  # the least member of x + I
+    reps = sorted(set(canon))
+    index = {r: i for i, r in enumerate(reps)}
     q = len(reps)
-    add = proj[ring.add_table[np.ix_(reps, reps)]]
-    mul = proj[ring.mul_table[np.ix_(reps, reps)]]
+    proj = _row([index[c] for c in canon], q)
+    at_reps = _getter(_row(reps, ring.order))
+    add = _Table(_gather(proj, _gather(ring.add_table[a], at_reps)) for a in reps)
+    mul = _Table(_gather(proj, _gather(ring.mul_table[a], at_reps)) for a in reps)
 
     def decoder(i: int, _reps=reps, _ring=ring) -> str:
-        return f"{_ring.describe(int(_reps[i]))}+I"
+        return f"{_ring.describe(_reps[i])}+I"
 
     quotient_ring = FiniteRing(
         q,
-        int(proj[ring.one]),
+        proj[ring.one],
         add,
         mul,
         label=label or f"{ring.label}/I",
         provenance={
             "kind": "quotient",
             "base_label": ring.label,
-            "ideal": [int(x) for x in m],
-            "reps": [int(r) for r in reps],
+            "ideal": members,
+            "reps": reps,
         },
         decoder=decoder,
         cap=cap,
     )
-    proj.setflags(write=False)
     return quotient_ring, proj
 
 
@@ -666,8 +767,8 @@ def truncated_power_series(base: FiniteRing, k: int, *, label: str | None = None
         for i in range(k):
             acc = None
             for j in range(i + 1):
-                term = base.mul_table[np.ix_(d[j], d[i - j])]
-                acc = term if acc is None else base.add_table[acc, term]
+                term = _outer(base.mul_table, d[j], d[i - j])
+                acc = term if acc is None else _lookup(base.add_table, acc, term)
             cols.append(acc)
         return cols
 
@@ -715,14 +816,13 @@ def corner_ring(ring: FiniteRing, e: int, *, label: str | None = None) -> Corner
         raise ValueError(f"corner element {e} out of range for order {ring.order}")
     if not ring.is_idempotent(e):
         raise ValueError(f"corner_ring requires an idempotent, got {e}")
-    exe = ring.mul_table[ring.mul_table[e, :], e]
-    carrier = tuple(_distinct(exe, ring.order).tolist())
+    exe = _gather(ring.mul_table.columns[e], ring.mul_table[e])  # (e x) e for every x
+    carrier = tuple(sorted(set(exe)))
     position = {x: i for i, x in enumerate(carrier)}
-    arr = np.array(carrier, dtype=np.int32)
-    lut = np.full(ring.order, -1, dtype=np.int32)
-    lut[arr] = np.arange(len(carrier))
-    add = lut[ring.add_table[np.ix_(arr, arr)]]
-    mul = lut[ring.mul_table[np.ix_(arr, arr)]]
+    lut = _row([position.get(x, 0) for x in ring.elements], len(carrier))
+    at_carrier = _getter(_row(carrier, ring.order))
+    add = _Table(_gather(lut, _gather(ring.add_table[a], at_carrier)) for a in carrier)
+    mul = _Table(_gather(lut, _gather(ring.mul_table[a], at_carrier)) for a in carrier)
     corner = FiniteRing(
         len(carrier),
         position[e],
@@ -733,7 +833,7 @@ def corner_ring(ring: FiniteRing, e: int, *, label: str | None = None) -> Corner
             "kind": "corner",
             "e": e,
             "base_label": ring.label,
-            "carrier": [int(c) for c in carrier],
+            "carrier": list(carrier),
         },
         decoder=lambda i, _c=carrier, _r=ring: _r.describe(_c[i]),
     )

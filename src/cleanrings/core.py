@@ -5,6 +5,13 @@ the additive identity. A ring is described by an n x n addition table, an
 n x n multiplication table, the index of the multiplicative identity, and an
 optional negation table (derived from the addition table when absent).
 
+A table is a tuple of rows, and a row is ``bytes`` when its entries are
+indices below 256 and a tuple of ints above that. One primitive, _gather,
+reads a row at every index of another: bytes.translate gathers a byte row,
+operator.itemgetter a tuple row. Masks are bytes or bytearrays of 0 and 1,
+and sets of members are Python sets. No numpy is imported; numpy reads a
+table as its int32 array through the array interface.
+
 Validation is complete, never sampled, and accepts in O(n^2 log n). It
 takes a greedy additive generating set A, |A| <= log2 n, and checks:
 - Light's test: (x + y) + g = x + (y + g) for all x, y and g in A makes a
@@ -27,7 +34,7 @@ table law goes through one pair of kernels, _law_breaks and _first_break,
 and a ring is checked as a left module over itself: its product is a left
 action, with the laws of a bimodule's sides.
 
-Rings are immutable value objects: tables are locked after construction and
+Rings are immutable value objects: tables are tuples of immutable rows, and
 equality/hashing is structural (order, identity index, tables), ignoring the
 display label.
 """
@@ -35,12 +42,13 @@ display label.
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
-# The size cap lives in ``limits``, which reading a spec imports without numpy.
 from .limits import DEFAULT_SIZE_CAP, SIZE_CAP_ENV, size_cap
 from .records import _Value
 
@@ -78,60 +86,204 @@ class ValidationReport(_Value):
         return {v.axiom for v in self.violations}
 
 
+# -- rows and tables ------------------------------------------------------------
+
+
+def _row(values: Iterable[int], order: int):
+    """Indices below order as a row: bytes up to order 256, a tuple above."""
+    return bytes(values) if order <= 256 else tuple(values)
+
+
+def _getter(through):
+    """through, ready to gather many rows: a tuple row as its itemgetter,
+    built once, and any other row as it is."""
+    return itemgetter(*through) if type(through) is tuple and len(through) > 1 else through
+
+
+def _gather(row, through):
+    """row[t] for each t in through, as a row of row's kind. A byte row of at
+    most 256 entries is the table of through.translate, padded to 256
+    entries; any other row gathers by operator.itemgetter, or by the
+    itemgetter that _getter built for through."""
+    narrow = isinstance(row, (bytes, bytearray))
+    if type(through) is itemgetter:
+        got = through(row)
+    elif narrow and len(row) <= 256:
+        if not isinstance(through, (bytes, bytearray)):
+            through = bytes(through)
+        return through.translate(row.ljust(256, b"\0"))
+    else:
+        got = itemgetter(*through)(row) if len(through) > 1 else tuple(row[t] for t in through)
+    return bytes(got) if narrow else got
+
+
+def _find(row, value: int) -> int:
+    """The first index of value in row, or -1."""
+    if isinstance(row, (bytes, bytearray)):
+        return row.find(value)
+    return row.index(value) if value in row else -1
+
+
+def _first_diff(a, b) -> int:
+    """The first index at which two rows of equal length differ."""
+    return next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+
+
+def _transpose(rows) -> tuple:
+    """The columns of a table of rows, as rows of the same kind."""
+    if not rows:
+        return ()
+    if isinstance(rows[0], (bytes, bytearray)):
+        flat, width = b"".join(rows), len(rows[0])
+        return tuple(flat[j::width] for j in range(width))
+    return tuple(zip(*rows))
+
+
+class _Table(tuple):
+    """A checked table: a tuple of rows of one kind (see _row). It keeps its
+    columns and its rows' getters once computed, and numpy reads it as its
+    int32 array, np.asarray(table), through the array interface."""
+
+    @cached_property
+    def columns(self) -> "_Table":
+        return _Table(_transpose(self))
+
+    @cached_property
+    def through(self) -> list:
+        """Each row ready to gather others through (_getter)."""
+        return [_getter(row) for row in self]
+
+    @property
+    def __array_interface__(self) -> dict:
+        data = array("i", chain.from_iterable(self))
+        return {
+            "shape": (len(self), len(self[0]) if self else 0),
+            "typestr": ("<" if sys.byteorder == "little" else ">") + f"i{data.itemsize}",
+            "data": data,
+            "version": 3,
+        }
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _int_table(table, name: str) -> np.ndarray:
-    """A copy of table as int64, refusing any entry that is not an integer."""
-    try:
-        if isinstance(table, np.ndarray):
-            entries = table
-            bad = table.dtype if table.size and table.dtype.kind not in "iu" else None
+def _nested_shape(table) -> tuple[int, ...]:
+    """The shape numpy gives a nested list: its length at each depth, down to
+    the first depth at which the items disagree or are not lists."""
+    if not isinstance(table, (list, tuple)):
+        return ()
+    shape = None
+    for item in table:
+        inner = _nested_shape(item)
+        if shape is None:
+            shape = inner
         else:
-            # entry by entry: numpy would cast a bool or a float among integers
-            entries = np.array(table, dtype=object)
-            bad = next((type(v).__name__ for v in entries.flat
-                        if not (_is_int(v) or isinstance(v, np.integer))), None)
-        if bad is None:
-            return entries.astype(np.int64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise TableFormatError(f"{name} table is not an integer table: {exc}") from None
-    raise TableFormatError(f"{name} table is not an integer table: {bad} entries")
+            shape = shape[: next((d for d, (a, b) in enumerate(zip(shape, inner)) if a != b), min(len(shape), len(inner)))]
+    return (len(table), *(shape or ()))
 
 
-def _as_table(table, shape: tuple[int, ...], order: int, name: str) -> np.ndarray:
-    arr = _int_table(table, name)
-    if arr.shape != shape:
-        raise TableFormatError(f"{name} table has shape {arr.shape}, expected {shape}")
-    if arr.size and (arr.min() < 0 or arr.max() >= order):
+def _entries(table, depth: int) -> list:
+    """The items of a nested list at the given depth, in row-major order."""
+    items = [table]
+    for _ in range(depth):
+        items = [v for item in items for v in item]
+    return items
+
+
+def _int_table(table, name: str) -> tuple[tuple[int, ...], Sequence]:
+    """(shape, entries) of a table of one or two dimensions, refusing any
+    entry that is not an integer of at most 64 bits, as numpy's int64 would.
+    The entries are a list of rows, or one row. A checked _Table, a bytes
+    row and a numpy array of an integer dtype hold integers already."""
+    if type(table) is _Table:
+        return (len(table), len(table[0]) if table else 0), table
+    if isinstance(table, (bytes, bytearray)):
+        return (len(table),), table
+    dtype = getattr(table, "dtype", None)
+    if dtype is not None and hasattr(table, "tolist"):  # a numpy array
+        if table.size and dtype.kind not in "iu":
+            raise TableFormatError(f"{name} table is not an integer table: {dtype} entries")
+        return tuple(table.shape), table.tolist()
+    if isinstance(table, (list, tuple)) and table:
+        rows = [r for r in table if isinstance(r, (list, tuple, bytes))]
+        if len(rows) == len(table) and len({len(r) for r in rows}) == 1:
+            lists = [r for r in rows if not isinstance(r, bytes)]
+            if all(type(v) is int and -(2**63) <= v < 2**63 for r in lists for v in r):
+                return (len(rows), len(rows[0])), rows
+        elif not rows and all(type(v) is int and -(2**63) <= v < 2**63 for v in table):
+            return (len(table),), table
+    # the slow path, as numpy reads a nested list of objects
+    shape = _nested_shape(table)
+    entries = _entries(table, len(shape))
+    bad = [v for v in entries if not (_is_int(v) or _numpy_int(v))]
+    if bad:
+        raise TableFormatError(f"{name} table is not an integer table: {type(bad[0]).__name__} entries")
+    if not all(-(2**63) <= v < 2**63 for v in entries):
+        raise TableFormatError(f"{name} table is not an integer table: Python int too large to convert to C long")
+    flat = [int(v) for v in entries]
+    if len(shape) != 2:
+        return shape, flat
+    return shape, [flat[i * shape[1] : (i + 1) * shape[1]] for i in range(shape[0])]
+
+
+def _numpy_int(value) -> bool:
+    """Whether value is a numpy integer scalar (never a bool), without numpy."""
+    return type(value).__module__ == "numpy" and hasattr(value, "__index__") and type(value).__name__ != "bool"
+
+
+def _as_table(table, shape: tuple[int, ...], order: int, name: str):
+    """table checked and in its kind of rows: one row for one dimension, a
+    _Table for two. Integer entries first, then the shape, then every entry
+    in 0..order-1; a _Table of the right kind comes back as it is."""
+    found, entries = _int_table(table, name)
+    if found != shape:
+        raise TableFormatError(f"{name} table has shape {found}, expected {shape}")
+    rows = [r for r in ([entries] if len(shape) == 1 else entries) if r]
+    if all(isinstance(r, (bytes, bytearray)) for r in rows):
+        rows = [b"".join(rows)] if rows else []  # bytes hold no negative entries
+    if rows and (min(map(min, rows)) < 0 or max(map(max, rows)) >= order):
         raise TableFormatError(f"{name} table entries must lie in 0..{order - 1}")
-    arr = arr.astype(np.int32)
-    arr.setflags(write=False)
-    return arr
+    kind = bytes if order <= 256 else tuple
+    if len(shape) == 1:
+        return entries if type(entries) is kind else _row(entries, order)
+    if type(entries) is _Table and all(type(r) is kind for r in entries):
+        return entries
+    return _Table(r if type(r) is kind else _row(r, order) for r in entries)
+
+
+# -- the law kernels ----------------------------------------------------------------
+#
+# A law is (law, shape, reduced). law(rows, k) yields, for each i of rows, the
+# two sides of its equation at (i, j, k) as two rows over every j below
+# shape[1]. reduced holds the indices a complete check needs at each position,
+# with a range for all of them, or is None when the tables are not yet known to
+# allow a reduction; the last position is the one reduced to generators.
 
 
 def _first_break(law: Callable, shape: tuple[int, int, int]) -> tuple[int, int, int] | None:
     """The first (i, j, k) in row-major order below shape at which the two
-    sides of law(i, j, k) differ, or None: the exhaustive scan, one row i at
-    a time. law takes element indices that broadcast together and returns
-    both sides of one equation at every index triple."""
-    j, k = np.ix_(np.arange(shape[1]), np.arange(shape[2]))
-    for i in range(shape[0]):
-        a, b = np.broadcast_arrays(*law(i, j, k))
-        if not np.array_equal(a, b):
-            return (i, *map(int, np.argwhere(a != b)[0]))
-    return None
+    sides of law differ, or None: the exhaustive scan. It takes one k at a
+    time, and within it the first i whose rows differ; a later k only needs
+    the rows up to the best i found."""
+    first = None
+    for k in range(shape[2]):
+        rows = range(shape[0] if first is None else first[0] + 1)
+        for i, (lhs, rhs) in zip(rows, law(rows, k)):
+            if lhs != rhs:
+                j = _first_diff(lhs, rhs)
+                if first is None or (i, j) < first[:2]:
+                    first = (i, j, k)
+                break
+    return first
 
 
 def _law_breaks(laws) -> list[tuple[int, int, int] | None]:
     """First witnesses, or None, of laws given as (law, shape, reduced).
 
-    reduced holds, per position, the indices a complete check needs (all of
-    them, or an additive generating set), or is None when the tables are not
-    yet known to allow a reduction. When every law holds on its reduced
-    indices, all of them hold everywhere; otherwise every law is scanned
-    exhaustively, and the scan alone reports witnesses.
+    When every law holds on its reduced indices, all of them hold
+    everywhere; otherwise every law is scanned exhaustively, and the scan
+    alone reports witnesses.
     """
     if all(reduced is not None and _holds(law, reduced) for law, _, reduced in laws):
         return [None] * len(laws)
@@ -141,16 +293,16 @@ def _law_breaks(laws) -> list[tuple[int, int, int] | None]:
 def _holds(law: Callable, reduced) -> bool:
     """Whether the two sides of law agree at every triple of reduced indices.
 
-    It takes one index of the shortest position at a time, usually a
-    generator, so no array is larger than a row of the exhaustive scan.
+    It takes one index of the last position at a time, a generator, and
+    compares the rows of the first position's indices: whole when the middle
+    position is a range, else at its indices.
     """
-    axis = min(range(3), key=lambda p: len(reduced[p]))
-    others = np.ix_(*(r for p, r in enumerate(reduced) if p != axis))
-    for v in reduced[axis]:
-        at = [*others]
-        at.insert(axis, v)
-        if not np.array_equal(*np.broadcast_arrays(*law(*at))):
-            return False
+    rows, middle, last = reduced
+    whole = type(middle) is range
+    for k in last:
+        for lhs, rhs in law(rows, k):
+            if lhs != rhs if whole else _gather(lhs, middle) != _gather(rhs, middle):
+                return False
     return True
 
 
@@ -160,88 +312,75 @@ def _scan_breaks(laws) -> list[tuple[int, int, int] | None]:
     return [_first_break(law, shape) for law, shape, _ in laws]
 
 
-def _distinct(values: np.ndarray, n: int) -> np.ndarray:
-    """The distinct element indices (below n) among values, ascending: what
-    np.unique returns, without the numpy.ma import it costs."""
-    seen = np.zeros(n, dtype=bool)
-    seen[values] = True
-    return np.flatnonzero(seen)
-
-
-def _span(add: np.ndarray, inside: np.ndarray, seeds: Iterable[int]) -> np.ndarray:
-    """The bool mask inside, grown in place to the additive subgroup that 0,
-    the subgroup S it marks and the seeds span. A seed s adds its cosets by
-    doubling: mark T + s for the marked T and set s to s + s, until s is
-    marked; then some 0 < m <= 2^k has ms in S, so every S + js is marked.
-    Each marked element is a sum under add itself, and each step marks its
-    s = add[s, 0], so the loop ends on any table with that identity."""
-    inside[0] = True
+def _span(add, inside: set[int], seeds: Iterable[int]) -> set[int]:
+    """The set inside, grown in place to the additive subgroup that 0, the
+    subgroup S it holds and the seeds span. A seed s adds its cosets by
+    doubling: add T + s for the held T and set s to s + s, until s is held;
+    then some 0 < m <= 2^k has ms in S, so every S + js is held. Each held
+    element is a sum under add itself, and each step holds its s = add[s][0],
+    so the loop ends on any table with that identity."""
+    inside.add(0)
     for s in seeds:
-        while not inside[s]:
-            inside[add[s][inside]] = True
-            s = add[s, s]
+        while s not in inside:
+            inside.update(_gather(add[s], _row(inside, len(add))))
+            s = add[s][s]
     return inside
 
 
-def _generators(add: np.ndarray) -> np.ndarray:
+def _generators(add) -> tuple[int, ...]:
     """A greedy additive generating set of the commutative table add, taken
     before add is known to be associative: each generator is the least
-    element outside the _span of the earlier ones, which marks only sums of
-    generators under add itself and ends, as add[0, s] = s is checked first.
+    element outside the _span of the earlier ones, which holds only sums of
+    generators under add itself and ends, as add[0][s] = s is checked first.
     A group has at most log2 n of them; the trivial group's one is 0."""
-    inside = np.zeros(len(add), dtype=bool)
+    inside: set[int] = set()
     gens: list[int] = []
-    while not _span(add, inside, gens[-1:]).all():
-        gens.append(int(np.argmin(inside)))
-    return np.array(gens or [0], dtype=np.int64)
+    while len(_span(add, inside, gens[-1:])) < len(add):
+        gens.append(next(x for x in range(len(add)) if x not in inside))
+    return tuple(gens or [0])
 
 
-def _abelian_group_violations(add: np.ndarray):
+def _abelian_group_violations(add: _Table):
     """Check (indices, add) is an abelian group with identity 0.
 
-    Returns the violations, the derived negation table (None when some
-    element has no additive inverse) and, when there are no violations, an
-    additive generating set (else None). Associativity is accepted by
-    Light's test, (x + y) + g = x + (y + g) for the generators g only: in a
-    commutative magma this is (x + g) + y = x + (g + y), and the g that pass
-    it are closed under addition.
+    Returns the violations and, when there are none, an additive generating
+    set (else None). Associativity is accepted by Light's test,
+    (x + y) + g = x + (y + g) for the generators g only: in a commutative
+    magma this is (x + g) + y = x + (g + y), and the g that pass it are
+    closed under addition.
     """
-    n = add.shape[0]
-    idx = np.arange(n)
+    n = len(add)
+    idx = _row(range(n), n)
+    cols = add.columns
     out: list[Violation] = []
 
-    if not np.array_equal(add[0], idx):
-        bad = int(np.flatnonzero(add[0] != idx)[0])
-        out.append(Violation("add-identity", (bad,)))
-    if not np.array_equal(add, add.T):
-        i, j = map(int, np.argwhere(add != add.T)[0])
-        out.append(Violation("add-commutative", (i, j)))
+    if add[0] != idx:
+        out.append(Violation("add-identity", (_first_diff(add[0], idx),)))
+    if cols != add:
+        i = next(i for i in range(n) if add[i] != cols[i])
+        out.append(Violation("add-commutative", (i, _first_diff(add[i], cols[i]))))
+    if any(_find(row, 0) < 0 for row in add):
+        out.append(Violation("add-inverse", (next(x for x, row in enumerate(add) if _find(row, 0) < 0),)))
 
-    has_inv = (add == 0).any(axis=1)
-    neg: np.ndarray | None = None
-    if has_inv.all():
-        neg = (add == 0).argmax(axis=1).astype(np.int32)
-    else:
-        out.append(Violation("add-inverse", (int(np.flatnonzero(~has_inv)[0]),)))
+    def light(rows, g):  # (x + y) + g against x + (y + g), over y
+        via = _getter(cols[g])
+        return ((_gather(cols[g], add.through[x]), _gather(add[x], via)) for x in rows)
 
     gens = None if out else _generators(add)
-    (witness,) = _law_breaks([(
-        lambda x, y, g: (add[add[x, y], g], add[x, add[y, g]]),
-        (n, n, n),
-        None if gens is None else (idx, idx, gens),
-    )])
+    (witness,) = _law_breaks([(light, (n, n, n), None if gens is None else (range(n), range(n), gens))])
     if witness is not None:
         out.append(Violation("add-associative", witness))
-    return out, neg, None if out else gens
+    return out, None if out else gens
 
 
-def _action_breaks(ring_add: np.ndarray, ring_mul: np.ndarray, act: np.ndarray, mod_add: np.ndarray, gens):
-    """First witnesses, or None, of the three laws of a left action act[r, m] of
+def _action_breaks(ring_add: _Table, ring_mul: _Table, act: _Table, mod_add: _Table, gens):
+    """First witnesses, or None, of the three laws of a left action act[r][m] of
     the ring (ring_add, ring_mul) on the group mod_add: (r r') m = r (r' m) as
     (r, r', m); r (m + m') = r m + r m' as (r, m, m'); and (r + r') m = r m + r' m
     as (r, r', m), scanning m first. For a ring acting on itself, (add, mul,
     mul, add), they are mul-associativity and left and right distributivity.
-    A right action is a left action of the opposite ring: pass ring_mul.T, act.T.
+    A right action is a left action of the opposite ring: pass the columns
+    of ring_mul and act.
 
     gens, when given, are additive generating sets (ring, module) of the two
     abelian groups, and ring_mul is bi-additive or is act itself. Additivity
@@ -250,18 +389,30 @@ def _action_breaks(ring_add: np.ndarray, ring_mul: np.ndarray, act: np.ndarray, 
     as a sum of generators, and a sum of additive maps is additive. Additivity
     in m thus needs r and m' among the generators only. Once act is
     bi-additive, (r r') m - r (r' m) is tri-additive and needs generator
-    triples only.
+    triples only. Each side is a gather of whole rows, and the rows gathered
+    through are the tables' own, their getters built once per table.
     """
-    rows, cols = act.shape
+    rows, cols = len(act), len(mod_add)
+    act_cols, madd_cols, radd_cols = act.columns, mod_add.columns, ring_add.columns
+
+    def associative(rs, m):  # (r r') m against r (r' m), over r'
+        via = _getter(act_cols[m])
+        return ((_gather(act_cols[m], ring_mul.through[r]), _gather(act[r], via)) for r in rs)
+
+    def module_additive(rs, p):  # r (m + p) against r m + r p, over m
+        via = _getter(madd_cols[p])
+        return ((_gather(act[r], via), _gather(madd_cols[act[r][p]], act.through[r])) for r in rs)
+
+    def ring_additive(ms, s):  # (r + s) m against r m + s m, over r
+        via = _getter(radd_cols[s])
+        return ((_gather(act_cols[m], via), _gather(madd_cols[act_cols[m][s]], act_cols.through[m])) for m in ms)
+
     reduced = [None] * 3
     if gens is not None:
         r_gens, m_gens = gens
-        r_all, m_all = np.arange(rows), np.arange(cols)
-        reduced = [(r_gens, r_gens, m_gens), (r_gens, m_all, m_gens), (m_all, r_all, r_gens)]
+        reduced = [(r_gens, r_gens, m_gens), (r_gens, range(cols), m_gens), (range(cols), range(rows), r_gens)]
     associative, module_additive, ring_additive = _law_breaks(list(zip(
-        (lambda r, s, m: (act[ring_mul[r, s], m], act[r, act[s, m]]),
-         lambda r, m, p: (act[r, mod_add[m, p]], mod_add[act[r, m], act[r, p]]),
-         lambda m, r, s: (act[ring_add[r, s], m], mod_add[act[r, m], act[s, m]])),
+        (associative, module_additive, ring_additive),
         ((rows, rows, cols), (rows, cols, cols), (cols, rows, rows)),
         reduced,
     )))
@@ -272,21 +423,22 @@ def _action_breaks(ring_add: np.ndarray, ring_mul: np.ndarray, act: np.ndarray, 
     )
 
 
-def _closure_break(members: Iterable[int], add: np.ndarray, *actions: np.ndarray) -> str | None:
+def _closure_break(members: Iterable[int], add, *maps) -> str | None:
     """Why members (range-checked, never wrapped) are not a subgroup of add
-    closed under each action, act[r, x] for every member x; None when they are."""
+    closed under each map, every entry of map[x] for every member x (the rows
+    of a product table are right multiples, its columns left ones); None
+    when they are."""
     n = len(add)
     ms = sorted({int(x) for x in members})
     if ms and (ms[0] < 0 or ms[-1] >= n):
         return f"member {ms[0] if ms[0] < 0 else ms[-1]} lies outside 0..{n - 1}"
-    m = np.array(ms, dtype=np.int64)
-    mask = np.zeros(n, dtype=bool)
-    mask[m] = True
-    if not mask[0]:
+    inside = set(ms)
+    if 0 not in inside:
         return "0 is not a member"
-    if not mask[add[np.ix_(m, m)]].all():
+    via = _getter(_row(ms, n))
+    if not all(inside.issuperset(_gather(add[x], via)) for x in ms):
         return "members are not closed under addition"
-    if not all(mask[act[:, m]].all() for act in actions):
+    if not all(inside.issuperset(m[x]) for m in maps for x in ms):
         return "members are not closed under the action"
     return None
 
@@ -321,19 +473,17 @@ def validate_ring(
     add = _as_table(add_table, (order, order), order, "add")
     mul = _as_table(mul_table, (order, order), order, "mul")
 
-    violations, neg, gens = _abelian_group_violations(add)
+    violations, gens = _abelian_group_violations(add)
     if neg_table is not None:
         given = _as_table(neg_table, (order,), order, "neg")
-        if (add[np.arange(order), given] != 0).any():
-            bad = int(np.flatnonzero(add[np.arange(order), given] != 0)[0])
+        bad = next((x for x in range(order) if add[x][given[x]] != 0), None)
+        if bad is not None:
             violations.append(Violation("add-inverse", (bad,)))
 
-    idx = np.arange(order)
-    if not (np.array_equal(mul[one], idx) and np.array_equal(mul[:, one], idx)):
-        row_bad = np.flatnonzero(mul[one] != idx)
-        col_bad = np.flatnonzero(mul[:, one] != idx)
-        bad = int(row_bad[0]) if row_bad.size else int(col_bad[0])
-        violations.append(Violation("one-identity", (bad,)))
+    idx = _row(range(order), order)
+    if mul[one] != idx or mul.columns[one] != idx:
+        side = mul[one] if mul[one] != idx else mul.columns[one]
+        violations.append(Violation("one-identity", (_first_diff(side, idx),)))
 
     # the ring as a left module over itself
     laws = ("mul-associative", "left-distributive", "right-distributive")
@@ -379,9 +529,7 @@ class FiniteRing:
         self.label = label or f"ring{order}"
         self.add_table = _as_table(add_table, (order, order), order, "add")
         self.mul_table = _as_table(mul_table, (order, order), order, "mul")
-        neg = (self.add_table == 0).argmax(axis=1).astype(np.int32)
-        neg.setflags(write=False)
-        self.neg_table = neg
+        self.neg_table = _row((_find(row, 0) for row in self.add_table), order)
         self.provenance = provenance
         self.decoder = decoder
         self.report = report
@@ -402,29 +550,29 @@ class FiniteRing:
         return self.order == 1
 
     def add(self, i: int, j: int) -> int:
-        return int(self.add_table[i, j])
+        return self.add_table[i][j]
 
     def mul(self, i: int, j: int) -> int:
-        return int(self.mul_table[i, j])
+        return self.mul_table[i][j]
 
     def neg(self, i: int) -> int:
-        return int(self.neg_table[i])
+        return self.neg_table[i]
 
     def sub(self, i: int, j: int) -> int:
-        return int(self.add_table[i, self.neg_table[j]])
+        return self.add_table[i][self.neg_table[j]]
 
     def pow(self, i: int, k: int) -> int:
         if k < 0:
             raise ValueError("negative powers are not defined; use inverse()")
         acc = self.one
         for _ in range(k):
-            acc = int(self.mul_table[acc, i])
+            acc = self.mul_table[acc][i]
         return acc
 
     def sum_of(self, items: Iterable[int]) -> int:
         acc = 0
         for x in items:
-            acc = int(self.add_table[acc, x])
+            acc = self.add_table[acc][x]
         return acc
 
     def describe(self, i: int) -> str:
@@ -432,47 +580,45 @@ class FiniteRing:
         return self.decoder(i) if self.decoder is not None else str(i)
 
     @cached_property
-    def additive_generators(self) -> np.ndarray:
+    def additive_generators(self) -> tuple[int, ...]:
         """A greedy generating set of the additive group, at most log2(order) long."""
         return _generators(self.add_table)
 
     # -- units -------------------------------------------------------------
 
     @cached_property
-    def _unit_data(self) -> tuple[np.ndarray, np.ndarray]:
-        eq = self.mul_table == self.one
-        two_sided = eq & eq.T
-        mask = two_sided.any(axis=1)
-        inv = np.where(mask, two_sided.argmax(axis=1), -1).astype(np.int32)
-        return mask, inv
+    def _unit_data(self) -> tuple[bytes, tuple[int, ...]]:
+        """(mask, inverses): the first y with xy = 1, or -1. In a finite ring
+        xy = 1 forces yx = 1, and the inverse is unique."""
+        inverses = tuple(_find(row, self.one) for row in self.mul_table)
+        return bytes(y >= 0 for y in inverses), inverses
 
     @property
-    def units_mask(self) -> np.ndarray:
+    def units_mask(self) -> bytes:
         return self._unit_data[0]
 
     @cached_property
     def units(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in np.flatnonzero(self.units_mask))
+        return tuple(x for x, unit in enumerate(self.units_mask) if unit)
 
     def is_unit(self, i: int) -> bool:
         return bool(self.units_mask[i])
 
     def inverse(self, i: int) -> int | None:
-        j = int(self._unit_data[1][i])
+        j = self._unit_data[1][i]
         return j if j >= 0 else None
 
     # -- idempotents, center, nilpotents ------------------------------------
 
     @cached_property
     def idempotents(self) -> tuple[int, ...]:
-        diag = self.mul_table.diagonal()
-        return tuple(int(x) for x in np.flatnonzero(diag == np.arange(self.order)))
+        return tuple(x for x, row in enumerate(self.mul_table) if row[x] == x)
 
     def is_idempotent(self, i: int) -> bool:
-        return int(self.mul_table[i, i]) == i
+        return self.mul_table[i][i] == i
 
     def is_central(self, i: int) -> bool:
-        return bool(np.array_equal(self.mul_table[i, :], self.mul_table[:, i]))
+        return self.mul_table[i] == self.mul_table.columns[i]
 
     @cached_property
     def center(self) -> tuple[int, ...]:
@@ -480,18 +626,17 @@ class FiniteRing:
 
     @cached_property
     def is_commutative(self) -> bool:
-        return bool(np.array_equal(self.mul_table, self.mul_table.T))
+        return self.mul_table == self.mul_table.columns
 
     @cached_property
     def has_nonzero_nilpotents(self) -> bool:
-        # powers computed in lockstep: p[i] = i^(k+1); nilpotency index <= order
-        idx = np.arange(self.order)
-        p = idx.copy()
-        for _ in range(self.order):
-            p = self.mul_table[p, idx]
-            if (p[1:] == 0).any():
-                return True
-        return False
+        # p[x] = x^(2^t) by squaring every element at once; a nilpotent x has
+        # index at most order, so x^(2^t) = 0 once 2^t >= order
+        squares = _row((row[x] for x, row in enumerate(self.mul_table)), self.order)
+        p = _row(range(self.order), self.order)
+        for _ in range(self.order.bit_length()):
+            p = _gather(squares, p)
+        return 0 in p[1:]
 
     def is_complete_orthogonal(self, es: Sequence[int]) -> bool:
         """True when es is a pairwise-orthogonal idempotent family summing to 1."""
@@ -521,21 +666,17 @@ class FiniteRing:
         1 + S; and a nonzero idempotent e in S would make 1 - e a unit
         idempotent, hence 1 - e = 1.
         """
-        add, mul, neg = self.add_table, self.mul_table, self.neg_table
-        units = self.units_mask
-        members = []
-        for x in self.elements:
-            ax = mul[:, x]
-            if units[add[self.one, neg[ax]]].all():
-                members.append(x)
+        # quasi[y]: whether 1 - y is a unit; column x of mul holds every a*x
+        quasi = _gather(self.units_mask, _gather(self.add_table[self.one], self.neg_table))
+        members = [x for x, ax in enumerate(self.mul_table.columns) if 0 not in _gather(quasi, ax)]
         self._cross_check_radical(members)
         return tuple(members)
 
     def _cross_check_radical(self, members: list[int]) -> None:
         add, mul = self.add_table, self.mul_table
-        if not self.units_mask[add[self.one, members]].all():
+        if 0 in _gather(self.units_mask, _gather(add[self.one], members)):
             raise RuntimeError("radical cross-check failed: 1 + J not all units")
-        gap = _closure_break(members, add, mul, mul.T)
+        gap = _closure_break(members, add, mul.columns, mul)
         if gap is not None:
             raise RuntimeError(f"radical cross-check failed: J is not a two-sided ideal: {gap}")
 
@@ -547,15 +688,13 @@ class FiniteRing:
         return (
             self.order == other.order
             and self.one == other.one
-            and np.array_equal(self.add_table, other.add_table)
-            and np.array_equal(self.mul_table, other.mul_table)
+            and self.add_table == other.add_table
+            and self.mul_table == other.mul_table
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(
-                (self.order, self.one, self.add_table.tobytes(), self.mul_table.tobytes())
-            )
+            self._hash = hash((self.order, self.one, self.add_table, self.mul_table))
         return self._hash
 
     def __repr__(self) -> str:
@@ -568,8 +707,8 @@ class FiniteRing:
             "label": self.label,
             "order": self.order,
             "one": self.one,
-            "add_table": [[int(v) for v in row] for row in self.add_table],
-            "mul_table": [[int(v) for v in row] for row in self.mul_table],
+            "add_table": [list(row) for row in self.add_table],
+            "mul_table": [list(row) for row in self.mul_table],
         }
         if self.provenance is not None:
             record["construction"] = self.provenance

@@ -20,10 +20,8 @@ from __future__ import annotations
 from itertools import product as iter_product
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .constructions import _index
-from .core import FiniteRing, SizeCapError, _closure_break, _distinct, _span
+from .core import FiniteRing, SizeCapError, _closure_break, _gather, _getter, _row, _span
 from .records import _Value
 
 DEFAULT_IDEAL_ENUM_CAP = 64
@@ -62,9 +60,11 @@ class IdealSet(_Value):
     def is_proper(self) -> bool:
         return len(self.members) < self.ring.order
 
-    def member_mask(self) -> np.ndarray:
-        mask = np.zeros(self.ring.order, dtype=bool)
-        mask[list(self.members)] = True
+    def member_mask(self) -> bytearray:
+        """1 at every member and 0 elsewhere, one byte per element."""
+        mask = bytearray(self.ring.order)
+        for m in self.members:
+            mask[m] = 1
         return mask
 
     def describe(self) -> str:
@@ -87,7 +87,7 @@ class IdealSet(_Value):
 
 def is_ideal(ring: FiniteRing, members: Iterable[int]) -> bool:
     """Exhaustive two-sided ideal check: 0 present, closed under + and R*x*R."""
-    return _closure_break(members, ring.add_table, ring.mul_table, ring.mul_table.T) is None
+    return _closure_break(members, ring.add_table, ring.mul_table.columns, ring.mul_table) is None
 
 
 def ideal_closure(ring: FiniteRing, generators: Sequence[int]) -> IdealSet:
@@ -100,9 +100,11 @@ def ideal_closure(ring: FiniteRing, generators: Sequence[int]) -> IdealSet:
         if not (0 <= g < ring.order):
             raise ValueError(f"generator {g} out of range for order {ring.order}")
     mul = ring.mul_table
-    products = _distinct(mul[mul[:, list(gens)], :], ring.order)
-    mask = _span(ring.add_table, np.zeros(ring.order, dtype=bool), products)
-    return IdealSet(ring, tuple(np.flatnonzero(mask).tolist()), generators=gens)
+    products: set[int] = set()
+    for rg in {r_g for g in gens for r_g in mul.columns[g]}:
+        products.update(mul[rg])
+    members = _span(ring.add_table, set(), sorted(products))
+    return IdealSet(ring, tuple(sorted(members)), generators=gens)
 
 
 def _finite_ideal(ring: FiniteRing, gens: Sequence[int] | None) -> IdealSet:
@@ -133,14 +135,14 @@ def ideal_sum(a: IdealSet, b: IdealSet) -> IdealSet:
         raise ValueError("ideal_sum requires ideals of the same ring")
     ring = a.ring
     for ideal in (a, b):
-        gap = _closure_break(ideal.members, ring.add_table, ring.mul_table, ring.mul_table.T)
+        gap = _closure_break(ideal.members, ring.add_table, ring.mul_table.columns, ring.mul_table)
         if gap is not None:
             raise RuntimeError(f"ideal_sum requires ideals: {gap}")
-    mask = _span(ring.add_table, a.member_mask(), b.members)
+    members = _span(ring.add_table, set(a.members), b.members)
     gens = None
     if a.generators is not None and b.generators is not None:
         gens = tuple(dict.fromkeys(a.generators + b.generators))
-    return IdealSet(ring, tuple(np.flatnonzero(mask).tolist()), generators=gens)
+    return IdealSet(ring, tuple(sorted(members)), generators=gens)
 
 
 def ideal_intersection(a: IdealSet, b: IdealSet) -> IdealSet:
@@ -158,13 +160,14 @@ def principal_ideals(ring: FiniteRing) -> list[IdealSet]:
     generator recorded for each ideal is the least x with that closure.
     """
     mul = ring.mul_table
-    units = np.flatnonzero(ring.units_mask)
-    covered = np.zeros(ring.order, dtype=bool)
+    units = _getter(_row(ring.units, ring.order))
+    covered: set[int] = set()
     seen: dict[tuple[int, ...], IdealSet] = {}
     for x in ring.elements:
-        if covered[x]:
+        if x in covered:
             continue
-        covered[mul[np.ix_(mul[units, x], units)]] = True
+        for ux in set(_gather(mul.columns[x], units)):
+            covered.update(_gather(mul[ux], units))
         ideal = ideal_closure(ring, (x,))
         seen.setdefault(ideal.members, ideal)
     return sorted(seen.values(), key=lambda i: (len(i.members), i.members))
@@ -173,7 +176,7 @@ def principal_ideals(ring: FiniteRing) -> list[IdealSet]:
 def all_ideals(ring: FiniteRing, *, cap: int = DEFAULT_IDEAL_ENUM_CAP) -> list[IdealSet]:
     """Every two-sided ideal: the principal ideals, then each sum of an ideal
     with one listed before it that is not listed yet, appended while the
-    list is walked. Each pair is spanned on masks and only a new sum goes
+    list is walked. Each pair is spanned on member sets and only a new sum goes
     through ideal_sum, so each ideal keeps the generators of the first pair
     that finds it. Refuses orders above the cap (lattices can be huge);
     callers fall back to principal_ideals explicitly.
@@ -184,14 +187,12 @@ def all_ideals(ring: FiniteRing, *, cap: int = DEFAULT_IDEAL_ENUM_CAP) -> list[I
             f"fall back to principal_ideals"
         )
     ideals = principal_ideals(ring)
-    masks = [ideal.member_mask() for ideal in ideals]
-    seen = {mask.tobytes() for mask in masks}
+    seen = {ideal.members for ideal in ideals}
     for i, b in enumerate(ideals):
         for j in range(i):
-            if _span(ring.add_table, masks[j].copy(), b.members).tobytes() not in seen:
+            if tuple(sorted(_span(ring.add_table, set(ideals[j].members), b.members))) not in seen:
                 ideals.append(ideal_sum(ideals[j], b))
-                masks.append(ideals[-1].member_mask())
-                seen.add(masks[-1].tobytes())
+                seen.add(ideals[-1].members)
     return sorted(ideals, key=lambda i: (len(i.members), i.members))
 
 
@@ -286,7 +287,7 @@ def idealization_ideal(ambient: FiniteRing, ideal: IdealSet, submodule: Sequence
     radices = _radices_of(ambient, "idealization")
     prov = ambient.provenance or {}
     ns = sorted({int(x) for x in submodule})
-    gap = _closure_break(ns, np.asarray(prov["module_add"]), np.asarray(prov["module_action"]))
+    gap = _closure_break(ns, prov["module_add"], list(zip(*prov["module_action"])))
     if gap is not None:
         raise ValueError(f"{ns} is not a submodule: {gap}")
     return _induced(ambient, [ideal.members, ns], radices)

@@ -45,8 +45,6 @@ import time
 from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .analysis import (
     _corner_verdicts,
     _first_decompositions,
@@ -531,39 +529,34 @@ def _det_cofactor(n: int, k: int, cases: Iterable[tuple]) -> tuple[dict | None, 
     """A step: for each (grid, row, col, bump), adding the bump to that entry
     adds bump times the entry's cofactor to the determinant.
 
-    Grids are flat row-major tuples, numbered in product order, so bumping
-    the entry at position p from old to new adds (new - old) * n^(k*k-1-p)
-    to the number. det runs once per distinct grid and cofactor once per
-    distinct (grid, row, col); every case is then checked at once, and the
-    first that fails in stream order is the witness.
+    Grids are flat row-major tuples. det runs once per distinct grid and
+    cofactor once per distinct (grid, row, col), each kept by its arguments;
+    the cases are checked in stream order, and the first that fails is the
+    witness.
     """
-    base, size, cases = zn(n), k * k, list(cases)
-    flat, *columns = zip(*cases)
-    entries = np.fromiter(itertools.chain.from_iterable(flat), np.int64).reshape(-1, size)
-    rows, cols, bumps = (np.fromiter(column, np.int64) for column in columns)
-    place, at = n ** np.arange(size - 1, -1, -1), rows * k + cols
-    old = entries[np.arange(len(cases)), at]
-    grids = entries @ place
-    bumped = grids + (base.add_table[old, bumps] - old) * place[at]
+    base = zn(n)
+    add, mul = base.add_table, base.mul_table
+    dets: dict[tuple, int] = {}
+    minors: dict[tuple, int] = {}
 
-    def once(keys: np.ndarray, value: Callable) -> np.ndarray:
-        """value(grid, key) at each key, once per distinct key; a key's last
-        k*k base-n digits are its grid."""
-        distinct = np.array(sorted(set(keys.tolist())), dtype=np.int64)
-        grid = (distinct[:, None] // place % n).reshape(-1, k, k).tolist()
-        values = np.array([value(*args) for args in zip(grid, distinct.tolist())], dtype=np.int64)
-        return values[np.searchsorted(distinct, keys)]
+    def square(entries: tuple) -> list[list[int]]:
+        return [list(entries[r * k : (r + 1) * k]) for r in range(k)]
 
-    dets = once(np.concatenate([grids, bumped]), lambda grid, _: det(base, grid))
-    minors = once(grids + at * n**size, lambda grid, key: cofactor(base, grid, *divmod(key // n**size, k)))
-    lhs, rhs = dets[len(cases) :], base.add_table[dets[: len(cases)], base.mul_table[bumps, minors]]
-    failed = np.flatnonzero(lhs != rhs)
-    if not failed.size:
-        return None, len(cases)
-    first = int(failed[0])
-    entries, i, j, x = cases[first]
-    witness = {"modulus": n, "entries": list(entries), "row": i, "col": j, "bump": x}
-    return {**witness, "got": int(lhs[first]), "expected": int(rhs[first])}, first + 1
+    scanned = 0
+    for entries, i, j, x in cases:
+        scanned += 1
+        entries, at = tuple(entries), i * k + j
+        bumped = (*entries[:at], add[entries[at]][x], *entries[at + 1 :])
+        for grid in (entries, bumped):
+            if grid not in dets:
+                dets[grid] = det(base, square(grid))
+        if (entries, i, j) not in minors:
+            minors[entries, i, j] = cofactor(base, square(entries), i, j)
+        got, expected = dets[bumped], add[dets[entries]][mul[x][minors[entries, i, j]]]
+        if got != expected:
+            witness = {"modulus": n, "entries": list(entries), "row": i, "col": j, "bump": x}
+            return {**witness, "got": got, "expected": expected}, scanned
+    return None, scanned
 
 
 @_Law(
@@ -891,13 +884,17 @@ def law_series_ideal():
         yield None, len(ambient.idempotents)
         if set(ambient.idempotents) != constant:
             yield {"unexpected_idempotents": sorted(set(ambient.idempotents) - constant)}, 0
-        (plus, minus), (base_plus, base_minus) = (_scan_masks(r, r.elements) for r in (ambient, base))
-        checks = {"weakly-clean": (plus | minus, base_plus | base_minus), "clean": (plus, base_plus)}
+
+        def verdicts(ring):  # whether each element is weakly clean, and clean
+            plus, minus = _scan_masks(ring, ring.elements)
+            return {"weakly-clean": [any(ok) for ok in zip(*plus, *minus)], "clean": [any(ok) for ok in zip(*plus)]}
+
+        series, at_base = verdicts(ambient), verdicts(base)
         for f in range(ambient.order):
             c = f // weight
             yield None, 1
-            for check, (series_ok, base_ok) in checks.items():
-                if series_ok[f].any() != base_ok[c].any():
+            for check in series:
+                if series[check][f] != at_base[check][c]:
                     yield {"series_index": f, "constant_term": c, "check": check}, 0
 
     for *instance, inputs in instances:
@@ -966,13 +963,13 @@ def _radical_quotient(ring, inputs, ideals, complete):
 
     def steps():
         for ideal in containing:
-            image = ideal_from_members(qring, sorted({int(proj[x]) for x in ideal}))
+            image = ideal_from_members(qring, sorted({proj[x] for x in ideal}))
             v_up = ideal_is_weakly_clean(ring, ideal)
             v_down = ideal_is_weakly_clean(qring, image)
             yield None, v_up.checked + v_down.checked
             if v_up.ok != v_down.ok:
                 yield {"ideal": ideal.describe(), "upstairs": v_up.ok, "downstairs": v_down.ok}, 0
-            firsts = _first_decompositions(qring, proj[list(ideal.members)].tolist())
+            firsts = _first_decompositions(qring, [proj[x] for x in ideal])
             for x, first in zip(ideal, firsts):
                 e = lifts[first.idempotent]
                 shifted = ring.add(x, ring.neg(e)) if first.sign == 1 else ring.add(x, e)

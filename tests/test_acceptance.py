@@ -141,9 +141,9 @@ def test_criterion_5_radical_cross_checks(capfd):
         for entry in CATALOG:
             ring = entry.ring
             members = set(ring.jacobson_radical)
-            one, mt = ring.one, ring.mul_table
-            unit = ring.units_mask
-            neg, at = ring.neg_table, ring.add_table
+            one, mt = ring.one, np.asarray(ring.mul_table)
+            unit = np.asarray(list(ring.units_mask), dtype=bool)
+            neg, at = np.asarray(list(ring.neg_table)), np.asarray(ring.add_table)
             for a in range(ring.order):
                 ra = mt[:, a]
                 left_ok = bool(unit[at[one, neg[ra]]].all())

@@ -29,6 +29,11 @@ from cleanrings import (
 )
 
 
+def _lists(table) -> list[list[int]]:
+    """A table of rows as lists of ints, for the oracles to index and tamper."""
+    return [list(row) for row in table]
+
+
 def _first(cells, broken):
     """The first cell, in scan order, where broken(*cell) holds, else None."""
     return next((cell for cell in cells if broken(*cell)), None)
@@ -109,7 +114,7 @@ def _tamper(data, tables: dict[str, list[list[int]]], values: int) -> None:
 @given(st.sampled_from(_SMALL_RINGS), st.data())
 @settings(max_examples=300, deadline=None)
 def test_validate_ring_reports_the_oracle_witnesses(ring, data):
-    tables = {"add": ring.add_table.tolist(), "mul": ring.mul_table.tolist()}
+    tables = {"add": _lists(ring.add_table), "mul": _lists(ring.mul_table)}
     _tamper(data, tables, ring.order)
     report = validate_ring(ring.order, ring.one, tables["add"], tables["mul"])
     expected = dict(ring_oracle(ring.one, tables["add"], tables["mul"]))
@@ -121,9 +126,9 @@ def test_validate_ring_reports_the_oracle_witnesses(ring, data):
 def test_ring_oracle_pins_the_known_witnesses():
     """The oracle reproduces the witnesses pinned in test_core."""
     z4 = zn(4)
-    mul = z4.mul_table.tolist()
+    mul = _lists(z4.mul_table)
     mul[2][2] = 1
-    assert ring_oracle(1, z4.add_table.tolist(), mul) == [
+    assert ring_oracle(1, _lists(z4.add_table), mul) == [
         ("mul-associative", (2, 2, 3)),
         ("left-distributive", (2, 1, 1)),
         ("right-distributive", (1, 1, 2)),
@@ -138,7 +143,7 @@ def bimodule_oracle(left_ring, right_ring, add, la, ra) -> set[str]:
     M = range(len(add))
     L, R = range(left_ring.order), range(right_ring.order)
     lmul, ladd, rmul, radd = (
-        t.tolist()
+        _lists(t)
         for t in (left_ring.mul_table, left_ring.add_table, right_ring.mul_table, right_ring.add_table)
     )
     broken = {f"carrier is not an abelian group: {axiom}" for axiom, _ in _group_oracle(add)}
@@ -181,9 +186,9 @@ def bimodule_oracle(left_ring, right_ring, add, la, ra) -> set[str]:
 def pairing_oracle(t, m32, m21, m31) -> set[str]:
     """The messages of every pairing law the table t : M32 x M21 -> M31 breaks."""
     U, V = range(m32.order), range(m21.order)
-    add32, add21, add31 = (m.add_table.tolist() for m in (m32, m21, m31))
+    add32, add21, add31 = (_lists(m.add_table) for m in (m32, m21, m31))
     (la32, ra32), (la21, ra21), (la31, ra31) = (
-        (m.left_action.tolist(), m.right_action.tolist()) for m in (m32, m21, m31)
+        (_lists(m.left_action), _lists(m.right_action)) for m in (m32, m21, m31)
     )
     laws = {
         "pairing is not additive in its second argument": (
@@ -222,9 +227,9 @@ def test_bimodule_accepts_exactly_when_the_oracle_does(shape, data):
     a, b, m = shape
     base = zn_bimodule(zn(a), zn(b), m)
     tables = {
-        "add": base.add_table.tolist(),
-        "left": base.left_action.tolist(),
-        "right": base.right_action.tolist(),
+        "add": _lists(base.add_table),
+        "left": _lists(base.left_action),
+        "right": _lists(base.right_action),
     }
     _tamper(data, tables, m)
     broken = bimodule_oracle(base.left_ring, base.right_ring, tables["add"], tables["left"], tables["right"])
