@@ -3,7 +3,8 @@ clean/weakly-clean/exchange analysis, localizations of the integers, and a
 law harness that checks structural facts over a catalog of rings.
 
 Every public name is imported from its submodule on first use (PEP 562), so
-importing the package, or running a localization command, loads no numpy.
+importing the package, or running a localization command, loads none of the
+finite-ring modules. No command needs anything outside the standard library.
 """
 
 import importlib

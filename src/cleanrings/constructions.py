@@ -41,7 +41,7 @@ from itertools import chain
 from typing import Callable, Sequence
 
 from .core import FiniteRing, SizeCapError, size_cap, _abelian_group_violations, _action_breaks
-from .core import _Table, _as_table, _closure_break, _gather, _getter, _int_table, _law_breaks, _row
+from .core import _Table, _as_table, _closure_break, _gather, _getter, _int_table, _ints, _law_breaks, _row
 from .records import _Value
 
 
@@ -104,7 +104,7 @@ def _lanes(row, width: int) -> int:
 
 
 def _unlanes(value: int, width: int, count: int):
-    """The count lanes of value as a row: bytes for one-byte lanes, else a tuple."""
+    """The count lanes of value: bytes for one-byte lanes, else an array."""
     raw = value.to_bytes(width * count, "little")
     if width == 1:
         return raw
@@ -112,7 +112,7 @@ def _unlanes(value: int, width: int, count: int):
     packed.frombytes(raw)
     if sys.byteorder == "big":
         packed.byteswap()
-    return tuple(packed)
+    return packed
 
 
 def _flat(rows: list):
@@ -147,11 +147,13 @@ def _transposed(grid, n: int):
 def _encode(digits: Sequence, radices: Sequence[int]):
     """The index with the given digits at every entry of the digit rows (or
     grids), first radix most significant: a row of the element kind."""
-    width = _width(math.prod(radices))
+    n = math.prod(radices)
+    width = _width(n)
     acc = 0
     for d, r in zip(digits, radices):
         acc = acc * r + _lanes(d, width)
-    return _unlanes(acc, width, len(digits[0]))
+    lanes = _unlanes(acc, width, len(digits[0]))
+    return lanes if width == 1 else _gather(_ints(n), lanes)
 
 
 def _digit_rows(radices: Sequence[int]) -> list:
@@ -709,7 +711,9 @@ def idealization(ring: FiniteRing, module: Bimodule, *, label: str | None = None
     )
 
 
-def quotient(ring: FiniteRing, ideal, *, label: str | None = None, cap: int | None = None) -> tuple[FiniteRing, bytes | tuple]:
+def quotient(
+    ring: FiniteRing, ideal, *, label: str | None = None, cap: int | None = None
+) -> tuple[FiniteRing, bytes | tuple]:
     """R/I with its projection map (a row sending elements to coset indices).
 
     Cosets are indexed by their smallest member, in ascending order, so the

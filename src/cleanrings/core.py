@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 import sys
 from array import array
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
@@ -89,9 +89,17 @@ class ValidationReport(_Value):
 # -- rows and tables ------------------------------------------------------------
 
 
+@lru_cache(maxsize=4)
+def _ints(order: int) -> tuple[int, ...]:
+    """One int object for each index below order."""
+    return tuple(range(order))
+
+
 def _row(values: Iterable[int], order: int):
-    """Indices below order as a row: bytes up to order 256, a tuple above."""
-    return bytes(values) if order <= 256 else tuple(values)
+    """Indices below order as a row: bytes up to order 256, and above it a
+    tuple of the shared objects of _ints, so that equal rows compare by
+    identity, entry by entry."""
+    return bytes(values) if order <= 256 else tuple(map(_ints(order).__getitem__, values))
 
 
 def _getter(through):
@@ -149,6 +157,10 @@ class _Table(tuple):
         return _Table(_transpose(self))
 
     @cached_property
+    def bounds(self) -> tuple[int, int] | None:
+        return _bounds(self)
+
+    @cached_property
     def through(self) -> list:
         """Each row ready to gather others through (_getter)."""
         return [_getter(row) for row in self]
@@ -164,6 +176,16 @@ class _Table(tuple):
         }
 
 
+def _bounds(rows) -> tuple[int, int] | None:
+    """(least, greatest) entry of a list of rows, or None when there is none."""
+    rows = [r for r in rows if r]
+    if not rows:
+        return None
+    if all(isinstance(r, (bytes, bytearray)) for r in rows):
+        return 0, max(b"".join(rows))  # a byte is never negative
+    return min(map(min, rows)), max(map(max, rows))
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -173,14 +195,11 @@ def _nested_shape(table) -> tuple[int, ...]:
     the first depth at which the items disagree or are not lists."""
     if not isinstance(table, (list, tuple)):
         return ()
-    shape = None
-    for item in table:
-        inner = _nested_shape(item)
-        if shape is None:
-            shape = inner
-        else:
-            shape = shape[: next((d for d, (a, b) in enumerate(zip(shape, inner)) if a != b), min(len(shape), len(inner)))]
-    return (len(table), *(shape or ()))
+    shapes = [_nested_shape(item) for item in table]
+    common = 0  # the depth to which every item's shape agrees
+    while shapes and all(len(s) > common and s[common] == shapes[0][common] for s in shapes):
+        common += 1
+    return (len(table), *(shapes[0][:common] if shapes else ()))
 
 
 def _entries(table, depth: int) -> list:
@@ -239,10 +258,8 @@ def _as_table(table, shape: tuple[int, ...], order: int, name: str):
     found, entries = _int_table(table, name)
     if found != shape:
         raise TableFormatError(f"{name} table has shape {found}, expected {shape}")
-    rows = [r for r in ([entries] if len(shape) == 1 else entries) if r]
-    if all(isinstance(r, (bytes, bytearray)) for r in rows):
-        rows = [b"".join(rows)] if rows else []  # bytes hold no negative entries
-    if rows and (min(map(min, rows)) < 0 or max(map(max, rows)) >= order):
+    bounds = entries.bounds if type(entries) is _Table else _bounds([entries] if len(shape) == 1 else entries)
+    if bounds is not None and (bounds[0] < 0 or bounds[1] >= order):
         raise TableFormatError(f"{name} table entries must lie in 0..{order - 1}")
     kind = bytes if order <= 256 else tuple
     if len(shape) == 1:

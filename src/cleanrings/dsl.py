@@ -731,7 +731,7 @@ def _parts_order(spec: RingSpec) -> int:
 
 def _constructions():
     """The finite-ring constructions, imported when a finite ring is built, so
-    that reading a spec or building a localization imports no numpy."""
+    that reading a spec or building a localization imports no table code."""
     from . import constructions
 
     return constructions

@@ -537,24 +537,28 @@ def _det_cofactor(n: int, k: int, cases: Iterable[tuple]) -> tuple[dict | None, 
     base = zn(n)
     add, mul = base.add_table, base.mul_table
     dets: dict[tuple, int] = {}
-    minors: dict[tuple, int] = {}
+    cofactors: dict[tuple, dict] = {}
 
     def square(entries: tuple) -> list[list[int]]:
         return [list(entries[r * k : (r + 1) * k]) for r in range(k)]
 
-    scanned = 0
+    scanned, grid = 0, None
     for entries, i, j, x in cases:
         scanned += 1
-        entries, at = tuple(entries), i * k + j
-        bumped = (*entries[:at], add[entries[at]][x], *entries[at + 1 :])
-        for grid in (entries, bumped):
+        if entries != grid:  # a stream gives one grid's cases together
+            grid = tuple(entries)
             if grid not in dets:
                 dets[grid] = det(base, square(grid))
-        if (entries, i, j) not in minors:
-            minors[entries, i, j] = cofactor(base, square(entries), i, j)
-        got, expected = dets[bumped], add[dets[entries]][mul[x][minors[entries, i, j]]]
+            minors = cofactors.setdefault(grid, {})
+        at = i * k + j
+        bumped = grid[:at] + (add[grid[at]][x],) + grid[at + 1 :]
+        if bumped not in dets:
+            dets[bumped] = det(base, square(bumped))
+        if (i, j) not in minors:
+            minors[i, j] = cofactor(base, square(grid), i, j)
+        got, expected = dets[bumped], add[dets[grid]][mul[x][minors[i, j]]]
         if got != expected:
-            witness = {"modulus": n, "entries": list(entries), "row": i, "col": j, "bump": x}
+            witness = {"modulus": n, "entries": list(grid), "row": i, "col": j, "bump": x}
             return {**witness, "got": got, "expected": expected}, scanned
     return None, scanned
 

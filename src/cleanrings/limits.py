@@ -1,6 +1,6 @@
 """The size cap on finite rings, shared by validation and the spec language.
 
-Kept apart from the table code so that reading a spec imports no numpy.
+Kept apart from the table code so that reading a spec imports none of it.
 """
 
 from __future__ import annotations

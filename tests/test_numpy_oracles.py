@@ -121,9 +121,12 @@ def np_validate(one: int, add, mul, checks: list) -> list[tuple[str, tuple]]:
         out.append(("one-identity", (int(bad[0] if bad.size else np.flatnonzero(mul[:, one] != idx)[0]),)))
     g = gens
     breaks = law_breaks([
-        (lambda r, s, m: (mul[mul[r, s], m], mul[r, mul[s, m]]), (n, n, n), None if g is None else (g, g, g)),
-        (lambda r, m, p: (mul[r, add[m, p]], add[mul[r, m], mul[r, p]]), (n, n, n), None if g is None else (g, idx, g)),
-        (lambda m, r, s: (mul[add[r, s], m], add[mul[r, m], mul[s, m]]), (n, n, n), None if g is None else (idx, idx, g)),
+        (lambda r, s, m: (mul[mul[r, s], m], mul[r, mul[s, m]]), (n, n, n),
+         None if g is None else (g, g, g)),
+        (lambda r, m, p: (mul[r, add[m, p]], add[mul[r, m], mul[r, p]]), (n, n, n),
+         None if g is None else (g, idx, g)),
+        (lambda m, r, s: (mul[add[r, s], m], add[mul[r, m], mul[s, m]]), (n, n, n),
+         None if g is None else (idx, idx, g)),
     ])
     if breaks[2] is not None:  # scanned as (m, r, s), reported as (r, s, m)
         breaks[2] = (*breaks[2][1:], breaks[2][0])
@@ -383,3 +386,58 @@ def test_determinant_cofactor_step_matches_the_numpy_array_pass(monkeypatch, str
     expected = np_det_cofactor(n, k, drawn)
     assert laws._det_cofactor(n, k, iter(drawn)) == expected
     assert (expected[0] is None) == (fault == "none")
+
+
+# -- reading tables -------------------------------------------------------------------
+
+
+def np_as_table(table, shape, order, name):
+    """Tables read through numpy: integer entries (an int64 cast), then the
+    shape, then every entry in 0..order-1."""
+    try:
+        if isinstance(table, np.ndarray):
+            entries = table
+            bad = table.dtype if table.size and table.dtype.kind not in "iu" else None
+        else:
+            entries = np.array(table, dtype=object)
+            bad = next((type(v).__name__ for v in entries.flat
+                        if not ((isinstance(v, int) and not isinstance(v, bool)) or isinstance(v, np.integer))), None)
+        if bad is None:
+            arr = entries.astype(np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise core.TableFormatError(f"{name} table is not an integer table: {exc}") from None
+    if bad is not None:
+        raise core.TableFormatError(f"{name} table is not an integer table: {bad} entries")
+    if arr.shape != shape:
+        raise core.TableFormatError(f"{name} table has shape {arr.shape}, expected {shape}")
+    if arr.size and (arr.min() < 0 or arr.max() >= order):
+        raise core.TableFormatError(f"{name} table entries must lie in 0..{order - 1}")
+    return arr
+
+
+_TABLES = [
+    [[0, 1], [1, 0]], ((0, 1), (1, 0)), [[0, 1], [1]], [[0, 1], [1, 0], [0]], [[[0, 1], [1]], [[0], 5]],
+    [[0.5, 0], [0, 0]], [["0", 0], [0, 0]], [[True, 0], [0, 0]], [[np.False_, 0], [0, 0]],
+    [[np.int64(1), 0], [0, 0]], [[2**63, 0], [0, 0]], [[-(2**70), 0], [0, 0]], [[None, 0], [0, 0]],
+    [0, 1], [[[0]]], [[0, 5], [1, 0]], [[0, -1], [1, 0]], 5, "ab", [], [[]],
+    np.zeros((2, 2)), np.zeros((2, 3), dtype=int), np.array([[0, 1], [1, 0]], dtype=np.uint8),
+]
+
+
+def _package_as_table(table, shape, order, name):
+    read = core._as_table(table, shape, order, name)
+    return list(read) if len(shape) == 1 else read  # numpy reads a bytes row as one string
+
+
+def _read(reader, table, shape):
+    try:
+        return np.asarray(reader(table, shape, 2, "add")).tolist()
+    except core.TableFormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2,)], ids=["table", "row"])
+@pytest.mark.parametrize("table", _TABLES, ids=repr)
+def test_tables_are_read_and_refused_as_numpy_read_them(table, shape):
+    """The same entries, or the same TableFormatError text."""
+    assert _read(_package_as_table, table, shape) == _read(np_as_table, table, shape)
