@@ -8,9 +8,11 @@ one of these properties when every one of its elements does; verdicts record
 only counts on success and a full attempted-decomposition trace for the
 first failing element, so passing scans stay cheap to serialize. Every
 property of an ideal, the exchange property included, and the first
-decomposition of each member are read off one gather of x - e and x + e per
-member (``_shifts``). Every result indexed [member, idempotent] is a list
-with one row per member, and a verdict row is a mask over the idempotents.
+decomposition of each member are read off x - e and x + e: the rows of -e
+and e in the addition table, each read at the members (``_shifts``). The
+scans keep one mask row over the members per idempotent, a byte each, so
+that one int operation combines a row for every member; the exchange masks
+keep one row over the idempotents per member.
 
 The weakly exchange test for x asks for an idempotent e with e - x in
 R(x - x^2) or e + x in R(x + x^2). Restricting candidate idempotents to the
@@ -26,7 +28,7 @@ from __future__ import annotations
 from operator import or_
 from typing import Literal, Sequence
 
-from .constructions import corner_ring
+from .constructions import _lanes, corner_ring
 from .core import FiniteRing, _gather, _getter, _row, _transpose
 from .ideals import IdealSet, corner_ideal, full_ideal
 from .records import _Value
@@ -94,11 +96,6 @@ def _scan_masks(ring: FiniteRing, members: Sequence[int]) -> tuple[list, list]:
     return [_gather(units, row) for row in minus_e], [_gather(units, row) for row in plus_e]
 
 
-def _lanes(mask) -> int:
-    """A mask row as one int, a byte per member, for bitwise work on all members at once."""
-    return int.from_bytes(mask, "little")
-
-
 def decompositions(ring: FiniteRing, x: int) -> tuple[Decomposition, ...]:
     """Every decomposition x = u + e and x = u - e, sign +1 first, e ascending.
 
@@ -121,9 +118,9 @@ def _first_decompositions(
     shifted = minus_e if plus_only else [*minus_e, *plus_e]
     signed = [(sign, e) for sign in (1, -1) for e in ring.idempotents]
     first = [0] * len(members)
-    left = _lanes(b"\1" * len(members))
+    left = _lanes(b"\1" * len(members), 1)
     for j, row in enumerate(shifted):
-        taken = _lanes(_gather(ring.units_mask, row)) & left
+        taken = _lanes(_gather(ring.units_mask, row), 1) & left
         left ^= taken
         hits = taken.to_bytes(len(members), "little")
         i = hits.find(1)
@@ -248,7 +245,7 @@ def _scan_ideal(
     plus_ok, minus_ok = _scan_masks(ring, ideal.members)
     once = twice = 0  # the members one idempotent, and two, decompose: a byte each
     for p, m in zip(plus_ok, minus_ok):
-        works = _lanes(p) | (0 if plus_only else _lanes(m))
+        works = _lanes(p, 1) | (0 if plus_only else _lanes(m, 1))
         twice |= once & works
         once |= works
     failing = (once & ~twice if unique else once).to_bytes(len(ideal), "little").find(0)

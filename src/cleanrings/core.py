@@ -114,14 +114,15 @@ def _gather(row, through):
     entries; any other row gathers by operator.itemgetter, or by the
     itemgetter that _getter built for through."""
     narrow = isinstance(row, (bytes, bytearray))
-    if type(through) is itemgetter:
-        got = through(row)
-    elif narrow and len(row) <= 256:
+    if narrow and len(row) <= 256 and type(through) is not itemgetter:
         if not isinstance(through, (bytes, bytearray)):
             through = bytes(through)
         return through.translate(row.ljust(256, b"\0"))
-    else:
-        got = itemgetter(*through)(row) if len(through) > 1 else tuple(row[t] for t in through)
+    if type(through) is not itemgetter:
+        if len(through) < 2:
+            return (bytes if narrow else tuple)(row[t] for t in through)
+        through = itemgetter(*through)
+    got = through(row)
     return bytes(got) if narrow else got
 
 
@@ -452,6 +453,8 @@ def _closure_break(members: Iterable[int], add, *maps) -> str | None:
     inside = set(ms)
     if 0 not in inside:
         return "0 is not a member"
+    if len(ms) == n:  # every element: closed under anything
+        return None
     via = _getter(_row(ms, n))
     if not all(inside.issuperset(_gather(add[x], via)) for x in ms):
         return "members are not closed under addition"
